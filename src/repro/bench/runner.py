@@ -45,7 +45,6 @@ from repro.bench.scenarios import (
 )
 from repro.distributed.executor import ClusterExecutionReport
 from repro.errors import ConfigurationError, SimulationError
-from repro.network import flims
 from repro.obs.runtime import DISABLED, activated, live_observation, observation
 from repro.parallel import ParallelPlan, available_cpus
 from repro.records.valsort import content_digest
@@ -104,31 +103,6 @@ def _best_of(fn: Callable[[], object], reps: int) -> tuple[float, object]:
     return best or 0.0, result
 
 
-def _backend_identity_gate(scenario: Scenario, run_fast: Callable[[], object], reference: object) -> list[str]:
-    """Re-run the fast engine under every forced merge backend and
-    require bit-identical output and statistics.
-
-    The timed legs run under whatever backend the session selected
-    (normally ``auto``); this gate pins that the recorded numbers could
-    not have come from a kernel that computes something different —
-    scalar and vectorized paths must agree on every scenario before a
-    report is written.  Returns the backend names checked.
-    """
-    checked = []
-    for name in ("python", "numpy"):
-        if name not in flims.available_backends():
-            continue
-        with flims.forced_backend(name):
-            out = run_fast()
-        if out != reference:
-            raise SimulationError(
-                f"{scenario.name}: forced '{name}' merge backend diverged "
-                "from the timed run (output or statistics)"
-            )
-        checked.append(name)
-    return checked
-
-
 def _run_simulator_scenario(scenario: Scenario, quick: bool) -> BenchResult:
     reps = 2 if quick else 3
     if scenario.kind == "micro":
@@ -143,11 +117,8 @@ def _run_simulator_scenario(scenario: Scenario, quick: bool) -> BenchResult:
             raise SimulationError(
                 f"{scenario.name}: engines diverged (output or StageStats)"
             )
-        backends = _backend_identity_gate(
-            scenario, lambda: run_micro(scenario, runs, "fast"), fast_out
-        )
         cycles = fast_out[1].cycles
-        extra = {"records": fast_out[1].records_in, "backends_identical": backends}
+        extra = {"records": fast_out[1].records_in}
     else:
         records = scenario.make_records(quick)
         naive_seconds, naive_out = _best_of(
@@ -162,15 +133,8 @@ def _run_simulator_scenario(scenario: Scenario, quick: bool) -> BenchResult:
             )
         if fast_out[0] != sorted(records):
             raise SimulationError(f"{scenario.name}: end-to-end output unsorted")
-        backends = _backend_identity_gate(
-            scenario, lambda: run_end_to_end(scenario, records, "fast"), fast_out
-        )
         cycles = fast_out[2]
-        extra = {
-            "records": len(records),
-            "stages": fast_out[1],
-            "backends_identical": backends,
-        }
+        extra = {"records": len(records), "stages": fast_out[1]}
     return BenchResult(
         name=scenario.name,
         kind=scenario.kind,

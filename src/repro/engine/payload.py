@@ -18,31 +18,8 @@ from repro.core.configuration import AmtConfig
 from repro.core.parameters import HardwareParams, MergerArchParams
 from repro.engine.results import SortOutcome
 from repro.engine.sorter import AmtSorter
+from repro.engine.stage import merge_two_sorted_with_perm
 from repro.errors import ConfigurationError
-
-
-def merge_two_sorted_with_perm(
-    left_keys: np.ndarray, right_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable two-way merge returning output positions for both inputs.
-
-    Returns ``(merged_keys, left_positions, right_positions)`` where
-    ``merged[left_positions[i]] == left_keys[i]`` (ties keep left first).
-    """
-    left_keys = np.asarray(left_keys)
-    right_keys = np.asarray(right_keys)
-    merged = np.empty(
-        left_keys.size + right_keys.size, dtype=np.result_type(left_keys, right_keys)
-    )
-    left_positions = np.arange(left_keys.size) + np.searchsorted(
-        right_keys, left_keys, side="left"
-    )
-    right_positions = np.arange(right_keys.size) + np.searchsorted(
-        left_keys, right_keys, side="right"
-    )
-    merged[left_positions] = left_keys
-    merged[right_positions] = right_keys
-    return merged, left_positions, right_positions
 
 
 @dataclass

@@ -15,21 +15,34 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.network import flims
+
+
+def merge_two_sorted_with_perm(
+    left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable two-way merge returning output positions for both inputs.
+
+    Returns ``(merged, left_positions, right_positions)`` where
+    ``merged[left_positions[i]] == left[i]``.  Each element's position
+    is its index plus ``searchsorted`` into the other run: left elements
+    shift right by the count of *strictly smaller* right elements, so
+    ties keep left first — a genuine two-way merge, no re-sorting.
+    """
+    left = np.asarray(left)
+    right = np.asarray(right)
+    merged = np.empty(left.size + right.size, dtype=np.result_type(left, right))
+    left_positions = np.arange(left.size) + np.searchsorted(right, left, side="left")
+    right_positions = np.arange(right.size) + np.searchsorted(left, right, side="right")
+    merged[left_positions] = left
+    merged[right_positions] = right
+    return merged, left_positions, right_positions
 
 
 def merge_two_sorted(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Stable merge of two sorted arrays (left wins ties).
 
-    Backend-dispatched through :mod:`repro.network.flims`: the numpy
-    path computes each element's position in the merged output via
-    ``searchsorted`` (left elements shift right by the count of
-    *strictly smaller* right elements, so ties keep left first; a
-    genuine two-way merge, no re-sorting of the payload); the scalar
-    path is the classic two-pointer merge with the same tie rule, used
-    when the backend is forced to ``python`` or the merge is too small
-    to amortize the numpy call overhead.  Both produce bit-identical
-    output arrays.
+    The :func:`merge_two_sorted_with_perm` position merge; an empty
+    side returns a copy of the other, keeping its dtype.
     """
     left = np.asarray(left)
     right = np.asarray(right)
@@ -37,15 +50,7 @@ def merge_two_sorted(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return right.copy()
     if right.size == 0:
         return left.copy()
-    if not flims.use_numpy_arrays():
-        merged = flims.merge_runs_python(left.tolist(), right.tolist())
-        return np.asarray(merged, dtype=np.result_type(left, right))
-    out = np.empty(left.size + right.size, dtype=np.result_type(left, right))
-    left_positions = np.arange(left.size) + np.searchsorted(right, left, side="left")
-    right_positions = np.arange(right.size) + np.searchsorted(left, right, side="right")
-    out[left_positions] = left
-    out[right_positions] = right
-    return out
+    return merge_two_sorted_with_perm(left, right)[0]
 
 
 def merge_runs_numpy(runs: list[np.ndarray]) -> np.ndarray:

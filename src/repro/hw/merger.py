@@ -31,13 +31,39 @@ stream spaces).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import SimulationError
 from repro.hw.fifo import Fifo
 from repro.hw.probes import MergerStats
 from repro.hw.terminal import TERMINAL, is_terminal
-from repro.network.flims import tuple_merge_kernel
 from repro.units import is_power_of_two
+
+
+def _half_merge_kernel(k: int) -> Callable[[tuple, tuple], tuple[tuple, tuple]]:
+    """Bind the 2k bitonic half-merger datapath for width ``k``.
+
+    Evaluating the compare-exchange stages element by element per cycle
+    would be the simulator's hottest loop, and for integer keys the
+    network's output is simply the sorted permutation of the 2k inputs;
+    so the kernel sorts the concatenation (Timsort's galloping merge of
+    two sorted runs) and splits it into (lower k, upper k).  ``k == 1``
+    is a single compare-exchange.  ``tests/network`` verifies the
+    bitonic network itself produces the same sorted output.
+    """
+    if k == 1:
+        def compare_swap(left: tuple, right: tuple) -> tuple[tuple, tuple]:
+            if right[0] < left[0]:
+                return right, left
+            return left, right
+
+        return compare_swap
+
+    def half_merge(left: tuple, right: tuple) -> tuple[tuple, tuple]:
+        merged = sorted(left + right)
+        return tuple(merged[:k]), tuple(merged[k:])
+
+    return half_merge
 
 
 @dataclass
@@ -72,9 +98,9 @@ class KMerger:
     def __post_init__(self) -> None:
         if not is_power_of_two(self.k):
             raise SimulationError(f"merger width must be a power of two, got {self.k}")
-        # The 2k half-merger datapath, resolved once against the active
-        # flims backend so the per-cycle path carries no dispatch.
-        self._merge_kernel = tuple_merge_kernel(self.k)
+        # The 2k half-merger datapath, bound once so the per-cycle path
+        # carries no width dispatch.
+        self._merge_kernel = _half_merge_kernel(self.k)
         self.stats = MergerStats(name=self.name, k=self.k)
 
     # ------------------------------------------------------------------
@@ -220,21 +246,6 @@ class KMerger:
         head_a = input_a.peek()
         head_b = input_b.peek()
         return input_a if head_a[0] <= head_b[0] else input_b
-
-    def _merge(self, left: tuple, right: tuple) -> tuple[tuple, tuple]:
-        """Merge two sorted k-tuples, returning (lower k, upper k).
-
-        The datapath is the 2k bitonic half-merger network; evaluating
-        the compare-exchange stages element by element per cycle is the
-        simulator's hottest loop, and for integer keys the network's
-        output is simply the sorted permutation of the 2k inputs — so
-        the model delegates to the FLiMS kernel bound at construction
-        (:func:`repro.network.flims.tuple_merge_kernel`), which is
-        bit-identical across its scalar and vectorized backends.
-        ``tests/network`` verifies the bitonic network itself produces
-        the same sorted output over exhaustive and randomized inputs.
-        """
-        return self._merge_kernel(left, right)
 
     def _finish_run(self) -> None:
         """Flush the feedback register, then emit the terminal and reset."""

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.network import flims
-from repro.records.keyhash import fnv1a_hash_batch, hash_value_to_index
+from repro.records.keyhash import fnv1a_hash_batch
 
 KEY_BYTES = 10
 VALUE_BYTES = 90
@@ -108,48 +107,17 @@ def pack_records(
         allowing payload recovery after the sort (collisions map to
         multiple ordinals, resolved by comparing values).
 
-    Dispatches through the :mod:`repro.network.flims` backend switch:
-    the vectorized codec packs whole batches at once, the scalar codec
-    walks record by record; their outputs are bit-identical
-    (``tests/records/test_gensort.py`` pins this across batch shapes).
-    """
-    if flims.use_numpy(len(records)):
-        return _pack_records_vectorized(records)
-    return _pack_records_scalar(records)
-
-
-def _pack_records_scalar(
-    records: list[GensortRecord],
-) -> tuple[np.ndarray, np.ndarray, dict[int, list[int]]]:
-    """Reference per-record packing loop (pure-Python fallback)."""
-    sort_keys = np.empty(len(records), dtype=np.uint64)
-    packed_low = np.empty(len(records), dtype=np.uint64)
-    # defaultdict avoids setdefault's per-record empty-list allocation
-    index_table: defaultdict[int, list[int]] = defaultdict(list)
-    for ordinal, record in enumerate(records):
-        key_int = packed_sort_key(record)
-        sort_keys[ordinal] = key_int >> 16
-        low_key_bytes = key_int & 0xFFFF
-        value_index = hash_value_to_index(record.value, INDEX_BYTES)
-        packed_low[ordinal] = (low_key_bytes << 48) | value_index
-        index_table[value_index].append(ordinal)
-    return sort_keys, packed_low, dict(index_table)
-
-
-def _pack_records_vectorized(
-    records: list[GensortRecord],
-) -> tuple[np.ndarray, np.ndarray, dict[int, list[int]]]:
-    """Whole-batch packing: one pass over keys, one over values.
-
-    The 10-byte keys concatenate into an ``(n, 10)`` uint8 matrix; the
-    top 8 bytes reinterpret as big-endian uint64 (exactly
-    ``key_int >> 16`` of the scalar path) and the low 2 bytes combine
-    with the batched FNV-1a value hashes into ``packed_low``.  Only the
-    index-table fill remains a Python loop, and it does no hashing.
+    Packs the whole batch at once: the 10-byte keys concatenate into an
+    ``(n, 10)`` uint8 matrix whose top 8 bytes reinterpret as big-endian
+    uint64 (exactly ``packed_sort_key(record) >> 16``) and whose low 2
+    bytes combine with the batched FNV-1a value hashes into
+    ``packed_low``.  Only the index-table fill remains a Python loop,
+    and it does no hashing.
     """
     n_records = len(records)
     if not n_records:
-        return _pack_records_scalar(records)
+        empty = np.empty(0, dtype=np.uint64)
+        return empty, empty.copy(), {}
     keys = np.frombuffer(
         b"".join(record.key for record in records), dtype=np.uint8
     ).reshape(n_records, KEY_BYTES)

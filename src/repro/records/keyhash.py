@@ -68,11 +68,3 @@ def fnv1a_hash_batch(values: np.ndarray) -> np.ndarray:
         acc ^= rows[:, column]
         acc *= prime
     return acc
-
-
-def hash_values_to_indices(values: list[bytes], index_bytes: int = 6) -> np.ndarray:
-    """Vector form of :func:`hash_value_to_index` returning ``uint64``."""
-    out = np.empty(len(values), dtype=np.uint64)
-    for position, value in enumerate(values):
-        out[position] = hash_value_to_index(value, index_bytes)
-    return out

@@ -66,9 +66,10 @@ def summarize(keys: np.ndarray) -> SortSummary:
         return SortSummary(
             records=0, checksum=0, is_sorted=True, first_violation=None, duplicates=0
         )
-    diffs = np.diff(keys.astype(np.int64))
-    violations = np.flatnonzero(diffs < 0)
-    duplicates = int(np.count_nonzero(diffs == 0))
+    # Compare neighbours directly: a signed difference would wrap for
+    # uint64 keys 2**63 or more apart.
+    violations = np.flatnonzero(keys[1:] < keys[:-1])
+    duplicates = int(np.count_nonzero(keys[1:] == keys[:-1]))
     return SortSummary(
         records=int(keys.size),
         checksum=_checksum(keys),

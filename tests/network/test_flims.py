@@ -1,14 +1,14 @@
-"""Differential suite for the FLiMS merge kernels (repro.network.flims).
+"""Oracle suite for the merge paths: each against an independent reference.
 
-The vectorized record path's whole correctness argument rests on one
-claim: every kernel behind the backend switch is **bit-identical** to
-its scalar reference — same values, same native ``int`` types, same
-tie behaviour — so swapping backends can never change a simulation,
-digest or cycle count.  This suite pins that claim across ≥32 seeds,
-every paper-relevant merger width, duplicate-heavy key spaces, ragged
-batch shapes, and both the numpy-present and numpy-absent
-configurations (the latter via a forced ``python`` backend and a
-simulated missing numpy).
+* the k-merger's bound 2k half-merge kernel against ``sorted()`` and
+  ``np.sort`` of the 2k inputs, at every paper merger width;
+* :func:`repro.engine.stage.merge_two_sorted` (the ``searchsorted``
+  position merge) against a scalar two-pointer merge, on ragged,
+  duplicate-heavy, empty-side and full-range ``uint64`` runs;
+* ``simulate_merge``'s event-driven engine against the naive stepper.
+
+The gensort codec's per-record oracle lives in
+``tests/records/test_gensort.py``.
 """
 
 from __future__ import annotations
@@ -18,70 +18,49 @@ import random
 import numpy as np
 import pytest
 
-from repro.engine.stage import merge_two_sorted
-from repro.errors import ConfigurationError
+from repro.engine.stage import merge_two_sorted, merge_two_sorted_with_perm
+from repro.hw.fifo import Fifo
+from repro.hw.merger import KMerger
 from repro.hw.tree import simulate_merge
-from repro.network import flims
-from repro.network.flims import (
-    BACKENDS,
-    NUMPY_WIDTH_THRESHOLD,
-    _merge_halves_numpy,
-    _merge_halves_python,
-    available_backends,
-    forced_backend,
-    get_backend,
-    merge_runs_python,
-    set_backend,
-    tuple_merge_kernel,
-    use_numpy,
-    use_numpy_arrays,
-)
 
 SEEDS = range(32)
-WIDTHS = (2, 4, 8, 16, 32)
+WIDTHS = (1, 2, 4, 8, 16, 32)
+
+
+def two_pointer_merge(left, right) -> list:
+    """Reference stable merge of two sorted sequences (left wins ties)."""
+    out = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if right[j] < left[i]:
+            out.append(right[j])
+            j += 1
+        else:
+            out.append(left[i])
+            i += 1
+    out.extend(left[i:])
+    out.extend(right[j:])
+    return out
+
+
+def _bound_kernel(k: int):
+    """The 2k half-merge kernel a k-merger binds at construction."""
+    fifos = [Fifo(capacity=2, name=f"f{i}") for i in range(3)]
+    return KMerger(k=k, input_a=fifos[0], input_b=fifos[1], output=fifos[2])._merge_kernel
 
 
 def _sorted_tuple(rng: random.Random, k: int, key_range: int) -> tuple:
     return tuple(sorted(rng.randrange(0, key_range) for _ in range(k)))
 
 
-class TestBackendSelection:
-    def test_default_backend_is_auto(self):
-        assert get_backend() in BACKENDS
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown merge backend"):
-            set_backend("fortran")
-
-    def test_forced_backend_restores_on_exit(self):
-        before = get_backend()
-        with forced_backend("python"):
-            assert get_backend() == "python"
-            assert not use_numpy(10**9)
-            assert not use_numpy_arrays()
-        assert get_backend() == before
-
-    def test_auto_threshold_splits_narrow_from_wide(self):
-        with forced_backend("auto"):
-            assert not use_numpy(NUMPY_WIDTH_THRESHOLD - 1)
-            assert use_numpy(NUMPY_WIDTH_THRESHOLD)
-
-    def test_numpy_backend_forces_everywhere(self):
-        with forced_backend("numpy"):
-            assert use_numpy(2)
-            assert use_numpy_arrays()
-
-    def test_available_backends_include_python(self):
-        assert "python" in available_backends()
-        assert "auto" in available_backends()
-
-    def test_missing_numpy_degrades_and_rejects(self, monkeypatch):
-        monkeypatch.setattr(flims, "_np", None)
-        assert not use_numpy(10**9)
-        assert not use_numpy_arrays()
-        assert available_backends() == ("auto", "python")
-        with pytest.raises(ConfigurationError, match="numpy is not importable"):
-            set_backend("numpy")
+def _assert_kernel_sorts(k: int, left: tuple, right: tuple) -> None:
+    """The kernel's (lower, upper) halves are the sorted 2k inputs, per
+    both the Python and the numpy reference sort."""
+    lower, upper = _bound_kernel(k)(left, right)
+    reference = sorted(left + right)
+    assert lower == tuple(reference[:k])
+    assert upper == tuple(reference[k:])
+    assert list(lower + upper) == np.sort(np.asarray(left + right, dtype=np.uint64)).tolist()
 
 
 class TestTupleKernel:
@@ -89,46 +68,28 @@ class TestTupleKernel:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_numpy_matches_python_random(self, k, seed):
         rng = random.Random(seed)
-        left = _sorted_tuple(rng, k, 1 << 30)
-        right = _sorted_tuple(rng, k, 1 << 30)
-        assert _merge_halves_numpy(left, right, k) == _merge_halves_python(
-            left, right, k
-        )
+        _assert_kernel_sorts(k, _sorted_tuple(rng, k, 1 << 30), _sorted_tuple(rng, k, 1 << 30))
 
     @pytest.mark.parametrize("k", WIDTHS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_numpy_matches_python_duplicate_heavy(self, k, seed):
         rng = random.Random(1000 + seed)
-        left = _sorted_tuple(rng, k, 4)
-        right = _sorted_tuple(rng, k, 4)
-        assert _merge_halves_numpy(left, right, k) == _merge_halves_python(
-            left, right, k
-        )
-
-    def test_numpy_kernel_returns_native_ints(self):
-        lower, upper = _merge_halves_numpy((1, 3), (2, 4), 2)
-        assert all(type(x) is int for x in lower + upper)
+        _assert_kernel_sorts(k, _sorted_tuple(rng, k, 4), _sorted_tuple(rng, k, 4))
 
     def test_halves_partition_and_sort(self):
-        lower, upper = _merge_halves_python((1, 5, 9), (2, 6, 7), 3)
-        assert lower == (1, 2, 5)
-        assert upper == (6, 7, 9)
+        lower, upper = _bound_kernel(4)((1, 5, 9, 11), (2, 6, 7, 12))
+        assert lower == (1, 2, 5, 6)
+        assert upper == (7, 9, 11, 12)
         assert max(lower) <= min(upper)
 
-    def test_kernel_binding_respects_backend(self):
-        with forced_backend("numpy"):
-            numpy_kernel = tuple_merge_kernel(4)
-        with forced_backend("python"):
-            python_kernel = tuple_merge_kernel(4)
-        left, right = (1, 4, 6, 8), (2, 3, 5, 7)
-        assert numpy_kernel(left, right) == python_kernel(left, right)
-
     def test_width_one_is_compare_swap(self):
-        kernel = tuple_merge_kernel(1)
+        kernel = _bound_kernel(1)
         assert kernel((2,), (1,)) == ((1,), (2,))
         assert kernel((1,), (2,)) == ((1,), (2,))
-        # Ties keep the left operand first (the merger's <= preference).
-        assert kernel((3,), (3,)) == ((3,), (3,))
+        # Ties keep the left operand first (the merger's <= preference):
+        # 3 and 3.0 compare equal but stay distinguishable.
+        lower, upper = kernel((3,), (3.0,))
+        assert type(lower[0]) is int and type(upper[0]) is float
 
 
 class TestRunKernel:
@@ -137,50 +98,64 @@ class TestRunKernel:
         rng = random.Random(seed)
         left = sorted(rng.randrange(0, 100) for _ in range(rng.randrange(0, 40)))
         right = sorted(rng.randrange(0, 100) for _ in range(rng.randrange(0, 40)))
-        assert merge_runs_python(left, right) == sorted(left + right)
+        expected = two_pointer_merge(left, right)
+        assert expected == sorted(left + right)
+        merged = merge_two_sorted(np.asarray(left), np.asarray(right))
+        assert merged.tolist() == expected
 
     def test_left_wins_ties(self):
-        # Distinguishable equal keys: floats vs ints compare equal but
+        # The oracle's own tie rule: floats vs ints compare equal but
         # keep their object identity through the merge.
-        left = [1, 2.0, 3]
-        right = [2, 3.0]
-        merged = merge_runs_python(left, right)
+        merged = two_pointer_merge([1, 2.0, 3], [2, 3.0])
         assert merged == [1, 2.0, 2, 3, 3.0]
         assert type(merged[1]) is float and type(merged[2]) is int
 
     def test_empty_sides(self):
-        assert merge_runs_python([], [1, 2]) == [1, 2]
-        assert merge_runs_python([1, 2], []) == [1, 2]
-        assert merge_runs_python([], []) == []
+        # An empty side returns a copy of the other with its own dtype.
+        run = np.asarray([1, 2], dtype=np.uint32)
+        empty = np.asarray([])
+        for merged in (merge_two_sorted(empty, run), merge_two_sorted(run, empty)):
+            assert merged.dtype == np.uint32
+            assert merged.tolist() == [1, 2]
+            assert merged is not run
+        both = merge_two_sorted(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
+        assert both.dtype == np.uint64 and both.size == 0
+
+
+def _ragged_run(rng: np.random.Generator, key_space: str) -> np.ndarray:
+    size = int(rng.integers(0, 700))
+    if key_space == "full_range":
+        return np.sort(rng.integers(0, 2**64 - 1, size=size, dtype=np.uint64, endpoint=True))
+    return np.sort(rng.integers(0, 50, size=size).astype(np.uint64))
 
 
 class TestArrayKernel:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_backends_bit_identical_on_ragged_runs(self, seed):
+        """The searchsorted merge equals the two-pointer oracle bit for bit."""
         rng = np.random.default_rng(seed)
-        left = np.sort(rng.integers(0, 50, size=int(rng.integers(0, 700))))
-        right = np.sort(rng.integers(0, 50, size=int(rng.integers(0, 700))))
-        with forced_backend("numpy"):
-            vectorized = merge_two_sorted(left, right)
-        with forced_backend("python"):
-            scalar = merge_two_sorted(left, right)
-        assert vectorized.dtype == scalar.dtype
-        assert np.array_equal(vectorized, scalar)
+        for key_space in ("duplicate_heavy", "full_range"):
+            left = _ragged_run(rng, key_space)
+            right = _ragged_run(rng, key_space)
+            merged = merge_two_sorted(left, right)
+            expected = two_pointer_merge(left.tolist(), right.tolist())
+            assert merged.dtype == np.uint64
+            assert merged.tolist() == expected
 
     def test_stability_keeps_left_first(self):
-        # uint64 vs int64 operands produce a comparable merged dtype and
-        # searchsorted's side conventions must match the two-pointer rule.
-        left = np.asarray([5, 5, 7], dtype=np.uint64)
-        right = np.asarray([5, 6, 7], dtype=np.uint64)
-        with forced_backend("numpy"):
-            vectorized = merge_two_sorted(left, right)
-        with forced_backend("python"):
-            scalar = merge_two_sorted(left, right)
-        assert np.array_equal(vectorized, scalar)
+        left = np.asarray([5, 5, 7, 2**64 - 1], dtype=np.uint64)
+        right = np.asarray([5, 6, 7, 2**64 - 1], dtype=np.uint64)
+        merged, left_pos, right_pos = merge_two_sorted_with_perm(left, right)
+        # Every tied left record lands before its right counterparts.
+        assert left_pos.tolist() == [0, 1, 4, 6]
+        assert right_pos.tolist() == [2, 3, 5, 7]
+        assert merged.tolist() == two_pointer_merge(left.tolist(), right.tolist())
+        assert np.array_equal(merge_two_sorted(left, right), merged)
 
 
 class TestSimulatorBackendIdentity:
-    """Whole-simulation differential: outputs *and* cycle accounting."""
+    """Whole-simulation differential: outputs *and* cycle accounting of
+    the event-driven engine equal the naive stepper's."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("p,leaves", ((2, 4), (4, 4), (8, 16)))
@@ -190,21 +165,7 @@ class TestSimulatorBackendIdentity:
             sorted(rng.randrange(0, 64) for _ in range(rng.randrange(1, 120)))
             for _ in range(leaves)
         ]
-        with forced_backend("python"):
-            scalar_out, scalar_stats = simulate_merge(
-                p, leaves, runs, check_sorted_inputs=False
-            )
-        with forced_backend("numpy"):
-            vector_out, vector_stats = simulate_merge(
-                p, leaves, runs, check_sorted_inputs=False
-            )
-        assert scalar_out == vector_out
-        assert scalar_stats == vector_stats
-
-    def test_both_engines_agree_under_forced_numpy(self):
-        rng = random.Random(7)
-        runs = [sorted(rng.randrange(0, 1 << 20) for _ in range(200)) for _ in range(4)]
-        with forced_backend("numpy"):
-            fast = simulate_merge(4, 4, runs, check_sorted_inputs=False, engine="fast")
-            naive = simulate_merge(4, 4, runs, check_sorted_inputs=False, engine="naive")
+        fast = simulate_merge(p, leaves, runs, check_sorted_inputs=False, engine="fast")
+        naive = simulate_merge(p, leaves, runs, check_sorted_inputs=False, engine="naive")
         assert fast == naive
+        assert fast[0] == [sorted(record for run in runs for record in run)]

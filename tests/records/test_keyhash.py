@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.records.keyhash import fnv1a_hash, hash_value_to_index, hash_values_to_indices
+from repro.records.keyhash import fnv1a_hash, fnv1a_hash_batch, hash_value_to_index
 
 
 class TestFnv1a:
@@ -42,9 +43,11 @@ class TestIndexHash:
             hash_value_to_index(b"x", index_bytes=9)
 
     def test_vector_form_matches_scalar(self):
+        # The gensort codec derives indices from the batched hash.
         values = [b"aa", b"bb", b"cc"]
-        vector = hash_values_to_indices(values)
-        assert list(vector) == [hash_value_to_index(v) for v in values]
+        rows = np.frombuffer(b"".join(values), dtype=np.uint8).reshape(3, 2)
+        vector = fnv1a_hash_batch(rows) >> np.uint64(16)
+        assert vector.tolist() == [hash_value_to_index(v) for v in values]
 
     def test_collision_rate_low_at_six_bytes(self):
         values = [f"value-{i}".encode() for i in range(20_000)]
@@ -57,10 +60,6 @@ class TestFnv1aBatch:
 
     @given(st.lists(st.binary(min_size=8, max_size=8), min_size=1, max_size=40))
     def test_matches_scalar_per_row(self, payloads):
-        import numpy as np
-
-        from repro.records.keyhash import fnv1a_hash_batch
-
         rows = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(
             len(payloads), 8
         )
@@ -69,9 +68,5 @@ class TestFnv1aBatch:
         assert batched.tolist() == [fnv1a_hash(p) for p in payloads]
 
     def test_empty_width(self):
-        import numpy as np
-
-        from repro.records.keyhash import fnv1a_hash_batch
-
         rows = np.zeros((3, 0), dtype=np.uint8)
         assert fnv1a_hash_batch(rows).tolist() == [fnv1a_hash(b"")] * 3

@@ -74,3 +74,31 @@ class TestValidateSort:
     def test_property_any_real_sort_validates(self, seed):
         data = uniform_random(500, seed=seed)
         validate_sort(data, np.sort(data))
+
+
+class TestFullRangeUint64:
+    """Neighbours 2**63 or more apart must not wrap around."""
+
+    def test_wide_gap_is_sorted(self):
+        summary = summarize(np.array([0, 2**63 + 1], dtype=np.uint64))
+        assert summary.is_sorted
+        assert summary.first_violation is None
+        assert summary.duplicates == 0
+
+    def test_wide_descent_is_unsorted(self):
+        summary = summarize(np.array([2**64 - 1, 0], dtype=np.uint64))
+        assert not summary.is_sorted
+        assert summary.first_violation == 1
+
+    def test_validate_rejects_wide_descent(self):
+        source = np.array([0, 2**64 - 1], dtype=np.uint64)
+        output = np.array([2**64 - 1, 0], dtype=np.uint64)
+        with pytest.raises(WorkloadError, match="not sorted"):
+            validate_sort(source, output)
+
+    def test_duplicates_at_the_top_of_the_range(self):
+        keys = np.array([0, 2**64 - 1, 2**64 - 1, 2**64 - 1], dtype=np.uint64)
+        summary = summarize(keys)
+        assert summary.is_sorted
+        assert summary.duplicates == 2
+        validate_sort(keys[::-1], keys)
