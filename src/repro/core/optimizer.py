@@ -38,6 +38,13 @@ from repro.units import GB
 
 UnrollMode = Literal["partition", "address_range"]
 
+#: Most ``(array, mode)`` slices whose latency evaluations stay memoized,
+#: oldest slice dropped first.  A long-lived optimizer (a serve daemon's
+#: session) meets a new slice for every distinct array size, so an
+#: unbounded memo would grow with every request; 16 keeps all 8 slices
+#: of a four-size latency-and-throughput sweep resident.
+LATENCY_CACHE_SLICES = 16
+
 
 @dataclass(frozen=True)
 class RankedConfig:
@@ -124,6 +131,9 @@ class Bonsai:
     _resource_cache: dict = field(init=False, default_factory=dict, repr=False)
     _feasible_cache: dict = field(init=False, default_factory=dict, repr=False)
     _latency_cache: dict = field(init=False, default_factory=dict, repr=False)
+    # The latency memo's keys per ``(array, mode)`` slice, oldest slice
+    # first: the eviction order of ``_store_latency``.
+    _latency_slices: dict = field(init=False, default_factory=dict, repr=False)
     _throughput_cache: dict = field(init=False, default_factory=dict, repr=False)
     # Cache keys filled by a pool prefetch whose first parent-side
     # lookup has not happened yet.  Memo accounting treats that first
@@ -228,7 +238,7 @@ class Bonsai:
                 cached = self.performance.latency_combined(config, array)
             else:
                 cached = self.performance.latency_unrolled(config, array)
-            self._latency_cache[key] = cached
+            self._store_latency(key, cached)
             self._note_memo("latency", hit=False)
         elif ("latency", key) in self._fresh_keys:
             self._fresh_keys.discard(("latency", key))
@@ -236,6 +246,27 @@ class Bonsai:
         else:
             self._note_memo("latency", hit=True)
         return cached
+
+    def _store_latency(self, key: tuple, latency: float, fresh: bool = False) -> None:
+        """Insert one latency memo entry: the memo's single insert path.
+
+        Entries are grouped by their ``(array, mode)`` slice.  A new
+        slice beyond :data:`LATENCY_CACHE_SLICES` evicts the oldest
+        slice's entries and their fresh marks.  ``fresh`` marks an entry
+        a pool prefetch filled, whose first lookup still counts as a miss.
+        """
+        members = self._latency_slices.get(key[1:])
+        if members is None:
+            members = self._latency_slices[key[1:]] = []
+            while len(self._latency_slices) > LATENCY_CACHE_SLICES:
+                oldest = next(iter(self._latency_slices))
+                for old in self._latency_slices.pop(oldest):
+                    del self._latency_cache[old]
+                    self._fresh_keys.discard(("latency", old))
+        members.append(key)
+        self._latency_cache[key] = latency
+        if fresh:
+            self._fresh_keys.add(("latency", key))
 
     def _throughput(self, config: AmtConfig) -> float:
         cached = self._throughput_cache.get(config)
@@ -293,9 +324,7 @@ class Bonsai:
         ]
         for pairs in self.parallel.map(worker_eval_latency, tasks):
             for config, latency in pairs:
-                key = (config, array, unroll_mode)
-                self._latency_cache[key] = latency
-                self._fresh_keys.add(("latency", key))
+                self._store_latency((config, array, unroll_mode), latency, fresh=True)
 
     def _prefetch_throughputs(self, array: ArrayParams) -> None:
         """Fill throughput/latency caches for the Eq. 5-feasible configs."""
@@ -321,9 +350,7 @@ class Bonsai:
                     continue
                 self._throughput_cache[config] = throughput
                 self._fresh_keys.add(("throughput", config))
-                key = (config, array, "combined")
-                self._latency_cache[key] = latency
-                self._fresh_keys.add(("latency", key))
+                self._store_latency((config, array, "combined"), latency, fresh=True)
 
     def rank_by_latency(
         self,

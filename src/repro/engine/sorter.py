@@ -3,9 +3,12 @@
 Runs merge stages until the input is one sorted run.  Two execution
 modes:
 
-* ``"model"`` — the data moves through the vectorised functional merge;
-  each stage's time comes from the performance model (``N r / min(p f r,
-  beta)``).  Scales to millions of records.
+* ``"model"`` — the data moves through the functional merge: one stable
+  sort per merge group (timsort merges the presorted runs, and ties keep
+  the lower-indexed run first), bit-identical to the binary tournament
+  of two-way merges it replaced.  Each stage's time comes from the
+  performance model (``N r / min(p f r, beta)``).  Scales to millions of
+  records.
 * ``"simulate"`` — every stage runs in the cycle-level simulator,
   including loader batching, FIFO stalls and terminal flushing; the
   stage time is the simulated cycle count over the clock frequency.

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.parameters import ArrayParams
 from repro.core.ssd_planner import SsdSortPlan
 from repro.engine.results import SortOutcome
-from repro.engine.stage import merge_stage
+from repro.engine.stage import merge_stage, split_into_runs
 from repro.errors import ConfigurationError
 from repro.memory.traffic import TrafficMeter
 from repro.obs.runtime import observation
@@ -70,11 +70,7 @@ class SsdSorter:
 
         # --- phase one: form sorted runs (pipelined, I/O saturating) ---
         with obs.span("ssd.phase_one", records=int(data.size)):
-            runs = []
-            for start in range(0, data.size, self.scale_run_records):
-                chunk = data[start : start + self.scale_run_records].copy()
-                chunk.sort(kind="stable")
-                runs.append(chunk)
+            runs = split_into_runs(data, self.scale_run_records)
             traffic.record_read("ssd", total_bytes)
             traffic.record_write("ssd", total_bytes)
             obs.count("engine.ssd_runs_formed", len(runs))

@@ -1,9 +1,13 @@
 """One merge stage: the functional data path.
 
-The engine's "model" mode moves the actual data through an honest merge
-(vectorised two-way merges arranged in a tournament, exactly the dataflow
-of a binary merge tree) while timing comes from the performance model.
-``simulate`` mode delegates to the cycle-level simulator instead.
+The engine's "model" mode moves the actual data while timing comes from
+the performance model; ``simulate`` mode delegates to the cycle-level
+simulator instead.  Model mode merges each group of ``leaves`` sorted
+runs with one stable sort of their concatenation.  For 32- and 64-bit
+keys numpy's stable sort is timsort, which detects the presorted runs
+and merges them with galloping, so this is a real k-way merge at
+``np.sort`` speed.  Its output is bit-identical to the binary tournament
+of two-way merges it replaced.
 
 All merges are stable with respect to key order; within equal keys the
 left (lower-indexed-run) elements come first, matching the hardware
@@ -38,39 +42,22 @@ def merge_two_sorted_with_perm(
     return merged, left_positions, right_positions
 
 
-def merge_two_sorted(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Stable merge of two sorted arrays (left wins ties).
-
-    The :func:`merge_two_sorted_with_perm` position merge; an empty
-    side returns a copy of the other, keeping its dtype.
-    """
-    left = np.asarray(left)
-    right = np.asarray(right)
-    if left.size == 0:
-        return right.copy()
-    if right.size == 0:
-        return left.copy()
-    return merge_two_sorted_with_perm(left, right)[0]
-
-
 def merge_runs_numpy(runs: list[np.ndarray]) -> np.ndarray:
-    """Merge any number of sorted runs through a binary tournament.
+    """Stable k-way merge of sorted runs (lower-indexed runs win ties).
 
-    This is the same dataflow as an AMT with ``len(runs)`` leaves: runs
-    merge pairwise level by level until one remains.
+    The runs are concatenated in order, so one stable sort is exactly
+    the merge.  A single run passes through uncopied; empty runs are
+    dropped first, so they never widen the output dtype, and an all-empty
+    group keeps the last run's dtype.
     """
     if not runs:
         return np.empty(0, dtype=np.uint64)
-    level = [np.asarray(run) for run in runs]
-    while len(level) > 1:
-        # bonsai-lint: disable=hot-loop-alloc -- one list per merge level (log n levels), not per record
-        next_level = []
-        for index in range(0, len(level) - 1, 2):
-            next_level.append(merge_two_sorted(level[index], level[index + 1]))
-        if len(level) % 2:
-            next_level.append(level[-1])
-        level = next_level
-    return level[0]
+    if len(runs) == 1:
+        return np.asarray(runs[0])
+    arrays = [run for run in map(np.asarray, runs) if run.size]
+    if not arrays:
+        return np.asarray(runs[-1]).copy()
+    return np.sort(np.concatenate(arrays), kind="stable")
 
 
 def merge_stage(runs: list[np.ndarray], leaves: int) -> list[np.ndarray]:
@@ -93,18 +80,21 @@ def split_into_runs(data: np.ndarray, run_length: int, presorted: bool = False) 
     """Slice an array into runs of ``run_length`` records, sorting each.
 
     The presorter's job (§VI-C): with ``presorted=True`` the slices are
-    assumed sorted already and only split.
+    assumed sorted already and only split.  The input is copied once and
+    its full runs are sorted as the rows of one matrix, the ragged tail
+    on its own.  The runs are disjoint slices of that copy, so writing
+    into one changes neither its neighbours nor the input.
     """
     if run_length < 1:
         raise ConfigurationError(f"run length must be >= 1, got {run_length}")
-    data = np.asarray(data)
-    runs = []
-    for start in range(0, data.size, run_length):
-        chunk = data[start : start + run_length].copy()
-        if not presorted:
-            chunk.sort(kind="stable")
-        runs.append(chunk)
-    return runs
+    out = np.array(data)
+    full = out.size - out.size % run_length
+    rows = out[:full].reshape(-1, run_length)
+    tail = out[full:]
+    if not presorted:
+        rows.sort(axis=1, kind="stable")
+        tail.sort(kind="stable")
+    return list(rows) + ([tail] if tail.size else [])
 
 
 def check_stage_invariants(

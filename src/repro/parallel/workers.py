@@ -30,7 +30,7 @@ def worker_merge_group(task: tuple) -> int:
     """Merge one group of runs: shared block in, shared slot out.
 
     ``task = (in_desc, out_desc, group_index, start, stop)`` — merge
-    input runs ``[start, stop)`` through the binary tournament and write
+    input runs ``[start, stop)`` with ``merge_runs_numpy`` and write
     the result into output slot ``group_index``.  Returns the group
     index as an acknowledgement (the data never rides the pickle).
     """

@@ -20,6 +20,11 @@ import numpy as np
 from repro.errors import WorkloadError
 
 _CHECKSUM_MODULUS = (1 << 61) - 1  # Mersenne prime: cheap modular sum
+#: Keys per checksum pass: bounds the uint64 temporaries and keeps each
+#: pass's sums of 32-bit halves below 2**50.
+_CHECKSUM_CHUNK = 1 << 18
+_HALF_BITS = np.uint64(32)
+_LOW_HALF = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -41,20 +46,38 @@ class SortSummary:
         )
 
 
+def _exact_sum(values: np.ndarray) -> int:
+    """Exact sum of uint64 values: their 32-bit halves are summed apart.
+
+    Each half is below 2**32, so over one chunk the two sums cannot
+    wrap; Python ints recombine them.
+    """
+    high = int(np.sum(values >> _HALF_BITS))
+    return (high << 32) + int(np.sum(values & _LOW_HALF))
+
+
 def _checksum(keys: np.ndarray) -> int:
     """Order-independent checksum: sum of (key^2 + key) mod a prime.
 
     Squaring makes the sum sensitive to *which* multiset of keys is
     present, not only their total; it distinguishes e.g. {1, 3} from
-    {2, 2}, which a plain sum would not.
+    {2, 2}, which a plain sum would not.  Keys are taken as uint64
+    (negative ints wrap) and squared exactly in uint64 numpy: with
+    ``k = hi * 2**32 + lo``, ``k**2 = hi**2 * 2**64 + hi * lo * 2**33 +
+    lo**2``, and every product of two 32-bit halves fits a uint64.
     """
-    values = keys.astype(np.uint64, copy=False).astype(object)
     total = 0
-    # Chunked Python-int arithmetic: exact, no overflow.
-    for start in range(0, len(values), 65536):
-        chunk = values[start : start + 65536]
-        total = (total + int(np.sum(chunk * chunk + chunk))) % _CHECKSUM_MODULUS
-    return total
+    for start in range(0, keys.size, _CHECKSUM_CHUNK):
+        chunk = keys[start : start + _CHECKSUM_CHUNK].astype(np.uint64, copy=False)
+        hi = chunk >> _HALF_BITS
+        lo = chunk & _LOW_HALF
+        total += (
+            (_exact_sum(hi * hi) << 64)
+            + (_exact_sum(hi * lo) << 33)
+            + _exact_sum(lo * lo)
+            + _exact_sum(chunk)
+        )
+    return total % _CHECKSUM_MODULUS
 
 
 def summarize(keys: np.ndarray) -> SortSummary:
@@ -85,13 +108,12 @@ def content_digest(keys: np.ndarray) -> str:
     The canonical "same output bytes" fingerprint used by the benchmark
     identity gates and the serve result cache: two runs agree iff their
     digests are string-equal.  Keys are widened to ``uint64`` first so
-    the digest is independent of the array's inbound dtype.
+    the digest is independent of the array's inbound dtype; the hash
+    reads the widened array's contiguous buffer directly.
     """
     import hashlib
 
-    return hashlib.sha256(
-        np.asarray(list(keys), dtype=np.uint64).tobytes()
-    ).hexdigest()[:16]
+    return hashlib.sha256(np.ascontiguousarray(keys, dtype=np.uint64)).hexdigest()[:16]
 
 
 def validate_sort(input_keys: np.ndarray, output_keys: np.ndarray) -> SortSummary:

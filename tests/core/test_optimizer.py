@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import presets
 from repro.core.configuration import AmtConfig
-from repro.core.optimizer import Bonsai
+from repro.core.optimizer import LATENCY_CACHE_SLICES, Bonsai
 from repro.core.parameters import (
     ArrayParams,
     HardwareParams,
@@ -205,3 +205,20 @@ class TestMemoization:
         best_small = f1_bonsai.latency_optimal(small)
         best_fresh = presets.aws_f1().bonsai().latency_optimal(small)
         assert best_small == best_fresh
+
+    def test_latency_cache_stops_growing(self, f1_bonsai):
+        arrays = [
+            ArrayParams.from_bytes((n + 1) * GB) for n in range(3 * LATENCY_CACHE_SLICES)
+        ]
+        sizes = []
+        for array in arrays:
+            f1_bonsai.rank_by_latency(array)
+            sizes.append(len(f1_bonsai._latency_cache))
+        per_slice = sizes[0]
+        assert sizes[:LATENCY_CACHE_SLICES] == [
+            per_slice * (n + 1) for n in range(LATENCY_CACHE_SLICES)
+        ]
+        assert set(sizes[LATENCY_CACHE_SLICES:]) == {per_slice * LATENCY_CACHE_SLICES}
+        # An evicted slice is evaluated again, identically.
+        fresh = presets.aws_f1().bonsai()
+        assert f1_bonsai.rank_by_latency(arrays[0]) == fresh.rank_by_latency(arrays[0])

@@ -1,40 +1,70 @@
-"""Functional merge-stage data path."""
+"""Functional merge-stage data path.
+
+The kernels are checked against independent oracles: Python's
+``sorted()`` of each group, a stable ``np.sort`` per group, and the
+per-slice sort loop that ``split_into_runs`` replaced.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine.stage import (
     check_stage_invariants,
     merge_runs_numpy,
     merge_stage,
-    merge_two_sorted,
     split_into_runs,
 )
 from repro.errors import ConfigurationError
 
+#: numpy's radix-sort path (16-bit keys), its timsort path (32 and 64
+#: bits), and a signed key type.
+DTYPES = (np.uint16, np.uint32, np.uint64, np.int64)
+
+
+def merge_two(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """A two-way merge through the k-way kernel."""
+    return merge_runs_numpy([left, right])
+
+
+@st.composite
+def stage_inputs(draw):
+    """Ragged sorted runs of one dtype, duplicate-heavy or spanning the
+    dtype's full range, and a merge width."""
+    dtype = draw(st.sampled_from(DTYPES))
+    info = np.iinfo(dtype)
+    if draw(st.booleans()):
+        keys = st.integers(max(int(info.min), -2), 3)
+    else:
+        keys = st.integers(int(info.min), int(info.max))
+    runs = draw(st.lists(st.lists(keys, max_size=40).map(sorted), max_size=12))
+    leaves = draw(st.sampled_from((2, 3, 4, 16)))
+    return [np.array(run, dtype=dtype) for run in runs], leaves
+
 
 class TestMergeTwoSorted:
+    """Two-run merges through :func:`merge_runs_numpy`."""
+
     def test_basic(self):
         left = np.array([1, 3, 5], dtype=np.uint32)
         right = np.array([2, 4, 6], dtype=np.uint32)
-        assert merge_two_sorted(left, right).tolist() == [1, 2, 3, 4, 5, 6]
+        assert merge_two(left, right).tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_empty_sides(self):
         data = np.array([1, 2], dtype=np.uint32)
         empty = np.array([], dtype=np.uint32)
-        assert merge_two_sorted(data, empty).tolist() == [1, 2]
-        assert merge_two_sorted(empty, data).tolist() == [1, 2]
-        assert merge_two_sorted(empty, empty).size == 0
+        assert merge_two(data, empty).tolist() == [1, 2]
+        assert merge_two(empty, data).tolist() == [1, 2]
+        assert merge_two(empty, empty).size == 0
 
     def test_stability_ties_keep_left_first(self):
         # Verify with a structured dtype-free proxy: equal keys from the
         # left must land before equal keys from the right.
         left = np.array([5, 5], dtype=np.uint32)
         right = np.array([5], dtype=np.uint32)
-        out = merge_two_sorted(left, right)
+        out = merge_two(left, right)
         assert out.tolist() == [5, 5, 5]
         # Positional check via searchsorted arithmetic: left elements
         # occupy indices 0 and 1.
@@ -47,7 +77,7 @@ class TestMergeTwoSorted:
     )
     @settings(max_examples=100)
     def test_property(self, left, right):
-        out = merge_two_sorted(
+        out = merge_two(
             np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
         )
         assert out.tolist() == sorted(left + right)
@@ -89,6 +119,23 @@ class TestMergeStage:
         assert out[0].tolist() == sorted(np.concatenate(runs[:4]).tolist())
         assert out[1].tolist() == sorted(np.concatenate(runs[4:]).tolist())
 
+    @given(stage_inputs())
+    @example(([], 2))
+    @example(([np.array([1, 5, 5], dtype=np.uint16)], 4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stable_sort_per_group(self, case):
+        runs, leaves = case
+        out = merge_stage(runs, leaves)
+        groups = [runs[start : start + leaves] for start in range(0, len(runs), leaves)]
+        assert len(out) == max(1, len(groups))
+        for merged, group in zip(out, groups):
+            expected = np.sort(np.concatenate(group), kind="stable")
+            assert merged.dtype == expected.dtype
+            assert merged.tolist() == expected.tolist()
+            assert merged.tolist() == sorted(int(key) for run in group for key in run)
+        if not runs:
+            assert out[0].size == 0
+
 
 class TestSplitIntoRuns:
     def test_sorts_each_run(self):
@@ -100,6 +147,27 @@ class TestSplitIntoRuns:
         data = np.array([4, 3, 2, 1], dtype=np.uint32)
         runs = split_into_runs(data, 2, presorted=True)
         assert runs[0].tolist() == [4, 3]  # untouched
+        runs = split_into_runs(np.array([6, 5, 4, 3, 2]), 3, presorted=True)
+        assert [r.tolist() for r in runs] == [[6, 5, 4], [3, 2]]
+
+    def test_runs_are_independent(self):
+        data = np.arange(10, 0, -1, dtype=np.uint32)
+        runs = split_into_runs(data, 4)
+        runs[1][:] = 0
+        assert [r.tolist() for r in runs] == [[7, 8, 9, 10], [0, 0, 0, 0], [1, 2]]
+        assert data.tolist() == list(range(10, 0, -1))
+
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=200), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_slice_sort(self, values, run_length):
+        data = np.array(values, dtype=np.uint64)
+        runs = split_into_runs(data, run_length)
+        expected = [
+            np.sort(data[start : start + run_length], kind="stable")
+            for start in range(0, data.size, run_length)
+        ]
+        assert [run.tolist() for run in runs] == [run.tolist() for run in expected]
+        assert all(run.dtype == data.dtype for run in runs)
 
     def test_partial_tail(self):
         runs = split_into_runs(np.array([3, 1, 2]), 2)

@@ -2,9 +2,11 @@
 
 * the k-merger's bound 2k half-merge kernel against ``sorted()`` and
   ``np.sort`` of the 2k inputs, at every paper merger width;
-* :func:`repro.engine.stage.merge_two_sorted` (the ``searchsorted``
-  position merge) against a scalar two-pointer merge, on ragged,
-  duplicate-heavy, empty-side and full-range ``uint64`` runs;
+* the model-mode merge (:func:`repro.engine.stage.merge_runs_numpy` and
+  ``merge_stage``: one stable sort per group) and the ``searchsorted``
+  position merge ``merge_two_sorted_with_perm`` that the key/value path
+  uses, against a scalar two-pointer merge, on ragged, duplicate-heavy,
+  empty-side and full-range ``uint64`` runs;
 * ``simulate_merge``'s event-driven engine against the naive stepper.
 
 The gensort codec's per-record oracle lives in
@@ -18,7 +20,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.engine.stage import merge_two_sorted, merge_two_sorted_with_perm
+from repro.engine.stage import merge_runs_numpy, merge_stage, merge_two_sorted_with_perm
 from repro.hw.fifo import Fifo
 from repro.hw.merger import KMerger
 from repro.hw.tree import simulate_merge
@@ -100,7 +102,7 @@ class TestRunKernel:
         right = sorted(rng.randrange(0, 100) for _ in range(rng.randrange(0, 40)))
         expected = two_pointer_merge(left, right)
         assert expected == sorted(left + right)
-        merged = merge_two_sorted(np.asarray(left), np.asarray(right))
+        merged = merge_runs_numpy([np.asarray(left), np.asarray(right)])
         assert merged.tolist() == expected
 
     def test_left_wins_ties(self):
@@ -114,11 +116,11 @@ class TestRunKernel:
         # An empty side returns a copy of the other with its own dtype.
         run = np.asarray([1, 2], dtype=np.uint32)
         empty = np.asarray([])
-        for merged in (merge_two_sorted(empty, run), merge_two_sorted(run, empty)):
+        for merged in (merge_runs_numpy([empty, run]), merge_runs_numpy([run, empty])):
             assert merged.dtype == np.uint32
             assert merged.tolist() == [1, 2]
             assert merged is not run
-        both = merge_two_sorted(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
+        both = merge_runs_numpy([np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)])
         assert both.dtype == np.uint64 and both.size == 0
 
 
@@ -132,15 +134,16 @@ def _ragged_run(rng: np.random.Generator, key_space: str) -> np.ndarray:
 class TestArrayKernel:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_backends_bit_identical_on_ragged_runs(self, seed):
-        """The searchsorted merge equals the two-pointer oracle bit for bit."""
+        """Both merges equal the two-pointer oracle bit for bit."""
         rng = np.random.default_rng(seed)
         for key_space in ("duplicate_heavy", "full_range"):
             left = _ragged_run(rng, key_space)
             right = _ragged_run(rng, key_space)
-            merged = merge_two_sorted(left, right)
+            (merged,) = merge_stage([left, right], leaves=2)
             expected = two_pointer_merge(left.tolist(), right.tolist())
             assert merged.dtype == np.uint64
             assert merged.tolist() == expected
+            assert np.array_equal(merge_two_sorted_with_perm(left, right)[0], merged)
 
     def test_stability_keeps_left_first(self):
         left = np.asarray([5, 5, 7, 2**64 - 1], dtype=np.uint64)
@@ -150,7 +153,7 @@ class TestArrayKernel:
         assert left_pos.tolist() == [0, 1, 4, 6]
         assert right_pos.tolist() == [2, 3, 5, 7]
         assert merged.tolist() == two_pointer_merge(left.tolist(), right.tolist())
-        assert np.array_equal(merge_two_sorted(left, right), merged)
+        assert np.array_equal(merge_runs_numpy([left, right]), merged)
 
 
 class TestSimulatorBackendIdentity:

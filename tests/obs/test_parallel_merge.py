@@ -112,6 +112,29 @@ class TestOptimizerSweepMerge:
         )
         assert problems == []
 
+    def test_bounded_latency_memo_matches_serial(self, monkeypatch):
+        """Evictions fall at the same lookups serially and pooled."""
+        monkeypatch.setattr("repro.core.optimizer.LATENCY_CACHE_SLICES", 2)
+        arrays = [ArrayParams.from_bytes(n * GB) for n in (1, 2, 4, 1, 8, 2)]
+
+        def sweep(plan):
+            bonsai = self.build(plan)
+            latency = [bonsai.rank_by_latency(array) for array in arrays]
+            return latency + [bonsai.rank_by_throughput(array) for array in arrays[:2]]
+
+        serial_rankings, serial = observed_counters(lambda: sweep(None))
+        sharded_rankings, sharded = observed_counters(
+            lambda: sweep(ParallelPlan(jobs=2))
+        )
+        assert sharded_rankings == serial_rankings
+        assert diff_counters(
+            serial.registry.counters(),
+            sharded.registry.counters(),
+            ignore_prefixes=IGNORED,
+        ) == []
+        # With two slices kept, the repeated sizes were evicted first.
+        assert serial.registry.counter_value("optimizer.memo_hits", cache="latency") == 0
+
     def test_throughput_sweep_matches_serial(self):
         array = ArrayParams.from_bytes(GB)
         serial_ranking, serial = observed_counters(

@@ -2,13 +2,32 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
-from repro.records.valsort import summarize, validate_sort
+from repro.records.valsort import (
+    _CHECKSUM_CHUNK,
+    _checksum,
+    content_digest,
+    summarize,
+    validate_sort,
+)
 from repro.records.workloads import duplicate_heavy, uniform_random
+
+
+def reference_checksum(keys) -> int:
+    """The checksum's definition in Python ints: sum of k*k + k mod 2**61 - 1."""
+    values = (int(key) for key in np.asarray(keys).astype(np.uint64))
+    return sum(key * key + key for key in values) % ((1 << 61) - 1)
+
+
+def reference_digest(keys) -> str:
+    """The digest built key by key through a Python list."""
+    return hashlib.sha256(np.asarray(list(keys), dtype=np.uint64).tobytes()).hexdigest()[:16]
 
 
 class TestSummarize:
@@ -102,3 +121,42 @@ class TestFullRangeUint64:
         assert summary.is_sorted
         assert summary.duplicates == 2
         validate_sort(keys[::-1], keys)
+
+
+class TestChecksumAndDigestOracle:
+    """The uint64 numpy checksum and digest against Python-int references."""
+
+    @pytest.mark.parametrize("values", [
+        [2**64 - 1, 0],
+        [2**63 - 1, 2**63, 2**63 + 1],
+        [2**32 - 1, 2**32, 2**32 + 1],
+        [],
+    ], ids=["extremes", "around-2**63", "around-2**32", "empty"])
+    def test_checksum_matches_python_ints(self, values):
+        keys = np.array(values, dtype=np.uint64)
+        assert _checksum(keys) == reference_checksum(keys)
+
+    @pytest.mark.parametrize("keys", [
+        np.array([-1, -(2**63), 5, 2**63 - 1], dtype=np.int64),
+        np.array([2**32 - 1, 7, 0], dtype=np.uint32),
+        np.array([2**16 - 1, 1], dtype=np.uint16),
+    ], ids=["negative-int64", "uint32", "uint16"])
+    def test_checksum_widens_like_astype(self, keys):
+        assert _checksum(keys) == reference_checksum(keys)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_checksum_at_chunk_boundaries(self, offset):
+        size = _CHECKSUM_CHUNK + offset
+        keys = np.random.default_rng(size).integers(
+            0, 2**64 - 1, size=size, dtype=np.uint64, endpoint=True
+        )
+        assert _checksum(keys) == reference_checksum(keys)
+
+    @pytest.mark.parametrize("keys", [
+        [3, 1, 2**64 - 1],
+        np.arange(20, dtype=np.uint64)[::3],
+        np.array([7, 2**16 - 1, 0], dtype=np.uint16),
+        np.array([], dtype=np.uint32),
+    ], ids=["list", "strided-view", "uint16", "empty"])
+    def test_digest_matches_per_key_form(self, keys):
+        assert content_digest(keys) == reference_digest(keys)
