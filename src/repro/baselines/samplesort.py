@@ -18,7 +18,6 @@ import numpy as np
 from repro.baselines.base import BaselineSorter
 from repro.baselines.published import PUBLISHED_SORTERS, PublishedSorter
 from repro.errors import ConfigurationError
-from repro.units import GB
 
 
 @dataclass

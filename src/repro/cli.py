@@ -193,12 +193,6 @@ def _configure_serve(srv: argparse.ArgumentParser) -> None:
     _add_obs_flags(srv)
 
 
-def _configure_lint(parser: argparse.ArgumentParser) -> None:
-    from repro.lint.main import add_arguments
-
-    add_arguments(parser)
-
-
 def _configure_check(parser: argparse.ArgumentParser) -> None:
     from repro.lint.graph.main import add_arguments
 
@@ -598,12 +592,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ))
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.main import run_from_args
-
-    return run_from_args(args)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.lint.graph.main import run_from_args
 
@@ -633,9 +621,8 @@ SUBCOMMANDS = (
      _configure_bench, _cmd_bench),
     ("serve", "run the sorting service daemon on a unix socket",
      _configure_serve, _cmd_serve),
-    ("lint", "bonsai-lint: check simulator/unit/purity invariants",
-     _configure_lint, _cmd_lint),
-    ("check", "bonsai-check: whole-program unit-flow/purity/FIFO analysis",
+    ("check", "bonsai-check: static analysis of the simulator, unit, "
+     "purity, determinism and error contracts",
      _configure_check, _cmd_check),
 )
 

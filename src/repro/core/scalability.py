@@ -29,7 +29,7 @@ from repro.memory.dram import DdrDram
 from repro.memory.hierarchy import TwoTierHierarchy
 from repro.memory.ssd import Ssd
 from repro.records.record import RecordFormat, U32
-from repro.units import GB, PB, TB, ceil_log, ms_per_gb
+from repro.units import GB, PB, ceil_log, ms_per_gb
 
 
 @dataclass(frozen=True)

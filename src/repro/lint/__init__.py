@@ -1,50 +1,28 @@
-"""bonsai-lint: AST-based enforcement of the repo's cross-cutting contracts.
+"""Static analysis of the repo's cross-cutting contracts (``bonsai check``).
 
-Three conventions in this codebase are load-bearing but invisible to the
-type system: the hw simulator's FIFO-only communication discipline, the
-decimal-vs-binary unit split of :mod:`repro.units`, and the purity of
-the Eq. 1-10 analytical models the optimizer exhaustively evaluates.
-This package machine-checks them (plus determinism and the error
-taxonomy) as five AST rules:
+Several conventions in this codebase are load-bearing but invisible to
+the type system: the hw simulator's FIFO-only communication discipline,
+the decimal-vs-binary unit split of :mod:`repro.units`, the purity of
+the Eq. 1-10 analytical models the optimizer sweeps, determinism, and
+the error taxonomy.  One analyzer checks them all:
 
-========================  ==================================================
-``unit-mix``              no decimal/binary mixing; no magic byte literals
-``clock-discipline``      ``tick()`` talks through FIFOs; integral cycles
-``determinism``           seeded RNGs only; no wall clock; no set iteration
-``model-purity``          performance/resources models stay pure
-``error-taxonomy``        raise ``repro.errors`` classes, not builtins
-========================  ==================================================
+* :mod:`repro.lint.rules` holds the *local* rules (``unit-mix``,
+  ``clock-discipline``, ``determinism``, ``model-purity``,
+  ``error-taxonomy``), plain functions run on each file's AST while its
+  summary is extracted;
+* :mod:`repro.lint.graph` builds the whole-program symbol table and
+  call graph from those summaries and runs the interprocedural passes,
+  then filters every finding through one rule selection, one inline
+  suppression audit and one baseline.
 
-Run via ``bonsai lint [paths...]`` or ``python -m repro.lint``; suppress
-intentional findings inline with ``# bonsai-lint: disable=<rule> -- why``.
-See ``docs/static-analysis.md`` for the full rule rationale.
+Run via ``bonsai check [paths...]`` or ``python -m repro.lint.graph``;
+suppress intentional findings inline with
+``# bonsai-lint: disable=<rule> -- why``.  See
+``docs/static-analysis.md`` for the rule list and rationale.
 """
 
 from __future__ import annotations
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import Rule, all_rules, register, resolve_rules
-from repro.lint.reporters import (
-    JSON_SCHEMA_VERSION,
-    render_json,
-    render_sarif,
-    render_text,
-)
-from repro.lint.runner import LintResult, collect_files, lint_file, run
 
-__all__ = [
-    "Diagnostic",
-    "Severity",
-    "Rule",
-    "register",
-    "all_rules",
-    "resolve_rules",
-    "LintResult",
-    "collect_files",
-    "lint_file",
-    "run",
-    "render_text",
-    "render_json",
-    "render_sarif",
-    "JSON_SCHEMA_VERSION",
-]
+__all__ = ["Diagnostic", "Severity"]

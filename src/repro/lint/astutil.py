@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 
+#: what a local rule yields: the node a finding anchors to, and its message
+Finding = tuple[ast.AST, str]
+
 
 def parent_map(tree: ast.AST) -> dict[ast.AST, ast.AST]:
     """Child-to-parent mapping for every node under ``tree``."""

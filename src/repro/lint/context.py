@@ -1,35 +1,8 @@
-"""Per-file context handed to every rule.
-
-The context carries the parsed AST, the raw source, and the *dotted
-module name* when the file belongs to the ``repro`` package.  Rules use
-the module name to scope themselves (clock-discipline only inspects
-``repro.hw``, model-purity only the Eq. 1-10 modules, and so on);
-files outside the package — benchmarks, scripts — get ``module=None``
-and only the unscoped checks.
-"""
+"""Dotted module names, which scope rules to parts of the ``repro`` package."""
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
 from pathlib import Path
-
-from repro.errors import LintError
-
-
-@dataclass(frozen=True)
-class FileContext:
-    """Everything a rule may inspect about one source file."""
-
-    path: str
-    module: str | None
-    source: str
-    tree: ast.Module
-
-    @property
-    def lines(self) -> list[str]:
-        """Physical source lines (1-based access via ``lines[n - 1]``)."""
-        return self.source.splitlines()
 
 
 def module_name(path: Path) -> str | None:
@@ -47,31 +20,3 @@ def module_name(path: Path) -> str | None:
     if path.stem != "__init__":
         dotted = dotted + [path.stem]
     return ".".join(dotted)
-
-
-def build_context(path: Path) -> FileContext:
-    """Read and parse one file into a :class:`FileContext`.
-
-    Raises
-    ------
-    LintError
-        When the file cannot be read, decoded as UTF-8, or compiled
-        (null bytes).  Syntax errors propagate as ``SyntaxError``.  The
-        runner turns both into ``parse-error`` diagnostics so one broken
-        file does not hide findings in the rest of the tree.
-    """
-    try:
-        source = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as error:
-        raise LintError(f"cannot decode {path} as UTF-8: {error}") from error
-    except OSError as error:
-        raise LintError(f"cannot read {path}: {error}") from error
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError:
-        raise
-    except ValueError as error:  # e.g. null bytes in the source
-        raise LintError(f"cannot parse {path}: {error}") from error
-    return FileContext(
-        path=str(path), module=module_name(path), source=source, tree=tree
-    )

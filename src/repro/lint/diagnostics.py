@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 class Severity(enum.Enum):
     """How seriously a finding should be taken.
 
-    Both severities fail the run (``bonsai lint`` exits non-zero on any
-    finding); the split exists so reports separate contract violations
+    Both severities fail the run (``bonsai check`` exits non-zero on any
+    new finding); the split exists so reports separate contract violations
     (``ERROR``) from convention drift (``WARNING``).
     """
 

@@ -5,11 +5,9 @@ the whole tree.  The changed set is everything ``git diff HEAD`` sees
 (staged and unstaged modifications) plus untracked files — the union a
 developer thinks of as "my changes".
 
-``bonsai lint`` intersects its collected file list with this set and
-runs only those files.  ``bonsai check`` still analyses the *full*
-tree (an interprocedural analysis with a partial call graph would
-understate every transitive property) and restricts *reporting* to the
-changed files instead.
+``bonsai check`` still analyses the *full* tree (an interprocedural
+analysis with a partial call graph would understate every transitive
+property) and restricts *reporting* to the changed files.
 """
 
 from __future__ import annotations

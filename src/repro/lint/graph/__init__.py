@@ -1,11 +1,23 @@
-"""bonsai-check: whole-program interprocedural analysis.
+"""bonsai-check: the repo's one static analyzer.
 
-``bonsai lint`` (the sibling per-file rules) sees one AST node at a
-time; this package sees the whole program.  It builds a project symbol
-table and call graph over every linted file once, then runs the
-interprocedural analyses on top of them:
+Each file is parsed once into a :class:`FileSummary`.  The same pass
+runs the local rules of :mod:`repro.lint.rules` on the tree and stores
+their findings in the summary.  The summaries then form a project
+symbol table and call graph, and the interprocedural passes run on top
+of them:
 
 ========================  ==================================================
+``unit-mix``              local: decimal and binary byte units mixed in one
+                          expression, or magic byte literals in ``repro``
+``clock-discipline``      local: a ``repro.hw`` ``tick()`` touches a sibling
+                          outside the FIFO protocol, or does float cycle
+                          arithmetic
+``determinism``           local: unseeded RNGs, wall-clock reads and set
+                          iteration in ``repro.*``
+``model-purity``          local: I/O, globals or ``repro.hw`` imports in the
+                          Eq. 1-10 model modules
+``error-taxonomy``        local: a bare builtin exception raised in
+                          ``repro.*``
 ``unit-flow-mix``         additive/comparison arithmetic combines two
                           different unit families (decimal bytes, binary
                           bytes, records, cycles, seconds, hertz), where at
@@ -42,19 +54,24 @@ interprocedural analyses on top of them:
 ``exn-dead-handler``      handlers that can never fire (see ``exnflow``)
 ========================  ==================================================
 
-The operational layer makes whole-program analysis adoptable:
+Every finding, local or interprocedural, goes through one filter path:
 
+* ``--select``/``--ignore`` per-rule filtering;
+* inline ``# bonsai-lint: disable=<rule> -- why`` suppressions, audited
+  in the same run: a directive that silenced nothing is a
+  ``useless-suppression`` warning, and ``--require-justification``
+  makes one without a reason an ``unjustified-suppression`` warning;
 * a committed baseline (``.bonsai-check-baseline.json``) so pre-existing
   findings report as suppressed while new ones fail the run;
-* a content-hash summary cache (``--cache-dir``) keyed on the summary
-  version *and* the rule-set hash, so warm runs re-extract zero
-  unchanged files and adding a pass invalidates stale summaries;
-* the SARIF 2.1.0 reporter shared with ``bonsai lint``, with stable
-  ``partialFingerprints`` and provenance ``relatedLocations``;
-* ``--select``/``--ignore`` per-rule filtering and
-  ``--require-justification`` suppression auditing;
 * ``--changed-only`` (full-tree analysis, diff-scoped reporting) for
-  pre-commit loops, and ``--statistics`` run counters.
+  pre-commit loops.
+
+A content-hash summary cache (``--cache-dir``) keyed on the summary
+version *and* the rule-set hash lets warm runs re-extract zero
+unchanged files, local findings included; ``--statistics`` prints run
+counters, and ``--format sarif``/``--sarif-file`` emit one SARIF 2.1.0
+log with stable ``partialFingerprints`` and provenance
+``relatedLocations``.
 
 Run via ``bonsai check [paths...]`` or ``python -m repro.lint.graph``.
 """

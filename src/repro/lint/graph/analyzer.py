@@ -1,8 +1,10 @@
 """Orchestration of one ``bonsai check`` run.
 
-Pipeline: collect files -> extract (or cache-load) summaries -> build
-the project index -> run the interprocedural analyses -> filter rule
-selection and inline suppressions -> split against the baseline -> one
+Pipeline: collect files -> extract (or cache-load) summaries, which
+carry the local-rule findings -> build the project index -> run the
+interprocedural analyses -> filter every finding, local or
+interprocedural, through rule selection and inline suppressions ->
+audit the suppression directives -> split against the baseline -> one
 :class:`CheckResult`.
 
 Unreadable or unparseable files become ``parse-error`` diagnostics —
@@ -37,11 +39,19 @@ from repro.lint.graph.summary import FileSummary, extract_summary
 from repro.lint.graph.symbols import ProjectIndex
 from repro.lint.graph.unitflow import check_unit_flow
 from repro.lint.graph.workercheck import check_worker_entries
-from repro.lint.runner import (
-    PARSE_ERROR_RULE,
-    UNJUSTIFIED_SUPPRESSION_RULE,
-    collect_files,
-)
+from repro.lint.suppressions import Directive, Suppressions
+
+#: rule name attached to unreadable/unparseable files (not in the rule
+#: table; it cannot be ignored, because a broken file can hide anything)
+PARSE_ERROR_RULE = "parse-error"
+
+#: warning for directives that silenced nothing this run
+USELESS_SUPPRESSION_RULE = "useless-suppression"
+
+#: warning for directives without a ``-- reason`` justification
+UNJUSTIFIED_SUPPRESSION_RULE = "unjustified-suppression"
+
+_SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist", "results"}
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,28 @@ class CheckResult:
     def count(self, severity: Severity) -> int:
         """Number of *new* findings at one severity."""
         return sum(1 for d in self.diagnostics if d.severity is severity)
+
+
+def collect_files(paths: Sequence[str | Path]) -> list[Path]:
+    """Expand files and directories into a sorted list of ``.py`` files."""
+    if not paths:
+        raise LintError("no paths given to check")
+    found: set[Path] = set()
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            found.update(
+                candidate
+                for candidate in path.rglob("*.py")
+                if not _SKIP_DIRS.intersection(candidate.parts)
+            )
+        elif path.is_file():
+            if path.suffix != ".py":
+                raise LintError(f"not a Python file: {path}")
+            found.add(path)
+        else:
+            raise LintError(f"no such file or directory: {path}")
+    return sorted(found)
 
 
 @dataclass
@@ -146,40 +178,61 @@ def load_profile_rows(profile: str | Path) -> list[Mapping]:
     return list(report.get("rows", []))
 
 
-def _justification_findings(
-    summaries: Sequence[FileSummary], silenced: Sequence[Diagnostic]
+def _local_findings(summaries: Sequence[FileSummary]) -> list[Diagnostic]:
+    """The local-rule findings stored in each summary, as diagnostics."""
+    return [
+        Diagnostic(
+            path=summary.path, line=found["line"], column=found["col"],
+            rule=found["rule"], message=found["message"],
+            severity=CHECK_RULES[found["rule"]].severity,
+        )
+        for summary in summaries
+        for found in summary.local_findings
+    ]
+
+
+def _directive_findings(
+    path: str,
+    directives: Iterable[Directive],
+    active: frozenset[str],
+    require_justification: bool,
 ) -> list[Diagnostic]:
-    """One warning per unjustified directive that silenced a finding."""
-    by_path: dict[str, list[Diagnostic]] = {}
-    for diagnostic in silenced:
-        by_path.setdefault(diagnostic.path, []).append(diagnostic)
+    """Meta-findings about one file's suppression directives.
+
+    Staleness is judged only against rules that actually ran:
+    ``--select``/``--ignore`` runs do not flag directives for the rules
+    they skipped, and ``disable=all`` is stale only when every rule ran
+    and the directive still silenced nothing.
+    """
     out: list[Diagnostic] = []
-    for summary in summaries:
-        hits = by_path.get(summary.path)
-        if not hits:
-            continue
-        for directive in summary.directives:
-            if directive["justified"]:
-                continue
-            rules = set(directive["rules"])
-            covers = any(
-                ("all" in rules or d.rule in rules)
-                and (
-                    directive["kind"] == "disable-file"
-                    or directive["target"] == d.line
-                )
-                for d in hits
+    full_set = active >= frozenset(CHECK_RULES)
+
+    def finding(directive: Directive, rule: str, message: str) -> None:
+        out.append(Diagnostic(
+            path=path, line=directive.line, column=0, rule=rule,
+            message=message, severity=Severity.WARNING,
+        ))
+
+    for directive in directives:
+        scope = "file" if directive.kind == "disable-file" else "line"
+        stale = sorted(
+            rule for rule in directive.rules - {"all"}
+            if rule in active and rule not in directive.used
+        )
+        if "all" in directive.rules and full_set and not directive.used:
+            stale.append("all")
+        for rule in stale:
+            finding(
+                directive, USELESS_SUPPRESSION_RULE,
+                f"suppression of '{rule}' ({scope} scope) matched no "
+                "finding; remove the stale directive",
             )
-            if covers:
-                out.append(Diagnostic(
-                    path=summary.path, line=directive["line"], column=0,
-                    rule=UNJUSTIFIED_SUPPRESSION_RULE,
-                    message=(
-                        "check suppression without a '-- reason' "
-                        "justification; state why the finding is safe"
-                    ),
-                    severity=Severity.WARNING,
-                ))
+        if require_justification and not directive.justified:
+            finding(
+                directive, UNJUSTIFIED_SUPPRESSION_RULE,
+                "suppression directive has no '-- reason' justification; "
+                "say why the finding is acceptable",
+            )
     return out
 
 
@@ -209,7 +262,7 @@ def analyze(
     collected = _collect_summaries(paths, cache)
     index = ProjectIndex.build(collected.summaries)
 
-    raw: list[Diagnostic] = []
+    raw = _local_findings(collected.summaries)
     raw.extend(check_unit_flow(index))
     raw.extend(check_purity(index))
     raw.extend(check_fifo_discipline(index))
@@ -219,26 +272,26 @@ def analyze(
     raw.extend(check_determinism_flow(index))
     raw.extend(check_exception_flow(index))
 
-    active_set = set(active)
-    by_path = {summary.path: summary for summary in collected.summaries}
+    active_set = frozenset(active)
+    suppressions: dict[str, Suppressions] = {
+        summary.path: summary.suppressions()
+        for summary in collected.summaries
+    }
     kept: list[Diagnostic] = []
-    silenced: list[Diagnostic] = []
     inline_suppressed = 0
     for diagnostic in raw:
         if diagnostic.rule not in active_set:
             continue
-        summary = by_path.get(diagnostic.path)
-        if summary is not None and summary.suppressed(
-            diagnostic.rule, diagnostic.line
-        ):
+        file_suppressions = suppressions.get(diagnostic.path)
+        if file_suppressions is not None and file_suppressions.covers(diagnostic):
             inline_suppressed += 1
-            silenced.append(diagnostic)
         else:
             kept.append(diagnostic)
-    if require_justification:
-        kept.extend(
-            _justification_findings(collected.summaries, silenced)
-        )
+    for path, file_suppressions in suppressions.items():
+        kept.extend(_directive_findings(
+            path, file_suppressions.directives, active_set,
+            require_justification,
+        ))
     kept.extend(collected.parse_errors)
 
     if restrict is not None:

@@ -8,9 +8,11 @@ files, and an edit invalidates exactly the entries whose content
 changed — the call-graph SCCs touching them are recomputed from the
 freshly assembled index, which is the cheap part.
 
-Entries are keyed ``sha256(source) + SUMMARY_VERSION + rule-set
-hash``, so path renames hit the cache while analyzer upgrades — a
-bumped summary version *or* an added/changed rule — miss it wholesale.
+Entries are keyed ``sha256(source) + module name + SUMMARY_VERSION +
+rule-set hash``.  The module name is part of the key because a summary
+depends on it: relative imports resolve against it, and the local rules
+scope themselves by it.  Analyzer upgrades — a bumped summary version
+*or* an added/changed rule — miss the cache wholesale.
 Content hash alone would be wrong: a warm cache from before a new pass
 landed would silently skip the facts that pass needs.  The cache is
 advisory: any read/decode error falls back to re-extraction.
@@ -26,14 +28,17 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.lint.context import module_name
 from repro.lint.graph import rules as _rules
 from repro.lint.graph import summary as _summary
 from repro.lint.graph.summary import FileSummary
 
 
-def content_key(source: str) -> str:
-    """Cache key of one file's contents under the current analyzer."""
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+def content_key(source: str, module: str | None) -> str:
+    """Cache key of one module's contents under the current analyzer."""
+    digest = hashlib.sha256(
+        f"{module}\x00{source}".encode("utf-8")
+    ).hexdigest()
     return (
         f"{digest}-v{_summary.SUMMARY_VERSION}-r{_rules.ruleset_hash()}"
     )
@@ -57,7 +62,7 @@ class SummaryCache:
         """Cached summary for ``source``, or ``None`` on a miss."""
         if self.directory is None:
             return None
-        entry = self.directory / f"{content_key(source)}.json"
+        entry = self.directory / f"{content_key(source, module_name(Path(path)))}.json"
         try:
             data = json.loads(entry.read_text(encoding="utf-8"))
             summary = (
@@ -76,7 +81,7 @@ class SummaryCache:
         """Persist one freshly extracted summary (best effort)."""
         if self.directory is None:
             return
-        entry = self.directory / f"{content_key(source)}.json"
+        entry = self.directory / f"{content_key(source, summary.module)}.json"
         try:
             entry.write_text(
                 json.dumps(summary.to_json(), sort_keys=True),

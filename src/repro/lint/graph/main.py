@@ -9,18 +9,26 @@ from pathlib import Path
 
 from repro.errors import BonsaiError
 from repro.lint.diagnostics import Severity
-from repro.lint.graph.analyzer import CheckResult, analyze
+from repro.lint.graph.analyzer import (
+    PARSE_ERROR_RULE,
+    UNJUSTIFIED_SUPPRESSION_RULE,
+    USELESS_SUPPRESSION_RULE,
+    CheckResult,
+    analyze,
+)
 from repro.lint.graph.baseline import DEFAULT_BASELINE, Baseline
+from repro.lint.graph.rules import CHECK_RULES
+from repro.lint.sarif import render_sarif
 
 #: directories analysed when no paths are given and they exist
-DEFAULT_PATHS = ("src",)
+DEFAULT_PATHS = ("src", "benchmarks")
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the check options to a (sub)parser."""
     parser.add_argument(
         "paths", nargs="*", default=None,
-        help="files or directories to analyse (default: src)",
+        help="files or directories to analyse (default: src benchmarks)",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -75,7 +83,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--list-analyses", action="store_true",
-        help="print the whole-program analyses and exit",
+        help="print every rule with its severity and exit",
     )
 
 
@@ -165,23 +173,27 @@ def render_json(result: CheckResult) -> str:
 def render_sarif_report(
     result: CheckResult, *, statistics: bool = False
 ) -> str:
-    """SARIF log via the reporter shared with ``bonsai lint``."""
-    from repro.lint.graph.rules import CHECK_RULES
-    from repro.lint.runner import PARSE_ERROR_RULE
-    from repro.lint.sarif import render_sarif
-
+    """The run as a SARIF 2.1.0 log."""
     descriptions = {
-        name: (text, "error") for name, text in CHECK_RULES.items()
+        name: (rule.description, rule.severity.value)
+        for name, rule in CHECK_RULES.items()
     }
     descriptions[PARSE_ERROR_RULE] = (
         "file could not be read or parsed; the whole-program call graph "
         "would be incomplete", "error",
     )
-    # parse-error can always fire, so it is always "enabled"
+    descriptions[USELESS_SUPPRESSION_RULE] = (
+        "suppression directive that silenced nothing this run", "warning",
+    )
+    descriptions[UNJUSTIFIED_SUPPRESSION_RULE] = (
+        "suppression directive without a '-- reason' justification",
+        "warning",
+    )
+    # parse-error can always fire, so it is always "enabled"; the
+    # directive audits are listed when they fire
     enabled = tuple(result.rules) + (PARSE_ERROR_RULE,)
     return render_sarif(
         result.diagnostics,
-        tool_name="bonsai-check",
         rule_descriptions=descriptions,
         suppressed=result.baselined,
         enabled_rules=enabled,
@@ -192,10 +204,8 @@ def render_sarif_report(
 def run_from_args(args: argparse.Namespace) -> int:
     """Execute a check run described by parsed arguments."""
     if args.list_analyses:
-        from repro.lint.graph.rules import CHECK_RULES
-
-        for name, description in sorted(CHECK_RULES.items()):
-            print(f"{name:18} {description}")
+        for name, rule in sorted(CHECK_RULES.items()):
+            print(f"{name:18} [{rule.severity.value:7}] {rule.description}")
         return 0
     paths = args.paths or [p for p in DEFAULT_PATHS if Path(p).is_dir()]
     options = {
@@ -209,6 +219,9 @@ def run_from_args(args: argparse.Namespace) -> int:
         from repro.lint.gitchanges import changed_files
 
         options["restrict"] = changed_files()
+        if not options["restrict"]:
+            print("0 changed file(s) to check")
+            return 0
 
     if args.update_baseline:
         result = analyze(paths, baseline=None, **options)
@@ -243,8 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     """Standalone entry point for ``python -m repro.lint.graph``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint.graph",
-        description="bonsai-check: whole-program unit-flow, purity and "
-        "FIFO-discipline analysis",
+        description="bonsai-check: per-file and whole-program checks of "
+        "the simulator, unit, purity, determinism and error contracts",
     )
     add_arguments(parser)
     args = parser.parse_args(argv)

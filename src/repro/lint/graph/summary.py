@@ -3,10 +3,12 @@
 One pass over a file's AST produces a :class:`FileSummary`: imports,
 classes, functions, and — per function — the facts the whole-program
 analyses need (call sites, unit-flow abstract values, direct side
-effects, peer-component accesses).  Summaries are plain JSON-friendly
-data, which is what makes the content-hash cache possible: a warm run
-loads summaries instead of re-parsing, and only the cheap propagation
-passes re-run.
+effects, peer-component accesses).  The same pass runs the local rules
+(:mod:`repro.lint.rules`) on the tree and keeps their findings.
+Summaries are plain JSON-friendly data, which is what makes the
+content-hash cache possible: a warm run loads summaries (local findings
+included) instead of re-parsing, and only the cheap propagation passes
+re-run.
 
 Abstract values (``AbsVal``) describe where a quantity's unit family
 comes from without resolving it yet:
@@ -31,11 +33,12 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.lint.context import module_name
-from repro.lint.suppressions import Suppressions
+from repro.lint.rules import run_local_rules
+from repro.lint.suppressions import Directive, Suppressions
 
 #: bump on any change to the summary shape or extraction logic; a bumped
 #: version invalidates every cache entry
-SUMMARY_VERSION = 4
+SUMMARY_VERSION = 5
 
 # --- unit families ---------------------------------------------------------
 
@@ -256,12 +259,10 @@ class FileSummary:
     #: found in module-level expression/assignment statements (decorators
     #: and class bodies excluded) — the worker-entry import-purity check
     module_calls: list[dict] = field(default_factory=list)
-    #: inline suppression directives, for filtering check diagnostics
-    file_suppressions: list[str] = field(default_factory=list)
-    line_suppressions: dict[int, list[str]] = field(default_factory=dict)
-    #: full directive records for justification auditing:
-    #: {"line", "kind", "rules", "justified", "target"}
+    #: inline suppression directives (:meth:`Directive.to_json` records)
     directives: list[dict] = field(default_factory=list)
+    #: local-rule findings: {"rule", "line", "col", "message"} each
+    local_findings: list[dict] = field(default_factory=list)
     #: module-level simple-name assignment targets (module globals a
     #: function could rebind or mutate through a class attribute)
     module_globals: list[str] = field(default_factory=list)
@@ -272,12 +273,9 @@ class FileSummary:
         for klass in self.classes.values():
             yield from klass.methods.values()
 
-    def suppressed(self, rule: str, line: int) -> bool:
-        """True when an inline directive silences ``rule`` at ``line``."""
-        for active in (self.file_suppressions, self.line_suppressions.get(line, [])):
-            if "all" in active or rule in active:
-                return True
-        return False
+    def suppressions(self) -> Suppressions:
+        """Fresh (usage-free) directive objects for one analysis run."""
+        return Suppressions([Directive.from_json(d) for d in self.directives])
 
     def to_json(self) -> dict:
         return {
@@ -288,11 +286,8 @@ class FileSummary:
             "classes": {k: c.to_json() for k, c in self.classes.items()},
             "constant_families": self.constant_families,
             "module_calls": self.module_calls,
-            "file_suppressions": self.file_suppressions,
-            "line_suppressions": {
-                str(k): v for k, v in self.line_suppressions.items()
-            },
             "directives": self.directives,
+            "local_findings": self.local_findings,
             "module_globals": self.module_globals,
         }
 
@@ -311,11 +306,8 @@ class FileSummary:
             },
             constant_families=dict(data["constant_families"]),
             module_calls=list(data.get("module_calls", [])),
-            file_suppressions=list(data["file_suppressions"]),
-            line_suppressions={
-                int(k): list(v) for k, v in data["line_suppressions"].items()
-            },
-            directives=list(data.get("directives", [])),
+            directives=list(data["directives"]),
+            local_findings=list(data["local_findings"]),
             module_globals=list(data.get("module_globals", [])),
         )
 
@@ -927,19 +919,8 @@ def extract_summary(path: str, source: str, tree: ast.Module) -> FileSummary:
     module = module_name(Path(path))
     out = FileSummary(path=path, module=module)
 
-    sup = Suppressions.scan(source)
-    out.file_suppressions = sorted(sup.file_rules)
-    out.line_suppressions = {
-        line: sorted(rules) for line, rules in sup.line_rules.items()
-    }
-    out.directives = [
-        {
-            "line": d.line, "kind": d.kind, "rules": sorted(d.rules),
-            "justified": d.justified, "target": d.target,
-        }
-        for d in sup.directives
-    ]
-
+    out.directives = [d.to_json() for d in Suppressions.scan(source).directives]
+    out.local_findings = run_local_rules(tree, module)
     for node in tree.body:
         _extract_top_level(out, node, module)
     return out

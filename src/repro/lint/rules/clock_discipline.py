@@ -23,10 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.astutil import assignment_targets, self_attribute_chain
-from repro.lint.context import FileContext
-from repro.lint.diagnostics import Diagnostic
-from repro.lint.registry import Rule, register
+from repro.lint.astutil import Finding, assignment_targets, self_attribute_chain
 
 #: sub-objects of a component that tick() may freely mutate
 OWN_STATE = {"stats"}
@@ -59,90 +56,71 @@ def _refers_to_cycles(node: ast.AST) -> bool:
     return False
 
 
-@register
-class ClockDisciplineRule(Rule):
-    name = "clock-discipline"
-    description = (
-        "tick() must talk to siblings only through FIFOs and keep cycle "
-        "arithmetic integral"
+def check(tree: ast.Module, module: str | None) -> Iterator[Finding]:
+    """Findings inside every ``tick`` method of a ``repro.hw`` class."""
+    if not (module or "").startswith("repro.hw"):
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if (
+                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and item.name == "tick"
+            ):
+                for inner in ast.walk(item):
+                    yield from _sibling_writes(node.name, inner)
+                    yield from _sibling_calls(node.name, inner)
+                    yield from _cycle_arithmetic(node.name, inner)
+
+
+def _sibling_writes(class_name: str, node: ast.AST) -> Iterator[Finding]:
+    for target in assignment_targets(node):
+        chain = self_attribute_chain(target)
+        if chain is None or len(chain) < 2 or chain[0] in OWN_STATE:
+            continue
+        yield (
+            target,
+            f"{class_name}.tick() writes self.{'.'.join(chain)} "
+            "directly; components communicate only through FIFO "
+            "push/pop (one-register-per-stage discipline)",
+        )
+
+
+def _sibling_calls(class_name: str, node: ast.AST) -> Iterator[Finding]:
+    if not isinstance(node, ast.Call):
+        return
+    chain = self_attribute_chain(node.func)
+    if chain is None or len(chain) < 2:
+        return
+    if chain[0] in OWN_STATE or chain[-1] in ALLOWED_CALLS:
+        return
+    yield (
+        node,
+        f"{class_name}.tick() calls self.{'.'.join(chain)}() which "
+        "bypasses the FIFO protocol (allowed: "
+        f"{', '.join(sorted(ALLOWED_CALLS))})",
     )
 
-    def applies_to(self, ctx: FileContext) -> bool:
-        return (ctx.module or "").startswith("repro.hw")
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for item in node.body:
-                if (
-                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name == "tick"
-                ):
-                    yield from self._check_tick(ctx, node.name, item)
-
-    # ------------------------------------------------------------------
-    def _check_tick(
-        self, ctx: FileContext, class_name: str, tick: ast.AST
-    ) -> Iterator[Diagnostic]:
-        for node in ast.walk(tick):
-            yield from self._check_sibling_write(ctx, class_name, node)
-            yield from self._check_sibling_call(ctx, class_name, node)
-            yield from self._check_cycle_arithmetic(ctx, class_name, node)
-
-    def _check_sibling_write(
-        self, ctx: FileContext, class_name: str, node: ast.AST
-    ) -> Iterator[Diagnostic]:
-        for target in assignment_targets(node):
-            chain = self_attribute_chain(target)
-            if chain is None or len(chain) < 2 or chain[0] in OWN_STATE:
-                continue
-            yield self.flag(
-                ctx,
-                target,
-                f"{class_name}.tick() writes self.{'.'.join(chain)} "
-                "directly; components communicate only through FIFO "
-                "push/pop (one-register-per-stage discipline)",
-            )
-
-    def _check_sibling_call(
-        self, ctx: FileContext, class_name: str, node: ast.AST
-    ) -> Iterator[Diagnostic]:
-        if not isinstance(node, ast.Call):
-            return
-        chain = self_attribute_chain(node.func)
-        if chain is None or len(chain) < 2:
-            return
-        if chain[0] in OWN_STATE or chain[-1] in ALLOWED_CALLS:
-            return
-        yield self.flag(
-            ctx,
-            node,
-            f"{class_name}.tick() calls self.{'.'.join(chain)}() which "
-            "bypasses the FIFO protocol (allowed: "
-            f"{', '.join(sorted(ALLOWED_CALLS))})",
-        )
-
-    def _check_cycle_arithmetic(
-        self, ctx: FileContext, class_name: str, node: ast.AST
-    ) -> Iterator[Diagnostic]:
-        message = (
-            f"{class_name}.tick() performs float arithmetic on a cycle "
-            "counter; cycle accounting must stay integral"
-        )
-        if isinstance(node, ast.BinOp):
-            operands = (node.left, node.right)
-            touches_cycles = any(_refers_to_cycles(op) for op in operands)
-            if touches_cycles and isinstance(node.op, ast.Div):
-                yield self.flag(ctx, node, message)
-            elif touches_cycles and any(
-                isinstance(op, ast.Constant) and isinstance(op.value, float)
-                for op in operands
-            ):
-                yield self.flag(ctx, node, message)
-        elif isinstance(node, ast.AugAssign) and _refers_to_cycles(node.target):
-            if isinstance(node.op, ast.Div) or (
-                isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, float)
-            ):
-                yield self.flag(ctx, node, message)
+def _cycle_arithmetic(class_name: str, node: ast.AST) -> Iterator[Finding]:
+    message = (
+        f"{class_name}.tick() performs float arithmetic on a cycle "
+        "counter; cycle accounting must stay integral"
+    )
+    if isinstance(node, ast.BinOp):
+        operands = (node.left, node.right)
+        touches_cycles = any(_refers_to_cycles(op) for op in operands)
+        if touches_cycles and isinstance(node.op, ast.Div):
+            yield node, message
+        elif touches_cycles and any(
+            isinstance(op, ast.Constant) and isinstance(op.value, float)
+            for op in operands
+        ):
+            yield node, message
+    elif isinstance(node, ast.AugAssign) and _refers_to_cycles(node.target):
+        if isinstance(node.op, ast.Div) or (
+            isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, float)
+        ):
+            yield node, message

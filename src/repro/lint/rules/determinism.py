@@ -20,10 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.astutil import dotted_call_name
-from repro.lint.context import FileContext
-from repro.lint.diagnostics import Diagnostic
-from repro.lint.registry import Rule, register
+from repro.lint.astutil import Finding, dotted_call_name
 
 _RANDOM_MODULE_FNS = {
     "random", "randint", "randrange", "choice", "choices", "shuffle",
@@ -42,84 +39,75 @@ _TIME_FNS = {
 _NOW_FNS = {"now", "utcnow", "today"}
 
 
-@register
-class DeterminismRule(Rule):
-    name = "determinism"
-    description = (
-        "unseeded RNGs, wall-clock reads, and set iteration in repro.* "
-        "modules"
-    )
+def check(tree: ast.Module, module: str | None) -> Iterator[Finding]:
+    """Unseeded RNGs, clock reads and set iteration in ``repro.*``."""
+    if not (module or "").startswith("repro"):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield from _check_call(node)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            yield from _check_set_iteration(node)
 
-    def applies_to(self, ctx: FileContext) -> bool:
-        return (ctx.module or "").startswith("repro")
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node)
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                yield from self._check_set_iteration(ctx, node)
+def _check_call(node: ast.Call) -> Iterator[Finding]:
+    dotted = dotted_call_name(node.func)
+    if dotted is None:
+        return
+    parts = dotted.split(".")
+    head, tail = parts[0], parts[-1]
 
-    # ------------------------------------------------------------------
-    def _check_call(self, ctx: FileContext, node: ast.Call) -> Iterator[Diagnostic]:
-        dotted = dotted_call_name(node.func)
-        if dotted is None:
-            return
-        parts = dotted.split(".")
-        head, tail = parts[0], parts[-1]
-
-        if head == "random" and len(parts) == 2 and tail in _RANDOM_MODULE_FNS:
-            yield self.flag(
-                ctx, node,
-                f"module-level {dotted}() uses the shared unseeded RNG; "
-                "construct random.Random(seed) instead",
-            )
-        elif dotted in ("random.Random", "Random") and not (node.args or node.keywords):
-            yield self.flag(
-                ctx, node,
-                "random.Random() without a seed is nondeterministic; "
-                "pass an explicit seed",
-            )
-        elif "random" in parts[:-1] and tail in _NUMPY_LEGACY_FNS:
-            yield self.flag(
-                ctx, node,
-                f"legacy global-state numpy API {dotted}(); use "
-                "numpy.random.default_rng(seed)",
-            )
-        elif tail == "default_rng" and not (node.args or node.keywords):
-            yield self.flag(
-                ctx, node,
-                "default_rng() without a seed draws OS entropy; pass an "
-                "explicit seed",
-            )
-        elif head == "time" and len(parts) == 2 and tail in _TIME_FNS:
-            yield self.flag(
-                ctx, node,
-                f"{dotted}() reads the host clock; simulated time comes "
-                "from cycle counts",
-            )
-        elif tail in _NOW_FNS and len(parts) >= 2 and parts[-2] in (
-            "datetime", "date",
-        ):
-            yield self.flag(
-                ctx, node,
-                f"{dotted}() reads the host clock; model code must not "
-                "depend on when it runs",
-            )
-
-    def _check_set_iteration(
-        self, ctx: FileContext, node: ast.For | ast.comprehension
-    ) -> Iterator[Diagnostic]:
-        iterable = node.iter
-        is_set = isinstance(iterable, (ast.Set, ast.SetComp)) or (
-            isinstance(iterable, ast.Call)
-            and isinstance(iterable.func, ast.Name)
-            and iterable.func.id in ("set", "frozenset")
+    if head == "random" and len(parts) == 2 and tail in _RANDOM_MODULE_FNS:
+        yield (
+            node,
+            f"module-level {dotted}() uses the shared unseeded RNG; "
+            "construct random.Random(seed) instead",
         )
-        if is_set:
-            anchor = iterable if isinstance(node, ast.comprehension) else node
-            yield self.flag(
-                ctx, anchor,
-                "iterating a set feeds hash order into the output; wrap "
-                "it in sorted(...) to fix the order",
-            )
+    elif dotted in ("random.Random", "Random") and not (node.args or node.keywords):
+        yield (
+            node,
+            "random.Random() without a seed is nondeterministic; "
+            "pass an explicit seed",
+        )
+    elif "random" in parts[:-1] and tail in _NUMPY_LEGACY_FNS:
+        yield (
+            node,
+            f"legacy global-state numpy API {dotted}(); use "
+            "numpy.random.default_rng(seed)",
+        )
+    elif tail == "default_rng" and not (node.args or node.keywords):
+        yield (
+            node,
+            "default_rng() without a seed draws OS entropy; pass an "
+            "explicit seed",
+        )
+    elif head == "time" and len(parts) == 2 and tail in _TIME_FNS:
+        yield (
+            node,
+            f"{dotted}() reads the host clock; simulated time comes "
+            "from cycle counts",
+        )
+    elif tail in _NOW_FNS and len(parts) >= 2 and parts[-2] in (
+        "datetime", "date",
+    ):
+        yield (
+            node,
+            f"{dotted}() reads the host clock; model code must not "
+            "depend on when it runs",
+        )
+
+
+def _check_set_iteration(node: ast.For | ast.comprehension) -> Iterator[Finding]:
+    iterable = node.iter
+    is_set = isinstance(iterable, (ast.Set, ast.SetComp)) or (
+        isinstance(iterable, ast.Call)
+        and isinstance(iterable.func, ast.Name)
+        and iterable.func.id in ("set", "frozenset")
+    )
+    if is_set:
+        anchor = iterable if isinstance(node, ast.comprehension) else node
+        yield (
+            anchor,
+            "iterating a set feeds hash order into the output; wrap "
+            "it in sorted(...) to fix the order",
+        )

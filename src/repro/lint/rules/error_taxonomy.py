@@ -17,9 +17,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.context import FileContext
-from repro.lint.diagnostics import Diagnostic
-from repro.lint.registry import Rule, register
+from repro.lint.astutil import Finding
 
 _BARE_BUILTINS = {
     "ValueError", "TypeError", "RuntimeError", "Exception", "KeyError",
@@ -28,32 +26,24 @@ _BARE_BUILTINS = {
 }
 
 
-@register
-class ErrorTaxonomyRule(Rule):
-    name = "error-taxonomy"
-    description = (
-        "raise repro.errors subclasses, not bare builtin exceptions, "
-        "inside repro.*"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return (ctx.module or "").startswith("repro")
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Raise) or node.exc is None:
-                continue
-            exc = node.exc
-            name = None
-            if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name):
-                name = exc.func.id
-            elif isinstance(exc, ast.Name):
-                name = exc.id
-            if name in _BARE_BUILTINS:
-                yield self.flag(
-                    ctx, node,
-                    f"raises bare {name}; use the repro.errors hierarchy "
-                    "(ConfigurationError for bad parameters, "
-                    "SimulationError for protocol violations, ...) so "
-                    "callers can catch BonsaiError",
-                )
+def check(tree: ast.Module, module: str | None) -> Iterator[Finding]:
+    """Raises of bare builtin exceptions inside ``repro.*``."""
+    if not (module or "").startswith("repro"):
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc
+        name = None
+        if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name):
+            name = exc.func.id
+        elif isinstance(exc, ast.Name):
+            name = exc.id
+        if name in _BARE_BUILTINS:
+            yield (
+                node,
+                f"raises bare {name}; use the repro.errors hierarchy "
+                "(ConfigurationError for bad parameters, "
+                "SimulationError for protocol violations, ...) so "
+                "callers can catch BonsaiError",
+            )

@@ -13,10 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.astutil import dotted_call_name
-from repro.lint.context import FileContext
-from repro.lint.diagnostics import Diagnostic
-from repro.lint.registry import Rule, register
+from repro.lint.astutil import Finding, dotted_call_name
 
 #: modules whose every function the optimizer treats as a pure map
 PURE_MODULES = {"repro.core.performance", "repro.core.resources"}
@@ -28,66 +25,57 @@ _SIDE_EFFECT_MODULES = {
 }
 
 
-@register
-class ModelPurityRule(Rule):
-    name = "model-purity"
-    description = (
-        "repro.core.performance/resources must stay pure: no I/O, no "
-        "globals, no repro.hw imports"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.module in PURE_MODULES
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    yield from self._check_import(ctx, node, alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                yield from self._check_import(ctx, node, node.module or "")
-            elif isinstance(node, ast.Global):
-                yield self.flag(
-                    ctx, node,
-                    f"global statement mutates module state "
-                    f"({', '.join(node.names)}); model functions must be "
-                    "pure maps from parameters to numbers",
-                )
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node)
-
-    # ------------------------------------------------------------------
-    def _check_import(
-        self, ctx: FileContext, node: ast.AST, module: str
-    ) -> Iterator[Diagnostic]:
-        if module == "repro.hw" or module.startswith("repro.hw."):
-            yield self.flag(
-                ctx, node,
-                f"pure model module imports {module}; the analytical "
-                "model must never depend on the simulator "
-                "(repro.core.validation is the sanctioned bridge)",
+def check(tree: ast.Module, module: str | None) -> Iterator[Finding]:
+    """I/O, globals and simulator imports in the pure model modules."""
+    if module not in PURE_MODULES:
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield from _check_import(node, alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            yield from _check_import(node, node.module or "")
+        elif isinstance(node, ast.Global):
+            yield (
+                node,
+                f"global statement mutates module state "
+                f"({', '.join(node.names)}); model functions must be "
+                "pure maps from parameters to numbers",
             )
-        elif module in _SIDE_EFFECT_MODULES:
-            yield self.flag(
-                ctx, node,
-                f"pure model module imports {module}; Eq. 1-10 code "
-                "performs no I/O or process interaction",
-            )
+        elif isinstance(node, ast.Call):
+            yield from _check_call(node)
 
-    def _check_call(self, ctx: FileContext, node: ast.Call) -> Iterator[Diagnostic]:
-        dotted = dotted_call_name(node.func)
-        if dotted is None:
-            return
-        parts = dotted.split(".")
-        if len(parts) == 1 and parts[0] in _IO_BUILTINS:
-            yield self.flag(
-                ctx, node,
-                f"{dotted}() in a pure model module; the optimizer calls "
-                "these functions millions of times — no I/O",
-            )
-        elif len(parts) > 1 and parts[0] in _SIDE_EFFECT_MODULES:
-            yield self.flag(
-                ctx, node,
-                f"{dotted}() touches the host environment from a pure "
-                "model module",
-            )
+
+def _check_import(node: ast.AST, module: str) -> Iterator[Finding]:
+    if module == "repro.hw" or module.startswith("repro.hw."):
+        yield (
+            node,
+            f"pure model module imports {module}; the analytical "
+            "model must never depend on the simulator "
+            "(repro.core.validation is the sanctioned bridge)",
+        )
+    elif module in _SIDE_EFFECT_MODULES:
+        yield (
+            node,
+            f"pure model module imports {module}; Eq. 1-10 code "
+            "performs no I/O or process interaction",
+        )
+
+
+def _check_call(node: ast.Call) -> Iterator[Finding]:
+    dotted = dotted_call_name(node.func)
+    if dotted is None:
+        return
+    parts = dotted.split(".")
+    if len(parts) == 1 and parts[0] in _IO_BUILTINS:
+        yield (
+            node,
+            f"{dotted}() in a pure model module; the optimizer calls "
+            "these functions millions of times — no I/O",
+        )
+    elif len(parts) > 1 and parts[0] in _SIDE_EFFECT_MODULES:
+        yield (
+            node,
+            f"{dotted}() touches the host environment from a pure "
+            "model module",
+        )

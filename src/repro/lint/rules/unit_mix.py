@@ -23,10 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.astutil import parent_map
-from repro.lint.context import FileContext
-from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import Rule, register
+from repro.lint.astutil import Finding, parent_map
 
 DECIMAL_NAMES = {"KB", "MB", "GB", "TB", "PB"}
 BINARY_NAMES = {"KiB", "MiB", "GiB", "TiB"}
@@ -107,61 +104,49 @@ def _arithmetic_flavors(node: ast.AST) -> set[str]:
     return set()
 
 
-@register
-class UnitMixRule(Rule):
-    name = "unit-mix"
-    description = (
-        "decimal and binary byte units mixed in one expression, or magic "
-        "byte literals where a repro.units name exists"
-    )
-    severity = Severity.WARNING
+def check(tree: ast.Module, module: str | None) -> Iterator[Finding]:
+    """Mixed-family expressions everywhere; magic literals in ``repro.*``."""
+    parents = parent_map(tree)
+    mixed_roots: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.BinOp):
+            continue
+        if isinstance(parents.get(node), _ARITHMETIC):
+            continue  # report at the arithmetic expression root only
+        flavors = _arithmetic_flavors(node)
+        if "decimal" in flavors and "binary" in flavors:
+            mixed_roots.append(node)
+            yield (
+                node,
+                "expression mixes decimal (KB/MB/GB/...) and binary "
+                "(KiB/MiB/GiB/...) byte units; pick one family "
+                "(repro.units documents which applies where)",
+            )
+    if not (module or "").startswith("repro"):
+        return
+    mixed_nodes = {child for root in mixed_roots for child in ast.walk(root)}
+    for node in ast.walk(tree):
+        if node in mixed_nodes:
+            continue  # already reported as part of a mixed expression
+        suggestion = _literal_suggestion(node)
+        if suggestion is not None:
+            yield (
+                node,
+                f"magic byte-unit literal; use repro.units.{suggestion} "
+                "(or the matching frequency constant if this is Hz)",
+            )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        parents = parent_map(ctx.tree)
-        mixed_roots: list[ast.AST] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.BinOp):
-                continue
-            if isinstance(parents.get(node), _ARITHMETIC):
-                continue  # report at the arithmetic expression root only
-            flavors = _arithmetic_flavors(node)
-            if "decimal" in flavors and "binary" in flavors:
-                mixed_roots.append(node)
-                yield self.flag(
-                    ctx,
-                    node,
-                    "expression mixes decimal (KB/MB/GB/...) and binary "
-                    "(KiB/MiB/GiB/...) byte units; pick one family "
-                    "(repro.units documents which applies where)",
-                )
-        if not (ctx.module or "").startswith("repro"):
-            return
-        mixed_nodes = {
-            child for root in mixed_roots for child in ast.walk(root)
-        }
-        for node in ast.walk(ctx.tree):
-            if node in mixed_nodes:
-                continue  # already reported as part of a mixed expression
-            suggestion = self._literal_suggestion(node)
-            if suggestion is not None:
-                yield self.flag(
-                    ctx,
-                    node,
-                    f"magic byte-unit literal; use repro.units.{suggestion} "
-                    "(or the matching frequency constant if this is Hz)",
-                )
 
-    @staticmethod
-    def _literal_suggestion(node: ast.AST) -> str | None:
-        power = _power_exponent(node)
-        if power is not None:
-            base, exponent = power
-            if base == 10:
-                return DECIMAL_POWERS.get(exponent)
-            return BINARY_POWERS.get(exponent)
-        if isinstance(node, ast.Constant) and not isinstance(node.value, bool):
-            if isinstance(node.value, int):
-                return INT_LITERALS.get(node.value)
-            if isinstance(node.value, float):
-                return FLOAT_LITERALS.get(node.value)
-        return None
+def _literal_suggestion(node: ast.AST) -> str | None:
+    power = _power_exponent(node)
+    if power is not None:
+        base, exponent = power
+        if base == 10:
+            return DECIMAL_POWERS.get(exponent)
+        return BINARY_POWERS.get(exponent)
+    if isinstance(node, ast.Constant) and not isinstance(node.value, bool):
+        if isinstance(node.value, int):
+            return INT_LITERALS.get(node.value)
+        if isinstance(node.value, float):
+            return FLOAT_LITERALS.get(node.value)
+    return None

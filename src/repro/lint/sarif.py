@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 reporter shared by ``bonsai lint`` and ``bonsai check``.
+"""SARIF 2.1.0 reporter for ``bonsai check``.
 
 SARIF (Static Analysis Results Interchange Format, OASIS standard) is
 what CI systems ingest to annotate pull-request diffs.  One ``run`` is
@@ -27,6 +27,9 @@ SARIF_SCHEMA_URI = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
     "Schemata/sarif-schema-2.1.0.json"
 )
+
+#: the SARIF ``tool.driver.name``
+TOOL_NAME = "bonsai-check"
 
 _LEVELS = {Severity.ERROR: "error", Severity.WARNING: "warning"}
 
@@ -99,7 +102,6 @@ def _result(diagnostic: Diagnostic, suppressed: bool, occurrence: int) -> dict:
 def render_sarif(
     diagnostics: Sequence[Diagnostic],
     *,
-    tool_name: str,
     rule_descriptions: Mapping[str, tuple[str, str]],
     suppressed: Sequence[Diagnostic] = (),
     enabled_rules: Sequence[str] | None = None,
@@ -111,8 +113,6 @@ def render_sarif(
     ----------
     diagnostics:
         Findings that fail the run.
-    tool_name:
-        ``bonsai-lint`` or ``bonsai-check`` (the driver name).
     rule_descriptions:
         ``rule name -> (one-line description, default level)`` for the
         driver's rule table; rules that fired but are not listed (e.g.
@@ -123,7 +123,7 @@ def render_sarif(
         Rules active in this run.  When given, the driver rule table
         lists only rules that are enabled or actually fired — a SARIF
         consumer then sees the run's real rule surface instead of the
-        whole registry.  ``None`` keeps the full table.
+        whole rule table.  ``None`` keeps the full table.
     properties:
         Optional run-level ``properties`` bag (the ``--statistics``
         counters).
@@ -156,7 +156,7 @@ def render_sarif(
     run: dict = {
         "tool": {
             "driver": {
-                "name": tool_name,
+                "name": TOOL_NAME,
                 "version": __version__,
                 "informationUri": (
                     "https://github.com/bonsai-repro/bonsai"
@@ -175,63 +175,3 @@ def render_sarif(
         "runs": [run],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def merge_sarif_logs(documents: Sequence[str]) -> str:
-    """Combine SARIF logs into one multi-run document.
-
-    CI runs ``bonsai lint`` and ``bonsai check`` separately but uploads
-    a single artifact; SARIF's ``runs`` array is made for exactly this
-    — one log, one run per tool.  Inputs must all be version 2.1.0.
-    """
-    from repro.errors import LintError
-
-    runs: list[dict] = []
-    for document in documents:
-        payload = json.loads(document)
-        version = payload.get("version")
-        if version != SARIF_VERSION:
-            raise LintError(
-                f"cannot merge SARIF version {version!r}; "
-                f"expected {SARIF_VERSION}"
-            )
-        runs.extend(payload.get("runs", []))
-    merged = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": runs,
-    }
-    return json.dumps(merged, indent=2, sort_keys=True)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.lint.sarif OUT IN [IN ...]`` — merge logs."""
-    import sys
-    from pathlib import Path
-
-    from repro.errors import LintError
-
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    if len(arguments) < 2:
-        print(
-            "usage: python -m repro.lint.sarif OUT.sarif IN.sarif "
-            "[IN.sarif ...]",
-            file=sys.stderr,
-        )
-        return 2
-    out, *inputs = arguments
-    try:
-        documents = [
-            Path(name).read_text(encoding="utf-8") for name in inputs
-        ]
-        merged = merge_sarif_logs(documents)
-    except (OSError, LintError, json.JSONDecodeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    Path(out).write_text(merged + "\n", encoding="utf-8")
-    print(f"wrote {out} ({len(inputs)} run(s) merged)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -81,6 +81,21 @@ class Directive:
     #: rule names this directive actually silenced during the run
     used: set[str] = field(default_factory=set)
 
+    def to_json(self) -> dict:
+        """The parsed directive (without usage) as JSON-friendly data."""
+        return {
+            "line": self.line, "kind": self.kind, "rules": sorted(self.rules),
+            "justified": self.justified, "target": self.target,
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Directive":
+        return cls(
+            line=data["line"], kind=data["kind"],
+            rules=frozenset(data["rules"]), justified=data["justified"],
+            target=data["target"],
+        )
+
     def matches(self, diagnostic: Diagnostic) -> bool:
         """True when this directive silences the diagnostic."""
         if self.kind == "disable" and diagnostic.line != self.target:
@@ -93,24 +108,6 @@ class Suppressions:
     """Parsed suppression directives of one file."""
 
     directives: list[Directive] = field(default_factory=list)
-
-    @property
-    def file_rules(self) -> frozenset[str]:
-        """Union of rules disabled for the whole file."""
-        rules: set[str] = set()
-        for directive in self.directives:
-            if directive.kind == "disable-file":
-                rules |= directive.rules
-        return frozenset(rules)
-
-    @property
-    def line_rules(self) -> dict[int, frozenset[str]]:
-        """Shielded line -> rules disabled on it."""
-        out: dict[int, set[str]] = {}
-        for directive in self.directives:
-            if directive.kind == "disable" and directive.target is not None:
-                out.setdefault(directive.target, set()).update(directive.rules)
-        return {line: frozenset(rules) for line, rules in out.items()}
 
     @classmethod
     def scan(cls, source: str) -> "Suppressions":

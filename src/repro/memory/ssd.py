@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.memory.base import MemoryModel
-from repro.units import GB, TB
+from repro.units import GB
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from repro.errors import ProtocolError, ServeError
 from repro.obs.runtime import observation
 from repro.serve import protocol
-from repro.serve.queue import JobQueue, QueuedJob
+from repro.serve.queue import JobQueue
 from repro.serve.session import SortSession, execute_payload, job_digest, job_from_params
 from repro.serve.workers import worker_serve_job
 
@@ -287,7 +287,7 @@ def _write(writer: asyncio.StreamWriter, data: bytes) -> None:
     """Best-effort response write; a vanished client is not our failure."""
     try:
         writer.write(data)
-    except (ConnectionResetError, BrokenPipeError, RuntimeError):  # bonsai-lint: disable=exn-swallow -- the client hung up before its response; server-side state is already settled and the disconnect is counted per-connection
+    except (ConnectionResetError, BrokenPipeError, RuntimeError):
         observation().count("serve.client_gone")
 
 
@@ -301,7 +301,7 @@ async def _flush(writer: asyncio.StreamWriter) -> None:
     """
     try:
         await writer.drain()
-    except (ConnectionResetError, BrokenPipeError, RuntimeError):  # bonsai-lint: disable=exn-swallow -- flushing to a client that hung up; the work is already done and counted, only the delivery is moot
+    except (ConnectionResetError, BrokenPipeError, RuntimeError):
         observation().count("serve.client_gone")
 
 

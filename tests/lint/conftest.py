@@ -1,4 +1,4 @@
-"""Shared fixtures for the bonsai-lint tests."""
+"""Shared fixtures for the static-analysis tests."""
 
 from __future__ import annotations
 
@@ -6,12 +6,12 @@ import textwrap
 
 import pytest
 
-from repro.lint import lint_file, resolve_rules
+from repro.lint.graph import analyze
 
 
 @pytest.fixture
-def lint_source(tmp_path):
-    """Write a snippet at a repo-like relative path and lint it.
+def check_source(tmp_path):
+    """Write a snippet at a repo-like relative path and check it.
 
     Returns ``(diagnostics, suppressed_count)``.  The relative path
     matters: rules scope themselves by the dotted module derived from
@@ -19,10 +19,11 @@ def lint_source(tmp_path):
     ``repro.hw.x``).
     """
 
-    def _lint(relpath: str, source: str, select: list[str] | None = None):
+    def _check(relpath: str, source: str, select: list[str] | None = None):
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-        return lint_file(path, resolve_rules(select=select))
+        result = analyze([path], select=select)
+        return list(result.diagnostics), result.suppressed
 
-    return _lint
+    return _check

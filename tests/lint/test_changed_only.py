@@ -64,21 +64,19 @@ class TestChangedFiles:
 
 class TestLintChangedOnly:
     def test_clean_tree_short_circuits(self, git_repo, monkeypatch, capsys):
-        from repro.lint.main import main
+        from repro.lint.graph.main import main
 
         monkeypatch.chdir(git_repo)
         assert main(["--changed-only", "."]) == 0
-        assert "0 changed file(s) to lint" in capsys.readouterr().out
+        assert "0 changed file(s) to check" in capsys.readouterr().out
 
     def test_only_changed_files_are_linted(self, git_repo, monkeypatch, capsys):
-        from repro.lint.main import main
+        from repro.lint.graph.main import main
 
-        # the tracked file acquires a violation but stays committed…
-        (git_repo / "clean.py").write_text(
-            '"""doc."""\nimport time\n\n\ndef t():\n'
-            '    return time.time()\n',
-            encoding="utf-8",
-        )
+        # a committed file carries a violation…
+        dirty = git_repo / "repro" / "dirty.py"
+        dirty.parent.mkdir()
+        dirty.write_text('"""doc."""\nraise ValueError("x")\n', encoding="utf-8")
         _git(git_repo, "add", ".")
         _git(git_repo, "commit", "-q", "-m", "edit")
         # …while the untracked file is clean; only it is in the diff
@@ -86,8 +84,11 @@ class TestLintChangedOnly:
         monkeypatch.chdir(git_repo)
         assert main(["--changed-only", "--format", "json", "."]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["files_scanned"] == 1
+        assert report["files_scanned"] == 3  # analysis still sees the tree
         assert report["diagnostics"] == []
+        assert main(["--format", "json", "."]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["rule"] for d in report["diagnostics"]] == ["error-taxonomy"]
 
 
 class TestStatistics:

@@ -1,25 +1,21 @@
-"""Framework-level tests: suppressions, file collection, rule registry."""
+"""Framework-level tests: suppressions, file collection, the rule table."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import LintError
-from repro.lint import (
-    Diagnostic,
-    Severity,
-    all_rules,
-    collect_files,
-    lint_file,
-    resolve_rules,
-    run,
-)
+from repro.lint import Diagnostic, Severity
 from repro.lint.context import module_name
-from repro.lint.runner import (
+from repro.lint.graph import CHECK_RULES, analyze
+from repro.lint.graph.analyzer import (
     PARSE_ERROR_RULE,
     UNJUSTIFIED_SUPPRESSION_RULE,
     USELESS_SUPPRESSION_RULE,
+    collect_files,
+    resolve_rule_selection,
 )
+from repro.lint.rules import LOCAL_RULES
 from repro.lint.suppressions import Suppressions
 
 EXPECTED_RULES = {
@@ -72,8 +68,6 @@ class TestSuppressions:
 
     def test_unrelated_comments_are_ignored(self):
         sup = Suppressions.scan("x = 1  # noqa: E501\n# plain comment\n")
-        assert sup.file_rules == frozenset()
-        assert sup.line_rules == {}
         assert sup.directives == []
 
     def test_comment_only_directive_skips_decorators(self):
@@ -156,27 +150,28 @@ class TestCollectFiles:
 
 class TestRegistry:
     def test_ships_the_five_documented_rules(self):
-        assert EXPECTED_RULES <= set(all_rules())
+        assert set(LOCAL_RULES) == EXPECTED_RULES
+        assert EXPECTED_RULES <= set(CHECK_RULES)
 
     def test_every_rule_has_name_description_severity(self):
-        for rule in all_rules().values():
-            assert rule.name and rule.description
+        for name, rule in CHECK_RULES.items():
+            assert name and rule.description
             assert isinstance(rule.severity, Severity)
+        assert CHECK_RULES["unit-mix"].severity is Severity.WARNING
 
     def test_select_narrows_the_rule_set(self):
-        rules = resolve_rules(select=["unit-mix"])
-        assert [rule.name for rule in rules] == ["unit-mix"]
+        assert resolve_rule_selection(["unit-mix"], None) == ("unit-mix",)
 
     def test_disable_removes_rules(self):
-        names = {rule.name for rule in resolve_rules(disable=["unit-mix"])}
+        names = set(resolve_rule_selection(None, ["unit-mix"]))
         assert "unit-mix" not in names
         assert "determinism" in names
 
     def test_unknown_rule_raises_lint_error(self):
-        with pytest.raises(LintError, match="unknown rule.*unit-mixx"):
-            resolve_rules(select=["unit-mixx"])
-        with pytest.raises(LintError, match="unknown rule"):
-            resolve_rules(disable=["nope"])
+        with pytest.raises(LintError, match="unknown check rule 'unit-mixx'"):
+            resolve_rule_selection(["unit-mixx"], None)
+        with pytest.raises(LintError, match="unknown check rule"):
+            resolve_rule_selection(None, ["nope"])
 
 
 class TestModuleName:
@@ -194,91 +189,98 @@ class TestModuleName:
         assert module_name(tmp_path / relpath) == expected
 
 
-class TestDirectiveFindings:
-    def _write(self, tmp_path, source: str):
-        target = tmp_path / "repro" / "mod.py"
-        target.parent.mkdir(exist_ok=True)
-        target.write_text(source)
-        return target
+def _check_one(tmp_path, source: str, **options):
+    """Check one ``repro`` module; returns ``(findings, suppressed)``."""
+    target = tmp_path / "repro" / "mod.py"
+    target.parent.mkdir(exist_ok=True)
+    target.write_text(source)
+    result = analyze([target], **options)
+    return list(result.diagnostics), result.suppressed
 
+
+class TestDirectiveFindings:
     def test_stale_directive_warns_useless_suppression(self, tmp_path):
-        target = self._write(
+        kept, suppressed = _check_one(
             tmp_path, "x = 1  # bonsai-lint: disable=unit-mix -- outdated\n"
         )
-        kept, suppressed = lint_file(target, resolve_rules())
         assert suppressed == 0
         assert [d.rule for d in kept] == [USELESS_SUPPRESSION_RULE]
         assert kept[0].severity is Severity.WARNING
         assert "unit-mix" in kept[0].message
 
     def test_used_directive_is_not_stale(self, tmp_path):
-        target = self._write(
+        kept, suppressed = _check_one(
             tmp_path,
             "import random\n"
             "r = random.random()  # bonsai-lint: disable=determinism -- demo\n",
         )
-        kept, suppressed = lint_file(target, resolve_rules())
         assert suppressed == 1
         assert kept == []
 
     def test_select_run_does_not_flag_unselected_rules(self, tmp_path):
         # the directive names a rule this run never executed, so its
         # staleness is unknowable — stay quiet instead of lying
-        target = self._write(
-            tmp_path, "x = 1  # bonsai-lint: disable=determinism -- other\n"
-        )
-        kept, _ = lint_file(target, resolve_rules(select=["unit-mix"]))
+        source = "x = 1  # bonsai-lint: disable=determinism -- other\n"
+        kept, _ = _check_one(tmp_path, source, select=["unit-mix"])
+        assert kept == []
+        kept, _ = _check_one(tmp_path, source, ignore=["determinism"])
         assert kept == []
 
-    def test_check_rule_names_are_left_to_bonsai_check(self, tmp_path):
-        target = self._write(
+    def test_stale_check_rule_directive_is_flagged(self, tmp_path):
+        kept, _ = _check_one(
             tmp_path, "x = 1  # bonsai-lint: disable=unit-flow-mix -- reviewed\n"
         )
-        kept, _ = lint_file(target, resolve_rules())
-        assert kept == []
+        assert [d.rule for d in kept] == [USELESS_SUPPRESSION_RULE]
+        assert "unit-flow-mix" in kept[0].message
 
     def test_stale_disable_all_is_flagged_on_full_runs_only(self, tmp_path):
-        target = self._write(
-            tmp_path, "x = 1  # bonsai-lint: disable=all -- generated\n"
-        )
-        kept, _ = lint_file(target, resolve_rules())
+        source = "x = 1  # bonsai-lint: disable=all -- generated\n"
+        kept, _ = _check_one(tmp_path, source)
         assert [d.rule for d in kept] == [USELESS_SUPPRESSION_RULE]
-        kept, _ = lint_file(target, resolve_rules(select=["unit-mix"]))
+        kept, _ = _check_one(tmp_path, source, select=["unit-mix"])
         assert kept == []
 
     def test_require_justification_flags_bare_directives(self, tmp_path):
-        target = self._write(
-            tmp_path,
+        source = (
             "import random\n"
-            "r = random.random()  # bonsai-lint: disable=determinism\n",
+            "r = random.random()  # bonsai-lint: disable=determinism\n"
         )
-        kept, suppressed = lint_file(
-            target, resolve_rules(), require_justification=True
+        kept, suppressed = _check_one(
+            tmp_path, source, require_justification=True
         )
         assert suppressed == 1
         assert [d.rule for d in kept] == [UNJUSTIFIED_SUPPRESSION_RULE]
-        kept, _ = lint_file(target, resolve_rules())
+        kept, _ = _check_one(tmp_path, source)
         assert kept == []  # opt-in flag, quiet by default
 
     def test_run_passes_require_justification_through(self, tmp_path):
-        self._write(
-            tmp_path, "x = 1  # bonsai-lint: disable-file=error-taxonomy\n"
+        kept, _ = _check_one(
+            tmp_path, "x = 1  # bonsai-lint: disable-file=error-taxonomy\n",
+            require_justification=True,
         )
-        result = run([tmp_path], require_justification=True)
-        assert UNJUSTIFIED_SUPPRESSION_RULE in {
-            d.rule for d in result.diagnostics
-        }
-        assert result.exit_code == 1
+        assert UNJUSTIFIED_SUPPRESSION_RULE in {d.rule for d in kept}
+
+    def test_changed_only_reports_stale_directives_in_changed_files(
+        self, tmp_path
+    ):
+        stale = tmp_path / "repro" / "stale.py"
+        stale.parent.mkdir()
+        stale.write_text("x = 1  # bonsai-lint: disable=unit-mix -- old\n")
+        other = tmp_path / "repro" / "other.py"
+        other.write_text("y = 2\n")
+        assert analyze([tmp_path], restrict=[other]).diagnostics == ()
+        hit = analyze([tmp_path], restrict=[stale])
+        assert [d.rule for d in hit.diagnostics] == [USELESS_SUPPRESSION_RULE]
 
 
 class TestRunner:
     def test_syntax_error_becomes_parse_error_diagnostic(self, tmp_path):
         broken = tmp_path / "broken.py"
         broken.write_text("def f(:\n")
-        kept, suppressed = lint_file(broken, resolve_rules())
-        assert suppressed == 0
-        assert len(kept) == 1
-        diag = kept[0]
+        result = analyze([broken])
+        assert result.suppressed == 0
+        assert len(result.diagnostics) == 1
+        diag = result.diagnostics[0]
         assert diag.rule == PARSE_ERROR_RULE
         assert diag.severity is Severity.ERROR
         assert "does not parse" in diag.message
@@ -288,7 +290,7 @@ class TestRunner:
         pkg.mkdir()
         (pkg / "zz.py").write_text("raise ValueError('late file')\n")
         (pkg / "aa.py").write_text("raise RuntimeError('early file')\n")
-        result = run([tmp_path], select=["error-taxonomy"])
+        result = analyze([tmp_path], select=["error-taxonomy"])
         assert result.files_scanned == 2
         assert result.exit_code == 1
         assert [d.path for d in result.diagnostics] == sorted(
@@ -297,7 +299,7 @@ class TestRunner:
 
     def test_clean_run_exits_zero(self, tmp_path):
         (tmp_path / "clean.py").write_text("x = 1\n")
-        result = run([tmp_path])
+        result = analyze([tmp_path])
         assert result.diagnostics == ()
         assert result.exit_code == 0
         assert result.files_scanned == 1
@@ -305,28 +307,33 @@ class TestRunner:
     def test_undecodable_file_becomes_parse_error(self, tmp_path):
         target = tmp_path / "binary.py"
         target.write_bytes(b"\xff\xfe\x00bad")
-        kept, suppressed = lint_file(target, resolve_rules())
-        assert suppressed == 0
-        assert [d.rule for d in kept] == [PARSE_ERROR_RULE]
-        assert "decode" in kept[0].message
-        result = run([tmp_path])
+        result = analyze([tmp_path])
+        assert result.suppressed == 0
+        assert [d.rule for d in result.diagnostics] == [PARSE_ERROR_RULE]
+        assert "decode" in result.diagnostics[0].message
         assert result.exit_code == 1
 
     def test_null_bytes_become_parse_error(self, tmp_path):
         target = tmp_path / "nulls.py"
         target.write_text("x = 1\x00\n")
-        kept, _ = lint_file(target, resolve_rules())
-        assert [d.rule for d in kept] == [PARSE_ERROR_RULE]
+        result = analyze([target])
+        assert [d.rule for d in result.diagnostics] == [PARSE_ERROR_RULE]
 
-    def test_unreadable_file_becomes_parse_error(self, tmp_path):
-        missing = tmp_path / "gone.py"
-        missing.write_text("x = 1\n")
-        kept_before, _ = lint_file(missing, resolve_rules())
-        assert kept_before == []
-        missing.unlink()
-        kept, _ = lint_file(missing, resolve_rules())
-        assert [d.rule for d in kept] == [PARSE_ERROR_RULE]
-        assert kept[0].severity is Severity.ERROR
+    def test_unreadable_file_becomes_parse_error(self, tmp_path, monkeypatch):
+        target = tmp_path / "gone.py"
+        target.write_text("x = 1\n")
+        assert analyze([target]).diagnostics == ()
+        real_read_text = type(target).read_text
+
+        def unreadable(path, *args, **kwargs):
+            if path == target:
+                raise PermissionError(f"permission denied: {path}")
+            return real_read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(type(target), "read_text", unreadable)
+        result = analyze([target])
+        assert [d.rule for d in result.diagnostics] == [PARSE_ERROR_RULE]
+        assert result.diagnostics[0].severity is Severity.ERROR
 
 
 class TestDiagnostic:

@@ -15,7 +15,7 @@ import pytest
 from repro.lint.diagnostics import Severity
 from repro.lint.graph import SUMMARY_VERSION, analyze
 from repro.lint.graph.baseline import Baseline
-from repro.lint.runner import PARSE_ERROR_RULE
+from repro.lint.graph.analyzer import PARSE_ERROR_RULE
 
 
 @pytest.fixture
@@ -636,6 +636,39 @@ class TestSummaryCache:
         assert [d.render() for d in warm.diagnostics] == [
             d.render() for d in cold.diagnostics
         ]
+
+    def test_warm_run_replays_local_findings(self, check_tree, tmp_path):
+        files = {
+            "src/repro/util/noisy.py": """
+                import time
+
+
+                def stamp():
+                    return time.time() * 2**30 * 10**7
+            """,
+        }
+        cache_dir = tmp_path / "cache"
+        cold = check_tree(files, cache_dir=cache_dir)
+        warm = check_tree(files, cache_dir=cache_dir)
+        assert warm.reanalyzed == 0
+        assert {"determinism", "unit-mix"} <= {d.rule for d in cold.diagnostics}
+        assert [
+            (d.render(), d.severity) for d in warm.diagnostics
+        ] == [(d.render(), d.severity) for d in cold.diagnostics]
+
+    def test_same_source_in_another_module_is_a_cache_miss(
+        self, check_tree, tmp_path
+    ):
+        # the local rules scope by module, so a summary cached outside
+        # the package must not answer for the same bytes inside repro/
+        source = "raise ValueError('x')\n"
+        cache_dir = tmp_path / "cache"
+        outside = check_tree({"src/tool.py": source}, cache_dir=cache_dir)
+        assert outside.diagnostics == ()
+        inside = check_tree(
+            {"src/repro/util/tool.py": source}, cache_dir=cache_dir
+        )
+        assert "error-taxonomy" in {d.rule for d in inside.diagnostics}
 
     def test_editing_one_file_reextracts_only_it(self, check_tree, tmp_path):
         cache_dir = tmp_path / "cache"

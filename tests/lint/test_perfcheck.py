@@ -16,7 +16,6 @@ import textwrap
 import pytest
 
 from repro.errors import LintError
-from repro.lint.graph import analyze
 from repro.lint.graph.analyzer import load_profile_rows, resolve_rule_selection
 from repro.lint.graph.perfcheck import (
     PROFILE_SHARE_THRESHOLD,

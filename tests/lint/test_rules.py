@@ -13,8 +13,8 @@ def _rules(diagnostics):
 
 
 class TestUnitMix:
-    def test_flags_decimal_binary_mixing(self, lint_source):
-        kept, _ = lint_source(
+    def test_flags_decimal_binary_mixing(self, check_source):
+        kept, _ = check_source(
             "scripts/sizes.py",
             "cap = 2**30 * 10**7\n",
             select=["unit-mix"],
@@ -22,8 +22,8 @@ class TestUnitMix:
         assert _rules(kept) == ["unit-mix"]
         assert "mixes decimal" in kept[0].message
 
-    def test_flags_magic_byte_literal_in_repro(self, lint_source):
-        kept, _ = lint_source(
+    def test_flags_magic_byte_literal_in_repro(self, check_source):
+        kept, _ = check_source(
             "src/repro/core/thing.py",
             "capacity = 8 * 10**9\n",
             select=["unit-mix"],
@@ -31,17 +31,17 @@ class TestUnitMix:
         assert _rules(kept) == ["unit-mix"]
         assert "repro.units.GB" in kept[0].message
 
-    def test_magic_literals_allowed_outside_repro(self, lint_source):
+    def test_magic_literals_allowed_outside_repro(self, check_source):
         # Benchmarks use 10**9 as a key range, not a byte count.
-        kept, suppressed = lint_source(
+        kept, suppressed = check_source(
             "benchmarks/bench_keys.py",
             "max_key = 10**9\n",
             select=["unit-mix"],
         )
         assert kept == [] and suppressed == 0
 
-    def test_clean_named_units_pass(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_clean_named_units_pass(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/core/thing.py",
             """\
             from repro.units import GB, MiB
@@ -54,8 +54,8 @@ class TestUnitMix:
         )
         assert kept == [] and suppressed == 0
 
-    def test_inline_suppression(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_inline_suppression(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/core/thing.py",
             "cap = 8 * 10**9  # bonsai-lint: disable=unit-mix -- fixture\n",
             select=["unit-mix"],
@@ -73,8 +73,8 @@ class TestClockDiscipline:
             return total
     """
 
-    def test_flags_sibling_access_and_float_cycles(self, lint_source):
-        kept, _ = lint_source(
+    def test_flags_sibling_access_and_float_cycles(self, check_source):
+        kept, _ = check_source(
             "src/repro/hw/bad_stage.py", self.BAD_TICK,
             select=["clock-discipline"],
         )
@@ -84,15 +84,15 @@ class TestClockDiscipline:
         assert "calls self.downstream.accept()" in messages
         assert "float arithmetic" in messages
 
-    def test_only_applies_inside_repro_hw(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_only_applies_inside_repro_hw(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/core/bad_stage.py", self.BAD_TICK,
             select=["clock-discipline"],
         )
         assert kept == [] and suppressed == 0
 
-    def test_fifo_protocol_and_own_stats_pass(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_fifo_protocol_and_own_stats_pass(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/hw/good_stage.py",
             """\
             class Stage:
@@ -108,8 +108,8 @@ class TestClockDiscipline:
         )
         assert kept == [] and suppressed == 0
 
-    def test_inline_suppression(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_inline_suppression(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/hw/bad_stage.py",
             """\
             class Stage:
@@ -123,8 +123,8 @@ class TestClockDiscipline:
 
 
 class TestDeterminism:
-    def test_flags_unseeded_rng_clock_and_set_iteration(self, lint_source):
-        kept, _ = lint_source(
+    def test_flags_unseeded_rng_clock_and_set_iteration(self, check_source):
+        kept, _ = check_source(
             "src/repro/analysis/bad.py",
             """\
             import random
@@ -146,8 +146,8 @@ class TestDeterminism:
         assert "host clock" in messages
         assert "hash order" in messages
 
-    def test_seeded_rng_and_sorted_iteration_pass(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_seeded_rng_and_sorted_iteration_pass(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/analysis/good.py",
             """\
             import random
@@ -165,16 +165,16 @@ class TestDeterminism:
         )
         assert kept == [] and suppressed == 0
 
-    def test_does_not_apply_outside_repro(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_does_not_apply_outside_repro(self, check_source):
+        kept, suppressed = check_source(
             "benchmarks/bench_x.py",
             "import random\nx = random.random()\n",
             select=["determinism"],
         )
         assert kept == [] and suppressed == 0
 
-    def test_inline_suppression(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_inline_suppression(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/analysis/bad.py",
             """\
             import time
@@ -196,8 +196,8 @@ class TestModelPurity:
         return os.getpid(), merger
     """
 
-    def test_flags_io_and_simulator_imports_in_pure_modules(self, lint_source):
-        kept, _ = lint_source(
+    def test_flags_io_and_simulator_imports_in_pure_modules(self, check_source):
+        kept, _ = check_source(
             "src/repro/core/performance.py", self.IMPURE,
             select=["model-purity"],
         )
@@ -207,15 +207,15 @@ class TestModelPurity:
         assert "imports os" in messages
         assert "print()" in messages
 
-    def test_only_applies_to_the_pure_modules(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_only_applies_to_the_pure_modules(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/core/optimizer.py", self.IMPURE,
             select=["model-purity"],
         )
         assert kept == [] and suppressed == 0
 
-    def test_pure_arithmetic_passes(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_pure_arithmetic_passes(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/core/resources.py",
             """\
             import math
@@ -227,8 +227,8 @@ class TestModelPurity:
         )
         assert kept == [] and suppressed == 0
 
-    def test_inline_suppression(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_inline_suppression(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/core/performance.py",
             "import os  # bonsai-lint: disable=model-purity -- fixture\n",
             select=["model-purity"],
@@ -237,8 +237,8 @@ class TestModelPurity:
 
 
 class TestErrorTaxonomy:
-    def test_flags_bare_builtin_raises(self, lint_source):
-        kept, _ = lint_source(
+    def test_flags_bare_builtin_raises(self, check_source):
+        kept, _ = check_source(
             "src/repro/core/thing.py",
             """\
             def f(x):
@@ -253,8 +253,8 @@ class TestErrorTaxonomy:
         assert "bare ValueError" in messages
         assert "bare RuntimeError" in messages
 
-    def test_taxonomy_and_not_implemented_pass(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_taxonomy_and_not_implemented_pass(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/core/thing.py",
             """\
             from repro.errors import ConfigurationError
@@ -268,8 +268,8 @@ class TestErrorTaxonomy:
         )
         assert kept == [] and suppressed == 0
 
-    def test_bare_reraise_is_fine(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_bare_reraise_is_fine(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/core/thing.py",
             """\
             def f():
@@ -282,16 +282,16 @@ class TestErrorTaxonomy:
         )
         assert kept == [] and suppressed == 0
 
-    def test_does_not_apply_outside_repro(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_does_not_apply_outside_repro(self, check_source):
+        kept, suppressed = check_source(
             "benchmarks/bench_x.py",
             "raise ValueError('benchmark')\n",
             select=["error-taxonomy"],
         )
         assert kept == [] and suppressed == 0
 
-    def test_inline_suppression(self, lint_source):
-        kept, suppressed = lint_source(
+    def test_inline_suppression(self, check_source):
+        kept, suppressed = check_source(
             "src/repro/core/thing.py",
             """\
             def f():

@@ -28,7 +28,8 @@ class TestHelp:
     def test_registry_drives_dispatch(self):
         names = [name for name, _s, _c, _r in SUBCOMMANDS]
         assert len(names) == len(set(names))
-        assert "lint" in names
+        assert "check" in names
+        assert "lint" not in names
 
 
 class TestParseSize:
@@ -164,9 +165,17 @@ class TestExperiments:
 
 
 class TestLint:
+    """Static analysis runs through ``bonsai check``; ``lint`` is gone."""
+
+    def test_lint_is_an_unknown_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "src"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
     def test_json_format_smoke(self, capsys):
         code = main([
-            "lint", str(REPO_ROOT / "src" / "repro" / "units.py"),
+            "check", str(REPO_ROOT / "src" / "repro" / "units.py"),
             "--format", "json",
         ])
         assert code == 0
@@ -178,20 +187,26 @@ class TestLint:
         bad = tmp_path / "repro" / "bad.py"
         bad.parent.mkdir()
         bad.write_text("raise ValueError('x')\n")
-        assert main(["lint", str(bad)]) == 1
+        assert main(["check", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "error-taxonomy" in out
-        assert "1 finding(s)" in out
+        assert "1 new finding(s)" in out
 
     def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
+        assert main(["check", "--list-analyses"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 25
+        out = "\n".join(lines)
         for rule in ("unit-mix", "clock-discipline", "determinism",
-                     "model-purity", "error-taxonomy"):
+                     "model-purity", "error-taxonomy", "unit-flow-mix"):
             assert rule in out
+        assert any(
+            line.startswith("unit-mix") and "[warning]" in line
+            for line in lines
+        )
 
     def test_missing_path_is_clean_error(self, tmp_path, capsys):
-        assert main(["lint", str(tmp_path / "missing")]) == 2
+        assert main(["check", str(tmp_path / "missing")]) == 2
         assert "error:" in capsys.readouterr().err
 
 
