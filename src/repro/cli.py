@@ -10,8 +10,6 @@ Subcommands map onto the paper's workflows:
 * ``scalability`` — print the Fig. 13 latency/GB curve and breakpoints.
 * ``ssd-plan`` — print the two-phase plan and Table V-style breakdown.
 * ``components`` — print the Table VI component library.
-* ``bench`` — time the simulation engines over representative shapes and
-  record the perf trajectory (``BENCH_simulator.json``).
 """
 
 from __future__ import annotations
@@ -150,27 +148,6 @@ def _configure_report(rep: argparse.ArgumentParser) -> None:
                      help="trace report format (default: table)")
     rep.add_argument("--results", default="benchmarks/results")
     rep.add_argument("--output", default="REPORT.md")
-
-
-def _configure_bench(ben: argparse.ArgumentParser) -> None:
-    ben.add_argument("--quick", action="store_true",
-                     help="smaller workloads and fewer repetitions (CI smoke)")
-    ben.add_argument("--output", default="BENCH_simulator.json",
-                     help="where to write the JSON report")
-    ben.add_argument("--baseline", default=None,
-                     help="committed baseline JSON to gate against")
-    ben.add_argument("--max-slowdown", type=float, default=2.0,
-                     help="fail when fast-engine time exceeds baseline "
-                          "by this factor (default 2.0)")
-    ben.add_argument("--scenario", action="append", default=None,
-                     metavar="NAME", help="run only this scenario (repeatable)")
-    ben.add_argument("--list", action="store_true", dest="list_scenarios",
-                     help="list scenarios and exit")
-    ben.add_argument("--seed", type=int, default=None,
-                     help="override every scenario's workload seed (keeps "
-                          "serial and parallel runs comparable)")
-    _add_jobs_flag(ben)
-    _add_obs_flags(ben)
 
 
 def _configure_serve(srv: argparse.ArgumentParser) -> None:
@@ -529,56 +506,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import SCENARIOS, compare_to_baseline, write_report
-    from repro.bench.runner import load_baseline
-
-    if args.list_scenarios:
-        print(render_table(
-            ("scenario", "kind", "summary"),
-            [(s.name, s.kind, s.summary) for s in SCENARIOS],
-        ))
-        return 0
-    from repro.serve import SortSession
-
-    results = SortSession(jobs=args.jobs).run_bench(
-        names=args.scenario, quick=args.quick, seed=args.seed
-    )
-    rows = [
-        (
-            result.name,
-            f"{result.naive_seconds:.3f}s",
-            f"{result.fast_seconds:.3f}s",
-            f"{result.speedup:.1f}x",
-            f"{result.cycles:,}" if result.cycles is not None else "-",
-        )
-        for result in results
-    ]
-    print(render_table(
-        ("scenario", "naive/cold", "fast/memoized", "speedup", "cycles"),
-        rows,
-        title=f"bonsai bench ({'quick' if args.quick else 'full'})",
-    ))
-    report = write_report(results, args.output, quick=args.quick)
-    print(f"wrote {args.output}")
-    if args.baseline:
-        problems = compare_to_baseline(
-            report, load_baseline(args.baseline), max_slowdown=args.max_slowdown
-        )
-        if problems:
-            for problem in problems:
-                print(f"regression: {problem}", file=sys.stderr)
-            print(
-                f"{len(problems)} of {len(results)} scenario(s) regressed "
-                f"vs {args.baseline} (gate: {args.max_slowdown:.1f}x)",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"no regressions vs {args.baseline} "
-              f"(gate: {args.max_slowdown:.1f}x)")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import ServeConfig, serve
 
@@ -617,8 +544,6 @@ SUBCOMMANDS = (
      _configure_experiments, _cmd_experiments),
     ("report", "consolidate benchmarks/results/ into one REPORT.md",
      _configure_report, _cmd_report),
-    ("bench", "time the simulation engines and record the perf trajectory",
-     _configure_bench, _cmd_bench),
     ("serve", "run the sorting service daemon on a unix socket",
      _configure_serve, _cmd_serve),
     ("check", "bonsai-check: static analysis of the simulator, unit, "

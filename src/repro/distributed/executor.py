@@ -143,7 +143,7 @@ def _default_hardware() -> HardwareParams:
 
 
 def _output_digest(values: np.ndarray) -> str:
-    """Order-sensitive content digest (same shape as the bench gate's)."""
+    """Order-sensitive content digest (same shape as ``content_digest``)."""
     return hashlib.sha256(
         np.ascontiguousarray(values, dtype=np.uint64).tobytes()
     ).hexdigest()[:16]

@@ -1,6 +1,6 @@
 """Interprocedural determinism-taint analysis.
 
-Every claim this reproduction makes — cycle counts, bench baselines,
+Every claim this reproduction makes — cycle counts, output digests,
 the parallel layer's bit-identity guarantee — is an assertion about a
 deterministic computation.  The per-file ``determinism`` rule flags
 *direct* nondeterminism (an unseeded RNG, a wall-clock read, a set
@@ -12,11 +12,10 @@ only surfacing taint is reported:
 
 ``det-taint-sink``
     a tainted value reaches a sink argument: a call into ``repro.obs``
-    (trace/record payloads) or ``repro.bench`` (benchmark results and
-    baselines), a ``hashlib`` digest, or any callee whose name contains
-    ``digest``/``fingerprint``.  Reported at the sink call (or at the
-    call handing the tainted argument to a function that forwards it to
-    a sink), with the source as a related location.
+    (trace/record payloads), a ``hashlib`` digest, or any callee whose
+    name contains ``digest``/``fingerprint``.  Reported at the sink call
+    (or at the call handing the tainted argument to a function that
+    forwards it to a sink), with the source as a related location.
 ``det-unseeded-flow``
     a deterministic-contract module (``repro.engine``, ``repro.hw``,
     ``repro.core``, ``repro.records``, ``repro.parallel``) consumes a
@@ -40,10 +39,10 @@ false-positive guards):
   ``sum``/``len``/``any``/``all``) launder order taint — sorting fixes
   the order but deliberately keeps value taint, because sorting random
   numbers does not make them reproducible;
-* wall-clock reads inside ``repro.obs``, ``repro.bench`` and
-  ``repro.lint`` are sanctioned: observability spans, benchmark wall
-  times and the analyzer's own run timer measure the *host*, not the
-  simulated machine, and are never compared across runs.
+* wall-clock reads inside ``repro.obs`` and ``repro.lint`` are
+  sanctioned: observability spans and the analyzer's own run timer
+  measure the *host*, not the simulated machine, and are never
+  compared across runs.
 """
 
 from __future__ import annotations
@@ -62,17 +61,17 @@ CARRIER_KIND = "set-carrier"
 
 #: modules whose wall-clock reads are sanctioned (they time the host,
 #: not the simulated machine, and their readings gate nothing replayed).
-#: ``repro.distributed.executor`` joins the list for the same reason the
-#: bench runner is on it: the executed cluster sort's figure of merit
-#: *is* host wall-clock (Table I's ``elapsed x nodes / GB``), measured
-#: around phases whose outputs are separately oracle-verified and
-#: digest-gated — the timings annotate the run, they never gate replay.
+#: ``repro.distributed.executor`` joins the list because the executed
+#: cluster sort's figure of merit *is* host wall-clock (Table I's
+#: ``elapsed x nodes / GB``), measured around phases whose outputs are
+#: separately oracle-verified and digest-gated — the timings annotate
+#: the run, they never gate replay.
 #: ``repro.serve.server``/``client``/``smoke`` are wall-clock territory
 #: by nature (an asyncio event loop, socket timeouts, signal-driven
 #: drain); everything they *execute* goes through the deterministic
 #: :mod:`repro.serve.session`, which is deliberately NOT sanctioned.
 CLOCK_SANCTIONED_PREFIXES = (
-    "repro.obs.", "repro.bench.", "repro.lint.",
+    "repro.obs.", "repro.lint.",
     "repro.distributed.executor.",
     "repro.serve.server.", "repro.serve.client.", "repro.serve.smoke.",
 )
@@ -85,7 +84,7 @@ DETERMINISTIC_ZONES = (
 )
 
 #: resolved-callee prefixes that persist cross-run evidence
-SINK_PREFIXES = ("repro.obs.", "repro.bench.")
+SINK_PREFIXES = ("repro.obs.",)
 #: syntactic dotted heads that fingerprint their arguments
 DIGEST_ROOTS = ("hashlib",)
 #: callee-name fragments marking evidence sinks wherever they live

@@ -90,7 +90,6 @@ PROFILE_SPAN_ROOTS: dict[str, tuple[str, ...]] = {
     "optimizer.": ("repro.core.optimizer.",),
     "parallel.": ("repro.parallel.",),
     "ssd.": ("repro.engine.ssd_sorter.",),
-    "bench.": ("repro.bench.",),
 }
 
 

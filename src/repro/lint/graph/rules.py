@@ -105,7 +105,7 @@ CHECK_RULES: dict[str, CheckRule] = {
     "det-taint-sink": CheckRule(
         "a nondeterministic value (unseeded RNG, wall clock, id(), "
         "directory order) flows interprocedurally into a record "
-        "payload, digest, baseline, or bench-result sink"
+        "payload, digest, or baseline sink"
     ),
     "det-unseeded-flow": CheckRule(
         "a deterministic-zone function (engine, hw, core, records, "

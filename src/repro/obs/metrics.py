@@ -107,7 +107,7 @@ class MetricsRegistry:
     ``count`` accumulates, ``gauge`` overwrites (last write wins, which
     merge preserves by applying snapshots in arrival order), ``observe``
     feeds a histogram.  ``total_updates`` counts every mutating call —
-    the perf-smoke suite multiplies it by the measured no-op call cost
+    the engine-floors suite multiplies it by the measured no-op call cost
     to bound what instrumentation *could* add to an uninstrumented run.
     """
 

@@ -99,8 +99,7 @@ def live_observation(sink=None, trace_id: str = "run") -> Observation:
     """A fully-enabled observation writing spans to ``sink``.
 
     ``sink=None`` buffers in a :class:`~repro.obs.sink.MemorySink` —
-    the in-process enablement used by tests and the bench overhead
-    scenario.
+    the in-process enablement used by tests and the overhead floor.
     """
     sink = sink if sink is not None else MemorySink()
     return Observation(

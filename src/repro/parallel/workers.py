@@ -389,29 +389,6 @@ def worker_eval_throughput(task: tuple) -> list[tuple]:
     return results
 
 
-# ----------------------------------------------------------------------
-# benchmark scenarios (bench/runner.py)
-# ----------------------------------------------------------------------
-def worker_bench_scenario(task: tuple):
-    """Run one benchmark scenario, naive/fast pair pinned together.
-
-    ``task = (name, quick, seed)``.  Both engine timings of a scenario
-    run inside the same worker (same core, same cache state), so the
-    recorded speedup ratio stays honest under ``bench --jobs N``.
-    Imported lazily: the runner imports this module, not vice versa.
-    """
-    import dataclasses
-
-    from repro.bench.runner import run_scenario
-    from repro.bench.scenarios import BY_NAME
-
-    name, quick, seed = task
-    scenario = BY_NAME[name]
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=seed)
-    return run_scenario(scenario, quick=quick)
-
-
 #: Names re-exported for the ``worker-entry`` check's allow-list tests.
 WORKER_ENTRIES = (
     worker_merge_group,
@@ -424,13 +401,11 @@ WORKER_ENTRIES = (
     worker_cluster_node_sort,
     worker_eval_latency,
     worker_eval_throughput,
-    worker_bench_scenario,
 )
 
 __all__ = [
     "ShmArrays",
     "WORKER_ENTRIES",
-    "worker_bench_scenario",
     "worker_cluster_node_sort",
     "worker_eval_latency",
     "worker_eval_throughput",

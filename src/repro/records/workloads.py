@@ -151,8 +151,8 @@ def skewed_nearly_sorted(
     The adversarial shape for a range-partitioned cluster sort: the key
     *histogram* is heavily skewed (naive equal-width splitters would
     dump most records on one node), while the near-sortedness keeps the
-    per-node merge work realistic for a resharded shuffle spill.  Used
-    by the skew legs of the ``cluster_sort`` bench scenario.
+    per-node merge work realistic for a resharded shuffle spill.  The
+    ledger's ``cluster_skewed`` workload sorts it.
     """
     _check_count(n_records)
     if not 0 <= swap_fraction <= 1:

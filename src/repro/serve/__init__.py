@@ -3,8 +3,8 @@
 The package splits along the determinism boundary:
 
 * :mod:`repro.serve.session` — the deterministic execution core
-  (:class:`SortSession`), shared by ``sort``/``optimize``/``bench`` and
-  the daemon, so every surface runs the same code path;
+  (:class:`SortSession`), shared by ``sort``/``optimize`` and the
+  daemon, so every surface runs the same code path;
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.queue` — the pure
   wire format and the admission-controlled priority queue;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the asyncio

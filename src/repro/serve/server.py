@@ -344,7 +344,7 @@ async def _serve_async(config: ServeConfig, control: ServeControl | None) -> int
         try:
             loop.add_signal_handler(signum, server.begin_drain)
         except (ValueError, NotImplementedError, RuntimeError):
-            # Not the main thread (ServerThread in tests/bench): drain is
+            # Not the main thread (ServerThread in tests, the ledger): drain is
             # requested through the control handle instead of a signal.
             break
     if control is not None:
@@ -388,7 +388,7 @@ def serve(config: ServeConfig, control: ServeControl | None = None) -> int:
 
 class ServerThread:
     """A daemon on a background thread — the in-process harness that the
-    serve tests and the ``serve_throughput`` benchmark drive clients
+    serve tests and the ledger's ``serve_mixed`` workload drive clients
     against.  Use as a context manager; exiting drains gracefully."""
 
     def __init__(self, config: ServeConfig) -> None:

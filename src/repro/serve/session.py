@@ -1,7 +1,7 @@
-"""SortSession: the one execution core behind sort, optimize, bench, serve.
+"""SortSession: the one execution core behind sort, optimize and serve.
 
-Every surface that runs a workload — the ``bonsai sort`` / ``optimize`` /
-``bench`` one-shot commands and the long-lived ``bonsai serve`` daemon —
+Every surface that runs a workload — the ``bonsai sort`` / ``optimize``
+one-shot commands and the long-lived ``bonsai serve`` daemon —
 resolves its configuration into a frozen *job* description and hands it
 to a :class:`SortSession`.  The session owns everything those surfaces
 used to build ad hoc:
@@ -318,25 +318,6 @@ class SortSession:
             "rows": rows,
             "digest": config_digest(rows)[:16],
         }
-
-    def run_bench(
-        self,
-        names=None,
-        quick: bool = False,
-        seed: int | None = None,
-    ) -> list:
-        """Run benchmark scenarios under this session's parallel plan.
-
-        Thin by design — the bench harness owns its own timing and
-        verification — but routing it through the session keeps the
-        ``--jobs`` resolution and worker-pool policy in one place for
-        all four surfaces.  Imported lazily: the bench runner's serve
-        scenario imports this module, and eager imports both ways would
-        cycle.
-        """
-        from repro.bench import run_suite
-
-        return run_suite(names=names, quick=quick, jobs=self.jobs, seed=seed)
 
 
 def execute_payload(session: SortSession, kind: str, params: Mapping) -> tuple:

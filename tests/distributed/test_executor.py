@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 
+from repro.core import presets
+from repro.core.configuration import AmtConfig
 from repro.distributed.executor import (
     ClusterExecutor,
     StragglerSpec,
     _output_digest,
 )
+from repro.engine.sorter import AmtSorter
 from repro.errors import ConfigurationError
 from repro.obs.runtime import activated, live_observation
 from repro.parallel import ParallelPlan
+from repro.records.valsort import content_digest
 from repro.records.workloads import skewed_nearly_sorted
 
 
@@ -64,6 +69,21 @@ class TestSerialExecution:
         for seed in (0, 99):
             report = ClusterExecutor(nodes=4, seed=seed).execute(data)
             assert report.digest == oracle_digest
+
+
+class TestCommittedDigest:
+    def test_cluster_and_single_tree_land_on_the_committed_digest(self):
+        """50,000 seeded keys through a 4-node AMT(8,16) cluster and
+        through one tree give the same committed output bytes."""
+        rng = random.Random(1)
+        data = np.asarray(
+            [rng.randrange(0, 1 << 30) for _ in range(50_000)], dtype=np.uint64
+        )
+        config = AmtConfig(p=8, leaves=16)
+        report = ClusterExecutor(nodes=4, config=config, seed=1).execute(data)
+        single = AmtSorter(config=config, hardware=presets.aws_f1_measured().hardware)
+        assert report.digest == "6bf847c43fc199d1"
+        assert content_digest(single.sort(data).data) == "6bf847c43fc199d1"
 
 
 class TestPooledExecution:

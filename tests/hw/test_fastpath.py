@@ -97,7 +97,117 @@ def assert_identical(fast, naive, label=""):
     assert stats_fast == stats_naive, f"{label}: StageStats differ"
 
 
+#: Presorter run length of the multi-stage shapes (§VI-C).
+PRESORT_RUN = 16
+
+
+@dataclass(frozen=True)
+class PinnedShape:
+    """A committed simulator shape and the cycle count it must land on.
+
+    Bandwidth factors are relative to the tree's demand of
+    ``p * record_bytes`` bytes per cycle: 0.02 models an HDD-class
+    source, 0.05 an SSD-class one, ``None`` an unthrottled port.
+    ``n_records`` marks a full multi-stage sort (``stages`` of them);
+    otherwise the shape is one merge stage over ``n_runs`` runs.
+    """
+
+    name: str
+    p: int
+    leaves: int
+    cycles: int
+    read_factor: float | None = None
+    write_factor: float | None = None
+    batch_bytes: int = 1024
+    n_runs: int = 8
+    run_length: int = 8000
+    n_records: int | None = None
+    stages: int | None = None
+    key_range: int = 1 << 30
+
+    def budgets(self) -> tuple[float | None, float | None]:
+        demand = self.p * RECORD_BYTES
+        read = None if self.read_factor is None else self.read_factor * demand
+        write = None if self.write_factor is None else self.write_factor * demand
+        return read, write
+
+    def make_runs(self) -> list[list[int]]:
+        rng = random.Random(1)
+        length = max(500, self.run_length // 8)
+        return [
+            sorted(rng.randrange(0, self.key_range) for _ in range(length))
+            for _ in range(self.n_runs)
+        ]
+
+    def make_records(self) -> list[int]:
+        rng = random.Random(1)
+        count = max(2000, self.n_records // 4)
+        return [rng.randrange(0, self.key_range) for _ in range(count)]
+
+
+PINNED_SHAPES = (
+    PinnedShape("micro_hdd_read_starved", p=16, leaves=4, cycles=25_252,
+                read_factor=0.02, write_factor=1.0, batch_bytes=4096),
+    PinnedShape("micro_hdd_deep_tree", p=16, leaves=8, cycles=25_515,
+                read_factor=0.02, write_factor=1.0, batch_bytes=4096),
+    PinnedShape("micro_ssd_read_starved", p=16, leaves=4, cycles=10_252,
+                read_factor=0.05, write_factor=1.0, batch_bytes=4096),
+    PinnedShape("micro_balanced", p=8, leaves=16, cycles=5_224,
+                n_runs=16, run_length=4000, read_factor=0.3, write_factor=0.3),
+    PinnedShape("micro_unconstrained", p=8, leaves=16, cycles=1_299,
+                n_runs=16, run_length=4000),
+    PinnedShape("micro_compute_wide", p=8, leaves=32, cycles=2_617,
+                n_runs=32, run_length=4000),
+    PinnedShape("micro_dup_heavy", p=8, leaves=16, cycles=1_301,
+                n_runs=16, run_length=4000, key_range=256),
+    PinnedShape("e2e_hdd_sort", p=16, leaves=4, cycles=38_449,
+                n_records=12000, stages=4, read_factor=0.02, batch_bytes=4096),
+    PinnedShape("e2e_ssd_sort", p=16, leaves=4, cycles=15_947,
+                n_records=12000, stages=4, read_factor=0.05, batch_bytes=4096),
+)
+
+
 class TestDifferential:
+    @pytest.mark.parametrize(
+        "shape", PINNED_SHAPES, ids=[shape.name for shape in PINNED_SHAPES]
+    )
+    def test_pinned_shapes(self, shape):
+        """Both engines agree on the committed shapes, at committed cycles.
+
+        Multi-stage shapes presort into 16-record runs and merge stage
+        by stage down to one run, reads throttled and writes free (the
+        storage-bound split of §IV-C).
+        """
+        read, write = shape.budgets()
+        if shape.n_records is None:
+            records = None
+            runs = shape.make_runs()
+        else:
+            records = shape.make_records()
+            runs = [
+                sorted(records[start : start + PRESORT_RUN])
+                for start in range(0, len(records), PRESORT_RUN)
+            ]
+        stages = cycles = 0
+        while True:
+            fast, naive = run_both(
+                p=shape.p, leaves=shape.leaves, runs=runs,
+                record_bytes=RECORD_BYTES, read_bytes_per_cycle=read,
+                write_bytes_per_cycle=write, batch_bytes=shape.batch_bytes,
+                check_sorted_inputs=False,
+            )
+            assert_identical(fast, naive, label=f"{shape.name} stage {stages}")
+            runs, stats = fast
+            stages += 1
+            cycles += stats.cycles
+            if records is None or len(runs) == 1:
+                break
+        assert cycles == shape.cycles
+        if records is not None:
+            assert stages == shape.stages
+            assert runs[0] == sorted(records)
+
+
     @pytest.mark.parametrize("seed", range(32))
     def test_randomized_shapes(self, seed):
         shape = random_shape(seed)

@@ -2,7 +2,7 @@
 
 Each rule's true-positive fixture is paired with its documented
 false-positive guard: seeded RNGs threaded from config, ``sorted()``
-order-laundering, and the sanctioned ``repro.obs``/``repro.bench``
+order-laundering, and the sanctioned ``repro.obs``/``repro.serve.server``
 wall-clock reads.  The acceptance fixture routes an unseeded RNG three
 calls deep before it reaches an evidence sink.
 """

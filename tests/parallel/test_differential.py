@@ -10,6 +10,8 @@ across at least three jobs settings and eight workload seeds.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.engine.stage import merge_stage, split_into_runs
 from repro.engine.unrolled import UnrolledSorter
 from repro.parallel import ParallelPlan
 from repro.parallel.api import merge_stage_sharded
+from repro.records.valsort import content_digest
 from repro.units import GB
 
 SEEDS = tuple(range(8))
@@ -167,6 +170,22 @@ class TestUnrolledSimulate:
             assert joint.seconds == sharded.seconds
             assert joint.stages == sharded.stages
             assert joint.detail == sharded.detail
+
+    def test_committed_digest_and_cycles(self, hardware):
+        """λ_unrl=4 over 3,000 seeded keys lands on the committed output
+        digest and cycle counts under every jobs setting."""
+        rng = random.Random(1)
+        data = np.asarray(
+            [rng.randrange(0, 1 << 30) for _ in range(3000)], dtype=np.uint64
+        )
+        config = AmtConfig(p=8, leaves=8, lambda_unroll=4)
+        for plan in JOBS_SETTINGS:
+            outcome = UnrolledSorter(
+                config=config, hardware=hardware, parallel=plan
+            ).simulate(data)
+            assert content_digest(outcome.data) == "6a6788ed479c1c01"
+            assert outcome.detail["parallel_cycles"] == 453
+            assert outcome.detail["final_merge_cycles"] == 424
 
 
 class TestOptimizerRanking:

@@ -1,15 +1,12 @@
-"""Cross-surface parity: sort, optimize, bench and serve are one core.
+"""Cross-surface parity: sort, optimize and serve are one core.
 
 The tentpole claim of the SortSession refactor is that every surface
 executes the same code, so results are bit-identical by construction.
-These tests pin that claim from the outside: same job, four surfaces,
+These tests pin that claim from the outside: same job, three surfaces,
 one digest — and serial-equal observability counters.
 """
 
 from __future__ import annotations
-
-import json
-import pathlib
 
 from repro.cli import main
 from repro.obs.metrics import diff_counters
@@ -17,10 +14,6 @@ from repro.obs.runtime import activated, live_observation
 from repro.serve import OptimizeJob, SortJob, SortSession
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServerThread
-
-BASELINE = (
-    pathlib.Path(__file__).parents[2] / "benchmarks" / "perf" / "baseline.json"
-)
 
 
 class TestSortDigestParity:
@@ -62,19 +55,6 @@ class TestOptimizeParity:
                 served = client.optimize(**job.params())["result"]
         direct.pop("kind", None)
         assert served == direct
-
-
-class TestBenchParity:
-    def test_session_bench_reproduces_the_committed_digest(self):
-        # The committed quick-mode baseline was produced by `bonsai
-        # bench`; run_bench through a session must land on the same
-        # output digest — the bench surface shares the core too.
-        baseline = json.loads(BASELINE.read_text())
-        expected = baseline["scenarios"]["parallel_unrolled_sort"]["extra"]["digest"]
-        result = SortSession().run_bench(
-            names=["parallel_unrolled_sort"], quick=True
-        )[0]
-        assert result.extra["digest"] == expected
 
 
 class TestCounterParity:

@@ -30,6 +30,13 @@ class TestHelp:
         assert len(names) == len(set(names))
         assert "check" in names
         assert "lint" not in names
+        assert "bench" not in names
+
+    def test_bench_is_an_unknown_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestParseSize:
@@ -208,69 +215,6 @@ class TestLint:
     def test_missing_path_is_clean_error(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "missing")]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestBench:
-    def test_list_scenarios(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "micro_hdd_read_starved" in out
-        assert "e2e_hdd_sort" in out
-        assert "optimizer_sweep" in out
-
-    def test_quick_single_scenario_writes_report(self, tmp_path, capsys):
-        report_path = tmp_path / "bench.json"
-        code = main([
-            "bench", "--quick", "--scenario", "micro_ssd_read_starved",
-            "--output", str(report_path),
-        ])
-        assert code == 0
-        payload = json.loads(report_path.read_text())
-        assert payload["quick"] is True
-        scenario = payload["scenarios"]["micro_ssd_read_starved"]
-        assert scenario["fast_seconds"] > 0
-        assert scenario["cycles"] > 0
-        assert "speedup" in capsys.readouterr().out
-
-    def test_baseline_gate_return_codes(self, tmp_path, capsys):
-        report_path = tmp_path / "bench.json"
-        baseline_path = tmp_path / "baseline.json"
-        assert main([
-            "bench", "--quick", "--scenario", "micro_unconstrained",
-            "--output", str(report_path),
-        ]) == 0
-        # Gating against our own run passes...
-        report_path.rename(baseline_path)
-        assert main([
-            "bench", "--quick", "--scenario", "micro_unconstrained",
-            "--output", str(report_path), "--baseline", str(baseline_path),
-        ]) == 0
-        # ...and an absurdly tight slowdown threshold fails loudly.
-        capsys.readouterr()
-        code = main([
-            "bench", "--quick", "--scenario", "micro_unconstrained",
-            "--output", str(report_path), "--baseline", str(baseline_path),
-            "--max-slowdown", "0.0001",
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        # The failure is diagnosable from the log alone: it names the
-        # scenario, the measured factor vs the gate, both absolute
-        # times, and summarises how much of the suite regressed.
-        assert "regression: micro_unconstrained:" in err
-        assert "x slower than baseline (gate 0.0x):" in err
-        assert "s now vs" in err and "s baseline (+" in err
-        assert f"1 of 1 scenario(s) regressed vs {baseline_path}" in err
-
-    def test_unknown_scenario_is_clean_error(self, capsys):
-        assert main(["bench", "--scenario", "nope"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown scenario" in err
-        # The error must teach the fix: every valid name is listed.
-        from repro.bench import SCENARIOS
-
-        for scenario in SCENARIOS:
-            assert scenario.name in err
 
 
 class TestServeCommand:
