@@ -208,7 +208,6 @@ def run_event_driven(
     slot_touchers: list[list[int]] = []
     adjacency: list[list[tuple[Fifo, int]]] = []
     for component_index, component in enumerate(order):
-        # bonsai-lint: disable=hot-loop-alloc -- wiring prologue runs once per simulation, before the cycle loop
         pairs: list[tuple[Fifo, int]] = []
         for fifo in _watched_fifos(component):
             slot = slot_of.get(id(fifo))
@@ -216,9 +215,7 @@ def run_event_driven(
                 slot = len(fifo_list)
                 slot_of[id(fifo)] = slot
                 fifo_list.append(fifo)
-                # bonsai-lint: disable=hot-loop-alloc -- wiring prologue, one sleeper list per distinct FIFO
                 slot_sleepers.append([])
-                # bonsai-lint: disable=hot-loop-alloc -- wiring prologue, one toucher list per distinct FIFO
                 slot_touchers.append([])
             pairs.append((fifo, slot))
             slot_touchers[slot].append(component_index)
@@ -466,7 +463,6 @@ def run_event_driven(
             if next_timer is not None and next_timer < end:
                 end = next_timer
             if dense_dirty:
-                # bonsai-lint: disable=hot-loop-alloc -- rebuilt only on a sleep/wake transition, then reused across dense cycles
                 dense_ticks = [
                     ticks[index] for index in range(n_components) if awake[index]
                 ]
@@ -486,7 +482,6 @@ def run_event_driven(
         # without any movement detection — in busy phases that is most
         # of them, keeping sparse-mode ticks at naive cost.
         if awake_dirty:
-            # bonsai-lint: disable=hot-loop-alloc -- rebuilt only on a sleep/wake transition, then reused across sparse cycles
             awake_list = [
                 index for index in range(n_components) if awake[index]
             ]

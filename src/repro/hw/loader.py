@@ -258,7 +258,6 @@ class DataLoader:
                 if tuple_width == 1:
                     # Burst lane: leaf tuples are single records, so the
                     # batch maps 1:1 onto rows without slicing.
-                    # bonsai-lint: disable=hot-loop-alloc -- the per-record row tuples ARE the delivered payload; no slicing overhead remains to hoist
                     items.extend((record,) for record in records)
                 else:
                     for start in range(0, len(records), tuple_width):
@@ -352,11 +351,9 @@ def make_feeds(
     feeds = []
     for leaf in range(n_leaves):
         position = _bit_reverse(leaf, depth)
-        # bonsai-lint: disable=hot-loop-alloc -- feed construction runs once per stage arm, not per record
         leaf_runs: list[list[int]] = []
         for group in range(n_groups):
             index = group * n_leaves + position
-            # bonsai-lint: disable=hot-loop-alloc -- per-arm copy of each input run, not per-record work
             leaf_runs.append(list(runs[index]) if index < len(runs) else [])
         feeds.append(_LeafFeed(fifo=leaf_fifos[leaf], runs=leaf_runs))
     return feeds
@@ -420,13 +417,11 @@ class OutputWriter:
         for head in source.pop_many(count):
             if is_terminal(head):
                 self.runs.append(current)
-                # bonsai-lint: disable=hot-loop-alloc -- fresh run buffer at a run boundary (once per run, not per record)
                 current = []
                 continue
             if SENTINEL_KEY in head:
                 # Pad sentinels appear only in a run's final tuples;
                 # the common path extends in place without filtering.
-                # bonsai-lint: disable=hot-loop-alloc -- sentinel strip runs only on the rare padded tuple
                 kept = [key for key in head if key != SENTINEL_KEY]
                 current.extend(kept)
                 self.bytes_written += len(kept) * record_bytes

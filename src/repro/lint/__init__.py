@@ -12,11 +12,10 @@ the error taxonomy.  One analyzer checks them all:
   summary is extracted;
 * :mod:`repro.lint.graph` builds the whole-program symbol table and
   call graph from those summaries and runs the interprocedural passes,
-  then filters every finding through one rule selection, one inline
-  suppression audit and one baseline.
+  then filters every finding through one rule selection and one inline
+  suppression audit.
 
-Run via ``bonsai check [paths...]`` or ``python -m repro.lint.graph``;
-suppress intentional findings inline with
+Run via ``bonsai check [paths...]``; suppress intentional findings inline with
 ``# bonsai-lint: disable=<rule> -- why``.  See
 ``docs/static-analysis.md`` for the rule list and rationale.
 """

@@ -16,7 +16,7 @@ class Severity(enum.Enum):
     """How seriously a finding should be taken.
 
     Both severities fail the run (``bonsai check`` exits non-zero on any
-    new finding); the split exists so reports separate contract violations
+    finding); the split exists so reports separate contract violations
     (``ERROR``) from convention drift (``WARNING``).
     """
 

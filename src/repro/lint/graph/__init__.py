@@ -33,12 +33,6 @@ of them:
 ``worker-entry``          a ``repro.parallel`` pool entry is not a
                           module-level single-task function, or the
                           workers module does work at import time
-``hot-loop-alloc``        allocation inside a per-record loop of a function
-``hot-loop-attr``         reachable from the simulator/merge-kernel hot
-``hot-fifo-op``           roots (see ``perfcheck``; a ``--profile`` trace
-``hot-format``            widens the roots); repeated attribute chains,
-``hot-try``               single-element FIFO ops, formatting, per-
-                          iteration try/except
 ``proc-global-write``     worker-reachable code writes shared state outside
 ``proc-unpicklable``      the sanctioned obs payload path, captures
 ``proc-shm-lifetime``     unpicklable objects, or leaks/reuses shared-
@@ -59,10 +53,8 @@ Every finding, local or interprocedural, goes through one filter path:
 * ``--select``/``--ignore`` per-rule filtering;
 * inline ``# bonsai-lint: disable=<rule> -- why`` suppressions, audited
   in the same run: a directive that silenced nothing is a
-  ``useless-suppression`` warning, and ``--require-justification``
-  makes one without a reason an ``unjustified-suppression`` warning;
-* a committed baseline (``.bonsai-check-baseline.json``) so pre-existing
-  findings report as suppressed while new ones fail the run;
+  ``useless-suppression`` warning, and one without a reason is an
+  ``unjustified-suppression`` warning;
 * ``--changed-only`` (full-tree analysis, diff-scoped reporting) for
   pre-commit loops.
 
@@ -73,13 +65,13 @@ counters, and ``--format sarif``/``--sarif-file`` emit one SARIF 2.1.0
 log with stable ``partialFingerprints`` and provenance
 ``relatedLocations``.
 
-Run via ``bonsai check [paths...]`` or ``python -m repro.lint.graph``.
+Run via ``bonsai check [paths...]``.  Every rule is pinned by a seeded
+mutation of shipped code in ``tests/lint/test_self_clean.py``.
 """
 
 from __future__ import annotations
 
 from repro.lint.graph.analyzer import CheckResult, analyze
-from repro.lint.graph.baseline import Baseline
 from repro.lint.graph.rules import CHECK_RULES, ruleset_hash
 from repro.lint.graph.summary import SUMMARY_VERSION, FileSummary, extract_summary
 from repro.lint.graph.symbols import ProjectIndex
@@ -87,7 +79,6 @@ from repro.lint.graph.symbols import ProjectIndex
 __all__ = [
     "CHECK_RULES",
     "SUMMARY_VERSION",
-    "Baseline",
     "CheckResult",
     "FileSummary",
     "ProjectIndex",

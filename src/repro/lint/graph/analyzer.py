@@ -4,8 +4,7 @@ Pipeline: collect files -> extract (or cache-load) summaries, which
 carry the local-rule findings -> build the project index -> run the
 interprocedural analyses -> filter every finding, local or
 interprocedural, through rule selection and inline suppressions ->
-audit the suppression directives -> split against the baseline -> one
-:class:`CheckResult`.
+audit the suppression directives -> one :class:`CheckResult`.
 
 Unreadable or unparseable files become ``parse-error`` diagnostics —
 a whole-program analysis with a silent hole in its call graph would
@@ -22,16 +21,14 @@ import ast
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import LintError
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.graph.baseline import Baseline
 from repro.lint.graph.cache import SummaryCache
 from repro.lint.graph.detflow import check_determinism_flow
 from repro.lint.graph.exnflow import check_exception_flow
 from repro.lint.graph.fifocheck import check_fifo_discipline
-from repro.lint.graph.perfcheck import check_hot_paths
 from repro.lint.graph.procsafety import check_process_safety
 from repro.lint.graph.purity import check_purity
 from repro.lint.graph.rules import CHECK_RULES
@@ -59,7 +56,6 @@ class CheckResult:
     """Outcome of one whole-program analysis run."""
 
     diagnostics: tuple[Diagnostic, ...]
-    baselined: tuple[Diagnostic, ...]
     files_scanned: int
     reanalyzed: int
     suppressed: int
@@ -68,7 +64,7 @@ class CheckResult:
 
     @property
     def exit_code(self) -> int:
-        """0 when every finding is baseline-accepted; 1 otherwise."""
+        """0 when nothing was found; 1 otherwise."""
         return 1 if self.diagnostics else 0
 
     @property
@@ -77,7 +73,7 @@ class CheckResult:
         return self.files_scanned - self.reanalyzed
 
     def count(self, severity: Severity) -> int:
-        """Number of *new* findings at one severity."""
+        """Number of findings at one severity."""
         return sum(1 for d in self.diagnostics if d.severity is severity)
 
 
@@ -166,18 +162,6 @@ def resolve_rule_selection(
     return tuple(name for name in selected if name not in ignored)
 
 
-def load_profile_rows(profile: str | Path) -> list[Mapping]:
-    """Phase rows of a ``bonsai report`` trace, for hot-set widening."""
-    from repro.errors import ObservabilityError
-    from repro.obs.report import build_report
-
-    try:
-        report = build_report(str(profile))
-    except (OSError, ObservabilityError) as error:
-        raise LintError(f"cannot load profile {profile}: {error}") from error
-    return list(report.get("rows", []))
-
-
 def _local_findings(summaries: Sequence[FileSummary]) -> list[Diagnostic]:
     """The local-rule findings stored in each summary, as diagnostics."""
     return [
@@ -195,14 +179,14 @@ def _directive_findings(
     path: str,
     directives: Iterable[Directive],
     active: frozenset[str],
-    require_justification: bool,
 ) -> list[Diagnostic]:
     """Meta-findings about one file's suppression directives.
 
-    Staleness is judged only against rules that actually ran:
-    ``--select``/``--ignore`` runs do not flag directives for the rules
-    they skipped, and ``disable=all`` is stale only when every rule ran
-    and the directive still silenced nothing.
+    A directive without a ``-- reason`` is unjustified.  A directive
+    that silenced nothing is stale, judged only against rules that
+    actually ran: ``--select``/``--ignore`` runs do not flag directives
+    for the rules they skipped, and ``disable=all`` is stale only when
+    every rule ran and the directive still silenced nothing.
     """
     out: list[Diagnostic] = []
     full_set = active >= frozenset(CHECK_RULES)
@@ -227,7 +211,7 @@ def _directive_findings(
                 f"suppression of '{rule}' ({scope} scope) matched no "
                 "finding; remove the stale directive",
             )
-        if require_justification and not directive.justified:
+        if not directive.justified:
             finding(
                 directive, UNJUSTIFIED_SUPPRESSION_RULE,
                 "suppression directive has no '-- reason' justification; "
@@ -239,12 +223,9 @@ def _directive_findings(
 def analyze(
     paths: Sequence[str | Path],
     *,
-    baseline: Baseline | None = None,
     cache_dir: str | Path | None = None,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    profile: str | Path | None = None,
-    require_justification: bool = False,
     restrict: Iterable[str | Path] | None = None,
 ) -> CheckResult:
     """Run the whole-program analyses over ``paths``.
@@ -257,7 +238,6 @@ def analyze(
     """
     started = time.perf_counter()
     active = resolve_rule_selection(select, ignore)
-    profile_rows = load_profile_rows(profile) if profile is not None else None
     cache = SummaryCache(cache_dir)
     collected = _collect_summaries(paths, cache)
     index = ProjectIndex.build(collected.summaries)
@@ -267,7 +247,6 @@ def analyze(
     raw.extend(check_purity(index))
     raw.extend(check_fifo_discipline(index))
     raw.extend(check_worker_entries(index))
-    raw.extend(check_hot_paths(index, profile_rows))
     raw.extend(check_process_safety(index))
     raw.extend(check_determinism_flow(index))
     raw.extend(check_exception_flow(index))
@@ -290,7 +269,6 @@ def analyze(
     for path, file_suppressions in suppressions.items():
         kept.extend(_directive_findings(
             path, file_suppressions.directives, active_set,
-            require_justification,
         ))
     kept.extend(collected.parse_errors)
 
@@ -300,11 +278,8 @@ def analyze(
             d for d in kept if Path(d.path).resolve() in allowed
         ]
 
-    new, accepted = (baseline or Baseline()).split(sorted(kept))
-
     return CheckResult(
-        diagnostics=tuple(sorted(new)),
-        baselined=tuple(sorted(accepted)),
+        diagnostics=tuple(sorted(kept)),
         files_scanned=collected.total,
         reanalyzed=collected.reanalyzed,
         suppressed=inline_suppressed,

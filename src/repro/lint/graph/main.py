@@ -1,13 +1,11 @@
-"""Argument wiring shared by ``bonsai check`` and ``python -m repro.lint.graph``."""
+"""Argument wiring and report rendering for ``bonsai check``."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
-from repro.errors import BonsaiError
 from repro.lint.diagnostics import Severity
 from repro.lint.graph.analyzer import (
     PARSE_ERROR_RULE,
@@ -16,7 +14,6 @@ from repro.lint.graph.analyzer import (
     CheckResult,
     analyze,
 )
-from repro.lint.graph.baseline import DEFAULT_BASELINE, Baseline
 from repro.lint.graph.rules import CHECK_RULES
 from repro.lint.sarif import render_sarif
 
@@ -35,18 +32,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE}; missing = empty)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file and report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="accept the current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="summary cache directory (warm runs re-extract only changed files)",
     )
@@ -61,15 +46,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ignore", action="append", default=None, metavar="RULES",
         help="comma-separated rules to skip; repeatable",
-    )
-    parser.add_argument(
-        "--profile", default=None, metavar="TRACE",
-        help="bonsai report trace; self-time-heavy phases widen the "
-        "hot-path root set",
-    )
-    parser.add_argument(
-        "--require-justification", action="store_true",
-        help="warn on suppressions without a '-- reason' justification",
     )
     parser.add_argument(
         "--changed-only", action="store_true",
@@ -104,10 +80,9 @@ def render_text(result: CheckResult) -> str:
     if result.diagnostics:
         lines.append("")
     lines.append(
-        f"{len(result.diagnostics)} new finding(s) "
+        f"{len(result.diagnostics)} finding(s) "
         f"({result.count(Severity.ERROR)} error(s), "
         f"{result.count(Severity.WARNING)} warning(s)), "
-        f"{len(result.baselined)} baselined, "
         f"{result.suppressed} suppressed, "
         f"{result.files_scanned} file(s) scanned "
         f"({result.reanalyzed} analyzed, {result.from_cache} from cache) "
@@ -117,7 +92,7 @@ def render_text(result: CheckResult) -> str:
 
 
 def rule_counts(result: CheckResult) -> dict[str, int]:
-    """New-finding count per rule, sorted by rule name."""
+    """Finding count per rule, sorted by rule name."""
     counts: dict[str, int] = {}
     for diagnostic in result.diagnostics:
         counts[diagnostic.rule] = counts.get(diagnostic.rule, 0) + 1
@@ -131,7 +106,7 @@ def render_statistics(result: CheckResult) -> str:
     for rule, count in counts.items():
         lines.append(f"  {rule:<24} {count}")
     if not counts:
-        lines.append("  (no new findings)")
+        lines.append("  (no findings)")
     lines.append(f"  files scanned            {result.files_scanned}")
     lines.append(f"  re-analyzed              {result.reanalyzed}")
     lines.append(f"  from cache               {result.from_cache}")
@@ -151,19 +126,17 @@ def statistics_properties(result: CheckResult) -> dict:
 
 
 def render_json(result: CheckResult) -> str:
-    """Stable machine-readable report (schema version 1)."""
+    """Stable machine-readable report (schema version 2)."""
     payload = {
-        "version": 1,
+        "version": 2,
         "files_scanned": result.files_scanned,
         "reanalyzed": result.reanalyzed,
         "from_cache": result.from_cache,
         "rules": list(result.rules),
         "diagnostics": [d.to_json() for d in result.diagnostics],
-        "baselined": [d.to_json() for d in result.baselined],
         "summary": {
             "error": result.count(Severity.ERROR),
             "warning": result.count(Severity.WARNING),
-            "baselined": len(result.baselined),
             "suppressed": result.suppressed,
         },
     }
@@ -195,7 +168,6 @@ def render_sarif_report(
     return render_sarif(
         result.diagnostics,
         rule_descriptions=descriptions,
-        suppressed=result.baselined,
         enabled_rules=enabled,
         properties=statistics_properties(result) if statistics else None,
     )
@@ -212,10 +184,8 @@ def run_from_args(args: argparse.Namespace) -> int:
         "cache_dir": args.cache_dir,
         "select": _split_rules(args.select),
         "ignore": _split_rules(args.ignore),
-        "profile": args.profile,
-        "require_justification": args.require_justification,
     }
-    if getattr(args, "changed_only", False):
+    if args.changed_only:
         from repro.lint.gitchanges import changed_files
 
         options["restrict"] = changed_files()
@@ -223,18 +193,8 @@ def run_from_args(args: argparse.Namespace) -> int:
             print("0 changed file(s) to check")
             return 0
 
-    if args.update_baseline:
-        result = analyze(paths, baseline=None, **options)
-        full = list(result.diagnostics) + list(result.baselined)
-        Baseline.from_diagnostics(sorted(full)).save(args.baseline)
-        print(
-            f"wrote {args.baseline} with {len(full)} accepted finding(s)"
-        )
-        return 0
-
-    baseline = None if args.no_baseline else Baseline.load(args.baseline)
-    result = analyze(paths, baseline=baseline, **options)
-    statistics = getattr(args, "statistics", False)
+    result = analyze(paths, **options)
+    statistics = args.statistics
     if args.sarif_file:
         Path(args.sarif_file).write_text(
             render_sarif_report(result, statistics=statistics) + "\n",
@@ -251,18 +211,3 @@ def run_from_args(args: argparse.Namespace) -> int:
             print(render_statistics(result))
     return result.exit_code
 
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point for ``python -m repro.lint.graph``."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint.graph",
-        description="bonsai-check: per-file and whole-program checks of "
-        "the simulator, unit, purity, determinism and error contracts",
-    )
-    add_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        return run_from_args(args)
-    except BonsaiError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2

@@ -38,7 +38,6 @@ misreported.
 from __future__ import annotations
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.graph.perfcheck import _component_roots
 from repro.lint.graph.symbols import ProjectIndex
 
 #: the modules holding pool entry points (see workercheck): the
@@ -76,6 +75,27 @@ OWNING_ALLOCATORS: frozenset[str] = frozenset({
 })
 
 RELEASE_FUNCTION = "repro.parallel.shm.release"
+
+#: component methods the simulator dispatches to dynamically, which a
+#: static call graph cannot follow
+COMPONENT_ROOT_METHODS: tuple[str, ...] = (
+    "tick", "next_event_cycle", "stall_tag", "apply_stall",
+)
+
+
+def _component_roots(index: ProjectIndex) -> set[str]:
+    """Per-cycle methods of every ``repro.hw`` component class."""
+    roots: set[str] = set()
+    for class_fq, klass in index.classes.items():
+        module = class_fq.rsplit(".", 1)[0]
+        if not module.startswith("repro.hw"):
+            continue
+        if not klass.has_tick:
+            continue
+        for method in COMPONENT_ROOT_METHODS:
+            if method in klass.methods:
+                roots.add(f"{class_fq}.{method}")
+    return roots
 
 
 def _worker_reachable(index: ProjectIndex) -> set[str]:

@@ -69,26 +69,6 @@ CHECK_RULES: dict[str, CheckRule] = {
         "function, or its workers module does import-time work or "
         "eager heavy imports"
     ),
-    "hot-loop-alloc": CheckRule(
-        "container allocation (literal or comprehension) inside a "
-        "per-record loop of a hot function; hoist or reuse the buffer"
-    ),
-    "hot-loop-attr": CheckRule(
-        "the same attribute chain is loaded repeatedly inside a hot "
-        "loop; bind it to a local once"
-    ),
-    "hot-fifo-op": CheckRule(
-        "single-element FIFO push/pop/peek inside a loop of a hot "
-        "function; use the bulk push_many/pop_many/peek_many ops"
-    ),
-    "hot-format": CheckRule(
-        "string formatting, print, or logging executed on the hot "
-        "path; move it behind a flag or out of the loop"
-    ),
-    "hot-try": CheckRule(
-        "try/except entered once per iteration of a hot loop; hoist "
-        "the handler around the loop or test the condition instead"
-    ),
     "proc-global-write": CheckRule(
         "worker-reachable code writes module-global or class-level "
         "state outside the sanctioned worker_observation/absorb path"

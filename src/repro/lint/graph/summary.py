@@ -38,7 +38,7 @@ from repro.lint.suppressions import Directive, Suppressions
 
 #: bump on any change to the summary shape or extraction logic; a bumped
 #: version invalidates every cache entry
-SUMMARY_VERSION = 5
+SUMMARY_VERSION = 6
 
 # --- unit families ---------------------------------------------------------
 
@@ -131,11 +131,6 @@ class FunctionSummary:
     effects: list[dict] = field(default_factory=list)
     #: ``self.<field>.<attr>`` accesses: {"field","attr","tail","line","col","kind"}
     peer_accesses: list[dict] = field(default_factory=list)
-    #: hot-path facts (loop-scoped allocations, attribute-chain loads,
-    #: FIFO ops, formatting, try blocks): {"kind", "scope", "line", ...}
-    #: where ``scope`` is 0 for the function body or the line number of
-    #: the innermost enclosing loop
-    perf: list[dict] = field(default_factory=list)
     #: names bound by a function-body ``import``/``from import``
     local_imports: dict[str, str] = field(default_factory=dict)
     #: names that appear inside ``return`` expressions (ownership of a
@@ -154,7 +149,6 @@ class FunctionSummary:
             "returns": [list(v) for v in self.returns],
             "calls": self.calls, "mixes": self.mixes,
             "effects": self.effects, "peer_accesses": self.peer_accesses,
-            "perf": self.perf,
             "local_imports": self.local_imports,
             "returned_names": self.returned_names,
             "flow": self.flow,
@@ -173,7 +167,6 @@ class FunctionSummary:
             mixes=[_retuple_mix(m) for m in data["mixes"]],
             effects=list(data["effects"]),
             peer_accesses=list(data["peer_accesses"]),
-            perf=list(data.get("perf", [])),
             local_imports=dict(data.get("local_imports", {})),
             returned_names=list(data.get("returned_names", [])),
             flow=_retuple_flow(data.get("flow", {})),
@@ -189,7 +182,6 @@ def _retuple_call(call: dict) -> dict:
     call["kwargs"] = {k: tuple(v) for k, v in call["kwargs"].items()}
     call.setdefault("arg_names", [])
     call.setdefault("binds", None)
-    call.setdefault("in_raise", False)
     return call
 
 
@@ -367,7 +359,6 @@ class _FunctionExtractor:
         )
         self.is_method = class_name is not None
         self.env: dict[str, AbsVal] = {}
-        self._in_raise = False
         args = node.args
         every = (
             list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
@@ -480,7 +471,6 @@ class _FunctionExtractor:
                 if not isinstance(a, ast.Starred)
             ],
             "binds": None,
-            "in_raise": self._in_raise,
         })
         return ("ret", call_id)
 
@@ -542,10 +532,6 @@ class _FunctionExtractor:
 
         for stmt in self.node.body:
             self._walk(stmt)
-        collector = _PerfFacts()
-        for stmt in self.node.body:
-            collector.visit(stmt)
-        self.out.perf = collector.facts_out()
         self.out.flow = extract_flow_facts(
             self.node, self.out.params, self.is_method
         )
@@ -643,16 +629,9 @@ class _FunctionExtractor:
             self.eval(stmt.value)
             return
         if isinstance(stmt, (ast.Raise, ast.Assert)):
-            # calls made while constructing the exception (message
-            # formatting, stall reports) are error-path only; mark them
-            # so hot-path reachability can exclude those edges
-            self._in_raise = True
-            try:
-                for child in ast.iter_child_nodes(stmt):
-                    if isinstance(child, ast.expr):
-                        self.eval(child)
-            finally:
-                self._in_raise = False
+            for child in ast.iter_child_nodes(stmt):
+                if isinstance(child, ast.expr):
+                    self.eval(child)
             return
         # remaining statements (pass, import, del, ...) carry no facts
 
@@ -714,191 +693,6 @@ class _FunctionExtractor:
             or name in self.out.params
             or name in ("self", "cls")
         )
-
-
-class _PerfFacts(ast.NodeVisitor):
-    """Loop-scope-aware hot-path fact collection over one function body.
-
-    Each fact carries a ``scope``: 0 in the straight-line function body,
-    or the header line of the innermost enclosing ``for``/``while``.
-    The hot-path pass treats scope > 0 as per-iteration work and, for
-    per-cycle functions (simulator ``tick`` bodies), scope 0 as well.
-
-    Facts inside ``raise``/``assert`` statements are skipped by design:
-    error paths exit the hot loop, so their f-strings, allocations and
-    lookups are free — this is the documented false-positive guard for
-    the formatting and allocation rules.
-    """
-
-    _FIFO_OPS = frozenset({"push", "pop", "peek"})
-    _LOG_ROOTS = frozenset({"logging", "log", "logger", "_log", "_logger"})
-    _LOG_METHODS = frozenset(
-        {"debug", "info", "warning", "error", "exception", "critical", "log"}
-    )
-
-    def __init__(self) -> None:
-        self.facts: list[dict] = []
-        self._loops: list[int] = []
-        self._guard = 0
-        self._in_fstring = 0
-        #: (scope, dotted chain) -> {"count", "line", "col"}
-        self._attr_counts: dict[tuple[int, str], dict] = {}
-
-    def facts_out(self) -> list[dict]:
-        """All facts, attribute chains aggregated per (scope, chain).
-
-        Chains loaded once can never fire a repetition rule, so they are
-        dropped here to keep cached summaries lean.
-        """
-        out = list(self.facts)
-        for (scope, chain), record in self._attr_counts.items():
-            if record["count"] >= 2:
-                out.append({
-                    "kind": "attr", "chain": chain, "scope": scope,
-                    "count": record["count"],
-                    "line": record["line"], "col": record["col"],
-                })
-        out.sort(key=lambda fact: (fact["line"], fact["col"], fact["kind"]))
-        return out
-
-    @property
-    def _scope(self) -> int:
-        return self._loops[-1] if self._loops else 0
-
-    def _add(self, kind: str, node: ast.AST, **extra) -> None:
-        if self._guard:
-            return
-        self.facts.append({
-            "kind": kind, "scope": self._scope,
-            "line": node.lineno, "col": node.col_offset, **extra,
-        })
-
-    # -- scopes --------------------------------------------------------
-    def visit_For(self, node: ast.For) -> None:
-        self.visit(node.iter)  # evaluated once, in the enclosing scope
-        self._loops.append(node.lineno)
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-        self._loops.pop()
-
-    visit_AsyncFor = visit_For
-
-    def visit_While(self, node: ast.While) -> None:
-        self._loops.append(node.lineno)  # the test re-runs per iteration
-        self.visit(node.test)
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-        self._loops.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        return  # nested scopes are summarised separately
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-    visit_ClassDef = visit_FunctionDef
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        return  # runs in its own scope, when (if ever) called
-
-    def visit_Raise(self, node: ast.Raise) -> None:
-        self._guard += 1
-        self.generic_visit(node)
-        self._guard -= 1
-
-    visit_Assert = visit_Raise
-
-    # -- facts ---------------------------------------------------------
-    def visit_Try(self, node: ast.Try) -> None:
-        if node.handlers:
-            self._add("try", node)
-        self.generic_visit(node)
-
-    def _alloc(self, what: str, node: ast.AST) -> None:
-        self._add("alloc", node, what=what)
-        self.generic_visit(node)
-
-    def visit_List(self, node: ast.List) -> None:
-        self._alloc("list literal", node)
-
-    def visit_Dict(self, node: ast.Dict) -> None:
-        self._alloc("dict literal", node)
-
-    def visit_Set(self, node: ast.Set) -> None:
-        self._alloc("set literal", node)
-
-    def visit_ListComp(self, node: ast.ListComp) -> None:
-        self._alloc("comprehension", node)
-
-    visit_SetComp = visit_ListComp
-    visit_DictComp = visit_ListComp
-
-    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-        self._alloc("generator expression", node)
-
-    def visit_JoinedStr(self, node: ast.JoinedStr) -> None:
-        # a format spec (``f"{x:>{width}}"``) is itself a JoinedStr
-        # child; count the outermost f-string once, not per spec
-        if not self._in_fstring:
-            self._add("format", node, what="f-string")
-        self._in_fstring += 1
-        try:
-            self.generic_visit(node)
-        finally:
-            self._in_fstring -= 1
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        chain = _attribute_chain(func) if isinstance(func, ast.Attribute) else None
-        if isinstance(func, ast.Name) and func.id == "print":
-            self._add("format", node, what="print()")
-        elif chain is not None:
-            root, attrs = chain
-            if (
-                attrs[-1] in self._FIFO_OPS
-                and len(node.args) <= 1
-                and not node.keywords
-            ):
-                self._add(
-                    "fifo", node, op=attrs[-1],
-                    recv=".".join([root] + attrs[:-1]),
-                )
-            if attrs[-1] == "format":
-                self._add("format", node, what=".format()")
-            elif (
-                root in self._LOG_ROOTS and attrs[0] in self._LOG_METHODS
-            ):
-                self._add("format", node, what=f"{root}.{attrs[0]}()")
-        # the callee chain itself is not a counted attribute load, but
-        # its receiver is: binding `out = self.output` hoists the lookup
-        if isinstance(func, ast.Attribute):
-            self.visit(func.value)
-        else:
-            self.visit(func)
-        for arg in node.args:
-            self.visit(arg)
-        for keyword in node.keywords:
-            self.visit(keyword.value)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if not isinstance(node.ctx, ast.Load):
-            return
-        chain = _attribute_chain(node)
-        if chain is None:
-            self.visit(node.value)  # rooted at a call/subscript: descend
-            return
-        if self._guard:
-            return
-        root, attrs = chain
-        # every prefix of the chain is one lookup a local binding of
-        # that prefix would hoist: self.a.b counts self.a and self.a.b
-        parts = [root] + attrs
-        for depth in range(2, len(parts) + 1):
-            dotted = ".".join(parts[:depth])
-            record = self._attr_counts.setdefault(
-                (self._scope, dotted),
-                {"count": 0, "line": node.lineno, "col": node.col_offset},
-            )
-            record["count"] += 1
-        # no descent: one chain is one load
 
 
 def _module_prefix(module: str | None, level: int) -> str:

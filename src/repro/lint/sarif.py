@@ -3,10 +3,7 @@
 SARIF (Static Analysis Results Interchange Format, OASIS standard) is
 what CI systems ingest to annotate pull-request diffs.  One ``run`` is
 emitted per invocation, with the full rule table in the tool driver and
-one ``result`` per diagnostic.  Baseline-accepted findings are included
-with an ``external`` suppression — SARIF consumers show them greyed out
-instead of failing the check, mirroring the analyzer's exit-code
-behaviour.
+one ``result`` per diagnostic.
 
 The emitted subset is pinned by ``tests/lint/test_sarif.py`` against a
 vendored 2.1.0 schema extract; widen the schema when widening the
@@ -49,9 +46,9 @@ FINGERPRINT_KEY = "bonsaiFingerprint/v1"
 def _fingerprint(diagnostic: Diagnostic, occurrence: int) -> str:
     """Stable identity of one finding across pushes.
 
-    Content-addressed (path, rule, message, occurrence index) — the same
-    scheme the check baseline uses — so GitHub code scanning dedupes a
-    finding even when unrelated edits shift its line number.
+    Content-addressed (path, rule, message, occurrence index), so GitHub
+    code scanning dedupes a finding even when unrelated edits shift its
+    line number.
     """
     payload = "\x00".join((
         diagnostic.path.replace("\\", "/"),
@@ -74,7 +71,7 @@ def _location(path: str, line: int, column: int) -> dict:
     }
 
 
-def _result(diagnostic: Diagnostic, suppressed: bool, occurrence: int) -> dict:
+def _result(diagnostic: Diagnostic, occurrence: int) -> dict:
     entry: dict = {
         "ruleId": diagnostic.rule,
         "level": _LEVELS[diagnostic.severity],
@@ -94,8 +91,6 @@ def _result(diagnostic: Diagnostic, suppressed: bool, occurrence: int) -> dict:
             }
             for hop in diagnostic.related
         ]
-    if suppressed:
-        entry["suppressions"] = [{"kind": "external"}]
     return entry
 
 
@@ -103,7 +98,6 @@ def render_sarif(
     diagnostics: Sequence[Diagnostic],
     *,
     rule_descriptions: Mapping[str, tuple[str, str]],
-    suppressed: Sequence[Diagnostic] = (),
     enabled_rules: Sequence[str] | None = None,
     properties: Mapping | None = None,
 ) -> str:
@@ -117,8 +111,6 @@ def render_sarif(
         ``rule name -> (one-line description, default level)`` for the
         driver's rule table; rules that fired but are not listed (e.g.
         ``parse-error``) get a generated entry.
-    suppressed:
-        Baseline-accepted findings, emitted with a suppression marker.
     enabled_rules:
         Rules active in this run.  When given, the driver rule table
         lists only rules that are enabled or actually fired — a SARIF
@@ -133,7 +125,7 @@ def render_sarif(
         for name, (description, level) in sorted(rule_descriptions.items())
         if enabled_rules is None or name in set(enabled_rules)
     }
-    for diagnostic in list(diagnostics) + list(suppressed):
+    for diagnostic in diagnostics:
         if diagnostic.rule not in rules:
             description, level = rule_descriptions.get(
                 diagnostic.rule,
@@ -147,12 +139,11 @@ def render_sarif(
             )
     occurrences: dict[tuple, int] = {}
     results = []
-    for group, is_suppressed in ((diagnostics, False), (suppressed, True)):
-        for diagnostic in group:
-            key = (diagnostic.path, diagnostic.rule, diagnostic.message)
-            occurrence = occurrences.get(key, 0)
-            occurrences[key] = occurrence + 1
-            results.append(_result(diagnostic, is_suppressed, occurrence))
+    for diagnostic in diagnostics:
+        key = (diagnostic.path, diagnostic.rule, diagnostic.message)
+        occurrence = occurrences.get(key, 0)
+        occurrences[key] = occurrence + 1
+        results.append(_result(diagnostic, occurrence))
     run: dict = {
         "tool": {
             "driver": {

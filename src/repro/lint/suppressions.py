@@ -12,9 +12,8 @@ namespaced so foreign tools ignore them:
   which *defines* the unit constants the unit-mix rule points at).
 
 ``disable=all`` suppresses every rule.  Anything after `` -- `` in the
-directive is a free-form justification; the repo convention is that
-every suppression carries one, and ``--require-justification`` (on in
-CI) turns the convention into a ``unjustified-suppression`` warning.
+directive is a free-form justification.  Every suppression must carry
+one: a directive without it is an ``unjustified-suppression`` warning.
 
 Every :class:`Directive` records which rules it actually silenced
 during a run; directives that silenced nothing come back as

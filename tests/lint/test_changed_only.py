@@ -64,14 +64,14 @@ class TestChangedFiles:
 
 class TestLintChangedOnly:
     def test_clean_tree_short_circuits(self, git_repo, monkeypatch, capsys):
-        from repro.lint.graph.main import main
+        from repro.cli import main
 
         monkeypatch.chdir(git_repo)
-        assert main(["--changed-only", "."]) == 0
+        assert main(["check", "--changed-only", "."]) == 0
         assert "0 changed file(s) to check" in capsys.readouterr().out
 
     def test_only_changed_files_are_linted(self, git_repo, monkeypatch, capsys):
-        from repro.lint.graph.main import main
+        from repro.cli import main
 
         # a committed file carries a violation…
         dirty = git_repo / "repro" / "dirty.py"
@@ -82,11 +82,11 @@ class TestLintChangedOnly:
         # …while the untracked file is clean; only it is in the diff
         (git_repo / "fresh.py").write_text('"""new."""\n', encoding="utf-8")
         monkeypatch.chdir(git_repo)
-        assert main(["--changed-only", "--format", "json", "."]) == 0
+        assert main(["check", "--changed-only", "--format", "json", "."]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["files_scanned"] == 3  # analysis still sees the tree
         assert report["diagnostics"] == []
-        assert main(["--format", "json", "."]) == 1
+        assert main(["check", "--format", "json", "."]) == 1
         report = json.loads(capsys.readouterr().out)
         assert [d["rule"] for d in report["diagnostics"]] == ["error-taxonomy"]
 

@@ -48,7 +48,9 @@ class TestSuppressions:
         assert not sup.covers(_diag("determinism", 1))
 
     def test_disable_file_covers_every_line(self):
-        sup = Suppressions.scan("y = 2\n# bonsai-lint: disable-file=unit-mix\nx = 1\n")
+        sup = Suppressions.scan(
+            "y = 2\n# bonsai-lint: disable-file=unit-mix -- units table\nx = 1\n"
+        )
         for line in (1, 2, 3, 99):
             assert sup.covers(_diag("unit-mix", line))
         assert not sup.covers(_diag("determinism", 1))
@@ -240,25 +242,14 @@ class TestDirectiveFindings:
         kept, _ = _check_one(tmp_path, source, select=["unit-mix"])
         assert kept == []
 
-    def test_require_justification_flags_bare_directives(self, tmp_path):
+    def test_bare_directives_are_flagged(self, tmp_path):
         source = (
             "import random\n"
             "r = random.random()  # bonsai-lint: disable=determinism\n"
         )
-        kept, suppressed = _check_one(
-            tmp_path, source, require_justification=True
-        )
+        kept, suppressed = _check_one(tmp_path, source)
         assert suppressed == 1
         assert [d.rule for d in kept] == [UNJUSTIFIED_SUPPRESSION_RULE]
-        kept, _ = _check_one(tmp_path, source)
-        assert kept == []  # opt-in flag, quiet by default
-
-    def test_run_passes_require_justification_through(self, tmp_path):
-        kept, _ = _check_one(
-            tmp_path, "x = 1  # bonsai-lint: disable-file=error-taxonomy\n",
-            require_justification=True,
-        )
-        assert UNJUSTIFIED_SUPPRESSION_RULE in {d.rule for d in kept}
 
     def test_changed_only_reports_stale_directives_in_changed_files(
         self, tmp_path

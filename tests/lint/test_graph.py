@@ -7,14 +7,12 @@ call hop, which is exactly the gap the graph analyses close.
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 import pytest
 
 from repro.lint.diagnostics import Severity
 from repro.lint.graph import SUMMARY_VERSION, analyze
-from repro.lint.graph.baseline import Baseline
 from repro.lint.graph.analyzer import PARSE_ERROR_RULE
 
 
@@ -449,167 +447,6 @@ class TestParseErrors:
         assert [d.rule for d in result.diagnostics] == [PARSE_ERROR_RULE]
         assert "binary.py" in result.diagnostics[0].path
         assert result.exit_code == 1
-
-
-class TestBaseline:
-    def test_baselined_findings_do_not_fail_the_run(self, check_tree, tmp_path):
-        files = {
-            "src/repro/util/sizes.py": SIZES,
-            "src/repro/util/mixer.py": """
-                from repro.util.sizes import bram_chunk, disk_chunk
-
-
-                def footprint():
-                    return disk_chunk() + bram_chunk()
-            """,
-        }
-        first = check_tree(files)
-        assert first.exit_code == 1
-        baseline_file = tmp_path / "baseline.json"
-        Baseline.from_diagnostics(first.diagnostics).save(baseline_file)
-        baseline = Baseline.load(baseline_file)
-        second = check_tree(files, baseline=baseline)
-        assert second.diagnostics == ()
-        assert len(second.baselined) == 1
-        assert second.exit_code == 0
-
-    def test_new_finding_still_fails_with_baseline(self, check_tree, tmp_path):
-        files = {
-            "src/repro/util/sizes.py": SIZES,
-            "src/repro/util/mixer.py": """
-                from repro.util.sizes import bram_chunk, disk_chunk
-
-
-                def footprint():
-                    return disk_chunk() + bram_chunk()
-            """,
-        }
-        first = check_tree(files)
-        baseline_file = tmp_path / "baseline.json"
-        Baseline.from_diagnostics(first.diagnostics).save(baseline_file)
-        files["src/repro/util/mixer.py"] = """
-            from repro.util.sizes import bram_chunk, disk_chunk
-
-
-            def footprint():
-                return disk_chunk() + bram_chunk()
-
-
-            def second():
-                return disk_chunk() + bram_chunk()
-        """
-        second = check_tree(files, baseline=Baseline.load(baseline_file))
-        assert len(second.diagnostics) == 1
-        assert len(second.baselined) == 1
-        assert second.exit_code == 1
-
-    def test_saved_file_is_byte_stable_across_path_forms(
-        self, check_tree, tmp_path, monkeypatch
-    ):
-        files = {
-            "src/repro/util/sizes.py": SIZES,
-            "src/repro/util/mixer.py": """
-                from repro.util.sizes import bram_chunk, disk_chunk
-
-
-                def footprint():
-                    return disk_chunk() + bram_chunk()
-
-
-                def second():
-                    return bram_chunk() + disk_chunk()
-            """,
-        }
-        absolute = check_tree(files)  # analyze([tmp_path / "src"])
-        monkeypatch.chdir(tmp_path)
-        relative = analyze(["src"])
-        assert len(absolute.diagnostics) == len(relative.diagnostics) == 2
-        Baseline.from_diagnostics(list(absolute.diagnostics)).save(
-            tmp_path / "abs.json"
-        )
-        Baseline.from_diagnostics(list(relative.diagnostics)).save(
-            tmp_path / "rel.json"
-        )
-        assert (
-            (tmp_path / "abs.json").read_bytes()
-            == (tmp_path / "rel.json").read_bytes()
-        )
-
-    def test_saved_file_orders_by_path_rule_fingerprint(
-        self, check_tree, tmp_path, monkeypatch
-    ):
-        files = {
-            "src/repro/util/sizes.py": SIZES,
-            "src/repro/util/alpha.py": """
-                from repro.util.sizes import bram_chunk, disk_chunk
-
-
-                def footprint():
-                    return disk_chunk() + bram_chunk()
-            """,
-            "src/repro/util/zeta.py": """
-                from repro.util.sizes import bram_chunk, disk_chunk
-
-
-                def footprint():
-                    return disk_chunk() + bram_chunk()
-            """,
-        }
-        result = check_tree(files)
-        monkeypatch.chdir(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        # reversed input order must not leak into the saved document
-        Baseline.from_diagnostics(
-            list(reversed(result.diagnostics))
-        ).save(baseline_file)
-        data = json.loads(baseline_file.read_text(encoding="utf-8"))
-        entries = list(data["findings"].items())
-        keys = [
-            (entry["path"], entry["rule"], fingerprint)
-            for fingerprint, entry in entries
-        ]
-        assert keys == sorted(keys)
-        assert [e["path"] for _, e in entries] == [
-            "src/repro/util/alpha.py", "src/repro/util/zeta.py",
-        ]
-
-    def test_round_trip_preserves_entries(self, check_tree, tmp_path):
-        files = {
-            "src/repro/util/sizes.py": SIZES,
-            "src/repro/util/mixer.py": """
-                from repro.util.sizes import bram_chunk, disk_chunk
-
-
-                def footprint():
-                    return disk_chunk() + bram_chunk()
-            """,
-        }
-        result = check_tree(files)
-        baseline = Baseline.from_diagnostics(list(result.diagnostics))
-        baseline_file = tmp_path / "baseline.json"
-        baseline.save(baseline_file)
-        assert Baseline.load(baseline_file).entries == baseline.entries
-
-    def test_fingerprints_survive_line_shifts(self, check_tree, tmp_path):
-        files = {
-            "src/repro/util/sizes.py": SIZES,
-            "src/repro/util/mixer.py": """
-                from repro.util.sizes import bram_chunk, disk_chunk
-
-
-                def footprint():
-                    return disk_chunk() + bram_chunk()
-            """,
-        }
-        first = check_tree(files)
-        baseline_file = tmp_path / "baseline.json"
-        Baseline.from_diagnostics(first.diagnostics).save(baseline_file)
-        files["src/repro/util/mixer.py"] = (
-            "\n\n\n" + files["src/repro/util/mixer.py"]
-        )
-        shifted = check_tree(files, baseline=Baseline.load(baseline_file))
-        assert shifted.diagnostics == ()
-        assert len(shifted.baselined) == 1
 
 
 class TestSummaryCache:

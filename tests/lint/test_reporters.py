@@ -9,10 +9,10 @@ from repro.lint.graph.main import render_json, render_text
 
 TOP_LEVEL_KEYS = {
     "version", "files_scanned", "reanalyzed", "from_cache", "rules",
-    "diagnostics", "baselined", "summary",
+    "diagnostics", "summary",
 }
 DIAGNOSTIC_KEYS = {"path", "line", "column", "rule", "severity", "message"}
-SUMMARY_KEYS = {"error", "warning", "baselined", "suppressed"}
+SUMMARY_KEYS = {"error", "warning", "suppressed"}
 
 
 def _dirty_result(tmp_path):
@@ -29,7 +29,7 @@ class TestJsonReporter:
         result = _dirty_result(tmp_path)
         payload = json.loads(render_json(result))
         assert set(payload) == TOP_LEVEL_KEYS
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["files_scanned"] == 1
         assert set(payload["summary"]) == SUMMARY_KEYS
         assert payload["diagnostics"], "fixture should produce findings"
@@ -59,7 +59,7 @@ class TestJsonReporter:
         payload = json.loads(render_json(analyze([tmp_path])))
         assert payload["diagnostics"] == []
         assert payload["summary"] == {
-            "error": 0, "warning": 0, "baselined": 0, "suppressed": 0,
+            "error": 0, "warning": 0, "suppressed": 0,
         }
 
 
@@ -69,13 +69,13 @@ class TestTextReporter:
         lines = text.splitlines()
         assert any("determinism" in line for line in lines)
         assert "1 file(s) scanned" in lines[-1]
-        assert "new finding(s)" in lines[-1]
+        assert "finding(s)" in lines[-1]
 
     def test_clean_run_is_one_summary_line(self, tmp_path):
         (tmp_path / "clean.py").write_text("x = 1\n")
         text = render_text(analyze([tmp_path]))
         assert text.startswith(
-            "0 new finding(s) (0 error(s), 0 warning(s)), 0 baselined, "
-            "0 suppressed, 1 file(s) scanned (1 analyzed, 0 from cache) in "
+            "0 finding(s) (0 error(s), 0 warning(s)), 0 suppressed, "
+            "1 file(s) scanned (1 analyzed, 0 from cache) in "
         )
         assert "\n" not in text

@@ -22,7 +22,6 @@ import jsonschema
 import pytest
 
 from repro.lint.graph import analyze
-from repro.lint.graph.baseline import Baseline
 from repro.lint.graph.main import render_json as render_check_json
 from repro.lint.graph.main import render_sarif_report
 
@@ -109,7 +108,7 @@ def lint_result(tmp_path, monkeypatch):
     target = tmp_path / "src" / "repro" / "hw" / "golden.py"
     target.parent.mkdir(parents=True)
     target.write_text(LINT_FIXTURE, encoding="utf-8")
-    return analyze(["src"], require_justification=True)
+    return analyze(["src"])
 
 
 @pytest.fixture
@@ -122,10 +121,7 @@ def check_result(tmp_path, monkeypatch):
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    first = analyze(["src"])
-    accepted = [d for d in first.diagnostics if d.rule == "unit-flow-mix"]
-    baseline = Baseline.from_diagnostics(accepted)
-    return analyze(["src"], baseline=baseline)
+    return analyze(["src"])
 
 
 class TestLintGoldens:
@@ -147,9 +143,10 @@ class TestLintGoldens:
 
 
 class TestCheckGoldens:
-    def test_fixture_produces_new_and_baselined(self, check_result):
-        assert [d.rule for d in check_result.diagnostics] == ["unit-flow-call"]
-        assert [d.rule for d in check_result.baselined] == ["unit-flow-mix"]
+    def test_fixture_produces_both_unit_flow_findings(self, check_result):
+        assert sorted(d.rule for d in check_result.diagnostics) == [
+            "unit-flow-call", "unit-flow-mix",
+        ]
 
     def test_json_golden(self, check_result):
         _assert_matches_golden(render_check_json(check_result), "check.json")
@@ -158,30 +155,9 @@ class TestCheckGoldens:
         document = render_sarif_report(check_result)
         payload = _validate_sarif(document)
         results = payload["runs"][0]["results"]
-        by_rule = {r["ruleId"]: r for r in results}
-        assert "suppressions" not in by_rule["unit-flow-call"]
-        assert by_rule["unit-flow-mix"]["suppressions"] == [
-            {"kind": "external"}
-        ]
+        assert all("suppressions" not in result for result in results)
         _assert_matches_golden(_normalise_sarif(document), "check.sarif")
 
-
-PERF_COMPONENT = """\
-class Belt:
-    def __init__(self, queue, output):
-        self.queue = queue
-        self.output = output
-
-    def tick(self, cycle):
-        for item in self.queue:
-            try:
-                self.output.push([item])
-            except ValueError:
-                pass
-            if self.queue.depth > cycle:
-                label = f"{self.queue.depth} of {self.queue.depth}"
-        return None
-"""
 
 PROC_WORKERS = """\
 from repro.parallel.audit import record
@@ -220,10 +196,6 @@ def leak(n_bytes):
     return n_bytes
 """
 
-HOT_RULES = (
-    "hot-fifo-op", "hot-format", "hot-loop-alloc", "hot-loop-attr",
-    "hot-try",
-)
 PROC_RULES = ("proc-global-write", "proc-shm-lifetime", "proc-unpicklable")
 
 
@@ -243,13 +215,6 @@ def _write_tree(tmp_path, files: dict[str, str]) -> None:
 
 
 @pytest.fixture
-def perfcheck_result(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write_tree(tmp_path, {"src/repro/hw/belt.py": PERF_COMPONENT})
-    return analyze(["src"], select=list(HOT_RULES))
-
-
-@pytest.fixture
 def procsafety_result(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write_tree(tmp_path, {
@@ -259,24 +224,6 @@ def procsafety_result(tmp_path, monkeypatch):
         "src/repro/parallel/buffers.py": PROC_BUFFERS,
     })
     return analyze(["src"], select=list(PROC_RULES))
-
-
-class TestPerfcheckGolden:
-    def test_fixture_fires_every_hot_rule_once(self, perfcheck_result):
-        assert sorted(d.rule for d in perfcheck_result.diagnostics) == list(
-            HOT_RULES
-        )
-
-    def test_sarif_golden_and_schema(self, perfcheck_result):
-        document = render_sarif_report(perfcheck_result)
-        payload = _validate_sarif(document)
-        rule_ids = {
-            rule["id"] for rule in payload["runs"][0]["tool"]["driver"]["rules"]
-        }
-        # enabled (selected + parse-error) only — nothing from the
-        # unselected passes leaks into the driver table
-        assert rule_ids == set(HOT_RULES) | {"parse-error"}
-        _assert_matches_golden(_normalise_sarif(document), "perfcheck.sarif")
 
 
 class TestProcsafetyGolden:
@@ -524,14 +471,14 @@ class TestFingerprints:
 
 
 class TestRuleTableFiltering:
-    def test_selected_run_lists_enabled_union_fired(self, perfcheck_result):
-        payload = json.loads(render_sarif_report(perfcheck_result))
+    def test_selected_run_lists_enabled_union_fired(self, procsafety_result):
+        payload = json.loads(render_sarif_report(procsafety_result))
         rule_ids = [
             rule["id"] for rule in payload["runs"][0]["tool"]["driver"]["rules"]
         ]
         assert rule_ids == sorted(rule_ids)
         assert "unit-flow-mix" not in rule_ids
-        assert "proc-global-write" not in rule_ids
+        assert "det-taint-sink" not in rule_ids
 
 
 class TestSchemaPin:

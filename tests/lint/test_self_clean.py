@@ -1,28 +1,119 @@
-"""Meta-test: the shipped tree passes its own static analysis.
+"""Meta-tests: the shipped tree passes its own static analysis, and
+every rule still catches a seeded bug in it.
 
-This is the gate the CI workflow enforces (``bonsai check src
-benchmarks --require-justification`` must exit 0); keeping it in the
-test suite means a violation fails tier-1 locally before it ever
-reaches CI.
+The first is the gate the CI workflow enforces (``bonsai check src
+benchmarks`` must exit 0); keeping it in the test suite means a
+violation fails tier-1 locally before it ever reaches CI.
+
+The second is how a rule earns its place in ``CHECK_RULES``: it must
+fire on a one-line-scale mutation of shipped code, not only on a
+hand-written fixture.  A rule added without a row in ``MUTATIONS``
+fails here, and so does a pass that stops seeing its bug.
 """
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
-from repro.lint.graph import analyze
-from repro.lint.graph.baseline import DEFAULT_BASELINE, Baseline
+from repro.lint.graph import CHECK_RULES, analyze
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+#: ``(path, old, new, fires)`` with paths under ``src/repro``: each edit
+#: replaces the first occurrence of ``old``, and once all edits are
+#: applied together every ``rule: path`` in ``fires`` must hold a finding
+#: (a whole-program rule may fire away from the edit, at the caller or
+#: model method the bug reaches)
+MUTATIONS: tuple[tuple[str, str, str, dict[str, str]], ...] = (
+    ("core/parameters.py",
+     "bram_effective_bytes: int = 1 * MiB",
+     "bram_effective_bytes: int = 1048576",
+     {"unit-mix": "core/parameters.py"}),
+    ("hw/merger.py",
+     "stats.idle_cycles += 1",
+     "stats.idle_cycles += 0.5",
+     {"clock-discipline": "hw/merger.py"}),
+    ("hw/merger.py",
+     "if self.output.is_full:",
+     "if len(self.output._items) >= self.output.capacity:",
+     {"fifo-discipline": "hw/merger.py"}),
+    ("records/workloads.py",
+     "default_rng(seed)",
+     "default_rng()",
+     {"determinism": "records/workloads.py",
+      "det-unseeded-flow": "records/workloads.py"}),
+    ("records/workloads.py",
+     "except KeyError:",
+     "except WorkloadError:",
+     {"exn-dead-handler": "records/workloads.py"}),
+    ("core/performance.py",
+     "import math\n",
+     "import math\n\nfrom repro.hw import fifo\n",
+     {"model-purity": "core/performance.py"}),
+    ("core/frequency.py",
+     "        return self.base_hz * self.degradation_per_doubling**doublings",
+     "        print(p, leaves)\n"
+     "        return self.base_hz * self.degradation_per_doubling**doublings",
+     {"transitive-purity": "core/performance.py"}),
+    ("engine/sorter.py",
+     'raise ConfigurationError(f"unknown mode',
+     'raise ValueError(f"unknown mode',
+     {"error-taxonomy": "engine/sorter.py", "exn-escape": "cli.py"}),
+    ("hw/loader.py",
+     "self._inflight_cycles_left -= n_cycles",
+     "self._inflight_cycles_left -= n_cycles + self.batch_bytes",
+     {"unit-flow-mix": "hw/loader.py"}),
+    ("hw/loader.py",
+     "self.apply_stall(self.stall_tag(), n_cycles)",
+     "self.apply_stall(self.stall_tag(), self.batch_bytes)",
+     {"unit-flow-call": "hw/loader.py"}),
+    ("parallel/workers.py",
+     "import numpy as np\n",
+     "import numpy as np\n\nimport repro.engine.stage\n",
+     {"worker-entry": "parallel/workers.py"}),
+    ("parallel/workers.py",
+     "    in_desc, out_desc, group_index, start, stop = task\n",
+     "    global _LAST_TASK\n"
+     "    _LAST_TASK = task\n"
+     "    in_desc, out_desc, group_index, start, stop = task\n",
+     {"proc-global-write": "parallel/workers.py"}),
+    ("core/configuration.py",
+     "    lambda_pipe: int = 1\n",
+     "    lambda_pipe: int = 1\n    guard: threading.Lock | None = None\n",
+     {"proc-unpicklable": "core/optimizer.py"}),
+    ("parallel/api.py",
+     "        release(in_block)\n        release(out_block)\n",
+     "        release(out_block)\n",
+     {"proc-shm-lifetime": "parallel/api.py"}),
+    ("serve/session.py",
+     '{"kind": job.kind, **job.params()}',
+     '{"kind": job.kind, "nonce": id(job), **job.params()}',
+     {"det-taint-sink": "serve/session.py"}),
+    ("serve/session.py",
+     "    except BonsaiError as error:\n"
+     '        return ("error", f"{type(error).__name__}: {error}")\n',
+     "    except BonsaiError:\n        pass\n",
+     {"exn-swallow": "serve/session.py"}),
+    ("obs/metrics.py",
+     "def diff_counters(",
+     "def _series_keys(left, right):\n"
+     "    return set(left) | set(right)\n\n\n"
+     "def diff_counters(",
+     {}),
+    ("obs/metrics.py",
+     "for key in sorted(set(left) | set(right)):",
+     "for key in _series_keys(left, right):",
+     {"det-order-leak": "obs/metrics.py"}),
+    ("parallel/plan.py",
+     "except FutureTimeoutError:",
+     "except Exception:",
+     {"exn-broad-fallback": "parallel/plan.py"}),
+)
+
 
 def test_shipped_tree_is_check_clean():
-    baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE)
-    result = analyze(
-        [REPO_ROOT / "src", REPO_ROOT / "benchmarks"],
-        baseline=baseline,
-        require_justification=True,
-    )
+    result = analyze([REPO_ROOT / "src", REPO_ROOT / "benchmarks"])
     rendered = "\n".join(d.render() for d in result.diagnostics)
     assert result.diagnostics == (), f"check findings in shipped tree:\n{rendered}"
     assert result.exit_code == 0
@@ -30,3 +121,28 @@ def test_shipped_tree_is_check_clean():
     # path refactor silently checking nothing).
     assert result.files_scanned > 50
     assert result.suppressed > 0, "known intentional suppressions should register"
+
+
+def test_every_rule_fires_on_a_seeded_mutation(tmp_path):
+    expected = {
+        (rule, path) for *_, fires in MUTATIONS for rule, path in fires.items()
+    }
+    assert {rule for rule, _ in expected} == set(CHECK_RULES)
+    shutil.copytree(
+        REPO_ROOT / "src", tmp_path / "src",
+        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"),
+    )
+    package = tmp_path / "src" / "repro"
+    for path, old, new, _ in MUTATIONS:
+        target = package / path
+        source = target.read_text(encoding="utf-8")
+        assert old in source, f"{path}: mutation site {old!r} is gone"
+        target.write_text(source.replace(old, new, 1), encoding="utf-8")
+
+    result = analyze([tmp_path / "src"])
+    fired = {
+        (d.rule, Path(d.path).relative_to(package).as_posix())
+        for d in result.diagnostics
+    }
+    missing = sorted(f"{rule} in {path}" for rule, path in expected - fired)
+    assert not missing, f"rules silent on their seeded mutation: {missing}"

@@ -180,6 +180,19 @@ class TestLint:
         assert excinfo.value.code == 2
         assert "invalid choice: 'lint'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [
+        ["--baseline", "f"],
+        ["--no-baseline"],
+        ["--update-baseline"],
+        ["--profile", "t"],
+        ["--require-justification"],
+    ])
+    def test_deleted_check_option_is_unknown(self, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", *option])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_json_format_smoke(self, capsys):
         code = main([
             "check", str(REPO_ROOT / "src" / "repro" / "units.py"),
@@ -197,12 +210,12 @@ class TestLint:
         assert main(["check", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "error-taxonomy" in out
-        assert "1 new finding(s)" in out
+        assert "1 finding(s)" in out
 
     def test_list_rules(self, capsys):
         assert main(["check", "--list-analyses"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 25
+        assert len(lines) == 20
         out = "\n".join(lines)
         for rule in ("unit-mix", "clock-discipline", "determinism",
                      "model-purity", "error-taxonomy", "unit-flow-mix"):
