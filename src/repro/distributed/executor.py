@@ -56,7 +56,7 @@ from repro.obs.runtime import observation
 from repro.parallel.plan import ParallelPlan
 from repro.parallel.shm import (
     alloc_arrays,
-    as_uint64_runs,
+    as_uint64_keys,
     pack_arrays,
     release,
     view_array,
@@ -205,13 +205,7 @@ class ClusterExecutor:
     # ------------------------------------------------------------------
     def execute(self, data: np.ndarray) -> ClusterExecutionReport:
         """Sort ``data`` across the cluster; verify; measure; report."""
-        packed = as_uint64_runs([np.asarray(data)])
-        if packed is None:
-            raise ConfigurationError(
-                "cluster sort ships records through uint64 shared-memory "
-                "blocks; keys must be integers in [0, 2**64)"
-            )
-        keys = packed[0]
+        keys = as_uint64_keys(data)
         if keys.size == 0:
             raise ConfigurationError("cannot cluster-sort zero records")
         plan = self.plan or ParallelPlan.serial()

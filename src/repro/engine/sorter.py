@@ -50,10 +50,10 @@ class AmtSorter:
         ``"model"`` or ``"simulate"``.
     parallel:
         Optional :class:`~repro.parallel.plan.ParallelPlan` sharding
-        each stage's independent merge groups across a worker pool.
-        Model-mode results are bit-identical with or without a plan;
-        simulate mode switches to the per-group cycle decomposition
-        (identical for every plan, see ``docs/performance.md``).
+        each model-mode stage's independent merge groups across a worker
+        pool; results are bit-identical with or without a plan.  Simulate
+        mode ignores it: a stage's groups stream back to back through one
+        tree (§V-B), so the stage is one joint ``simulate_merge``.
     """
 
     config: AmtConfig
@@ -151,27 +151,10 @@ class AmtSorter:
     def _run_stage_simulated(
         self, runs: list[np.ndarray]
     ) -> tuple[list[np.ndarray], float]:
-        """One stage through the cycle simulator."""
+        """One stage through the cycle simulator, every group in one tree."""
         frequency = self.arch.frequency_hz
         budget = self.hardware.beta_dram / frequency
         dtype = runs[0].dtype if runs else np.uint64
-        if self.parallel is not None:
-            from repro.parallel.api import simulate_stage_sharded
-
-            out_runs, cycles = simulate_stage_sharded(
-                runs,
-                p=self.config.p,
-                leaves=self.config.leaves,
-                record_bytes=self.arch.record_bytes,
-                read_bytes_per_cycle=budget,
-                write_bytes_per_cycle=budget,
-                batch_bytes=min(self.hardware.batch_bytes, 1024),
-                plan=self.parallel,
-            )
-            return (
-                [np.asarray(run, dtype=dtype) for run in out_runs],
-                cycles / frequency,
-            )
         int_runs = [[int(x) for x in run] for run in runs]
         out_runs, stats = simulate_merge(
             p=self.config.p,

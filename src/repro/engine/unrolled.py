@@ -82,7 +82,10 @@ class UnrolledSorter:
 
         Runs λ concurrent sorter units on per-bank budgets plus the
         idling final merges; intended for laptop-scale arrays.  Timing
-        comes from the simulated clock at ``arch.frequency_hz``.
+        comes from the simulated clock at ``arch.frequency_hz``.  The
+        units share no state, so ``parallel`` only decides which process
+        ticks each one; outputs and cycle counts are the same for every
+        plan.
         """
         from repro.hw.banks import UnrolledSimulation
 
@@ -92,8 +95,6 @@ class UnrolledSorter:
                 data=data.copy(), seconds=0.0, stages=0,
                 record_bytes=self.arch.record_bytes, mode="simulate",
             )
-        if self.parallel is not None:
-            return self._simulate_sharded(data)
         simulation = UnrolledSimulation(
             p=self.config.p,
             leaves=self.config.leaves,
@@ -107,61 +108,17 @@ class UnrolledSorter:
             "unrolled.simulate", records=int(data.size),
             lambda_unroll=self.config.lambda_unroll,
         ) as span:
-            cycles = simulation.run([int(x) for x in data])
+            cycles = simulation.run(data, plan=self.parallel)
             span.set(cycles=cycles)
         return SortOutcome(
             data=np.asarray(simulation.output, dtype=data.dtype),
             seconds=cycles / self.arch.frequency_hz,
-            stages=max(unit.stages_done for unit in simulation.units) + 1,
+            stages=simulation.stages_done + 1,
             record_bytes=self.arch.record_bytes,
             mode="simulate",
             detail={
                 "parallel_cycles": simulation.parallel_cycles,
                 "final_merge_cycles": simulation.final_merge_cycles,
-            },
-        )
-
-    def _simulate_sharded(self, data: np.ndarray) -> SortOutcome:
-        """Per-unit worker simulation, bit-identical to the joint loop.
-
-        A finished unit's tick is a no-op in
-        :meth:`~repro.hw.banks.UnrolledSimulation.run`'s joint loop, so
-        simulating each unit alone visits exactly the same cycles;
-        ``parallel_cycles`` is recovered as the ``max()`` of per-unit
-        completion counts and the final merges run in the parent.
-        """
-        from repro.parallel.api import simulate_unrolled_sharded
-
-        with observation().span(
-            "unrolled.simulate", records=int(data.size),
-            lambda_unroll=self.config.lambda_unroll, sharded=True,
-        ) as span:
-            output, stages_done, parallel_cycles, final_cycles = (
-                simulate_unrolled_sharded(
-                    [int(x) for x in data],
-                    p=self.config.p,
-                    leaves=self.config.leaves,
-                    lambda_unroll=self.config.lambda_unroll,
-                    record_bytes=self.arch.record_bytes,
-                    presort_run=self.presort_run,
-                    total_bytes_per_cycle=(
-                        self.hardware.beta_dram / self.arch.frequency_hz
-                    ),
-                    batch_bytes=min(self.hardware.batch_bytes, 1024),
-                    plan=self.parallel,
-                )
-            )
-            cycles = parallel_cycles + final_cycles
-            span.set(cycles=cycles)
-        return SortOutcome(
-            data=np.asarray(output, dtype=data.dtype),
-            seconds=cycles / self.arch.frequency_hz,
-            stages=stages_done + 1,
-            record_bytes=self.arch.record_bytes,
-            mode="simulate",
-            detail={
-                "parallel_cycles": parallel_cycles,
-                "final_merge_cycles": final_cycles,
             },
         )
 

@@ -8,19 +8,23 @@ partition through all of its merge stages.  The final cross-partition
 merges (the idling scheme of §IV-B) run afterwards through a shrunken
 tree on the aggregate bandwidth.
 
-Key observable: the makespan of the parallel phase equals the *slowest
-unit*, not the sum — which is precisely the linear-scaling claim the
-paper demonstrates on DRAM banks.
+The units share no state, so each is ticked to completion on its own
+(possibly in a pool worker) and finishes on exactly the cycle it would
+in one joint loop.  Key observable: the makespan of the parallel phase
+equals the *slowest unit*, not the sum — which is precisely the
+linear-scaling claim the paper demonstrates on DRAM banks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.hw.loader import DataLoader, OutputWriter, make_feeds
 from repro.hw.tree import AmtTree, simulate_merge
+from repro.parallel.plan import ParallelPlan
 
 
 @dataclass
@@ -41,18 +45,37 @@ class _SorterUnit:
     busy_cycles: int = 0
     stages_done: int = 0
 
-    def load(self, array: list[int]) -> None:
-        """Accept a partition, split into presorted runs."""
-        self.runs = [
-            sorted(array[start : start + self.presort_run])
-            for start in range(0, len(array), self.presort_run)
-        ] or [[]]
-        self.done = False
+    @classmethod
+    def run_to_completion(
+        cls, array: list[int], max_cycles: int, **shape
+    ) -> "_SorterUnit":
+        """Build a unit, sort ``array`` through all its stages, return it.
 
-    def tick(self, cycle: int = 0) -> None:
+        The unrolled simulation's one tick loop.  Units share no state,
+        so a unit ticked alone visits exactly the cycles it would in a
+        joint loop over all λ units, and its ``busy_cycles`` is the cycle
+        it finishes on.
+        """
+        unit = cls(**shape)
+        unit.runs = [
+            sorted(array[start : start + unit.presort_run])
+            for start in range(0, len(array), unit.presort_run)
+        ] or [[]]
+        while not unit.done:
+            if unit.busy_cycles >= max_cycles:
+                raise SimulationError(
+                    f"unrolled phase did not finish within {max_cycles} cycles"
+                )
+            unit.tick(unit.busy_cycles)
+        if len(unit.output) != len(array):
+            raise SimulationError(
+                f"record count mismatch: {len(array)} in, "
+                f"{len(unit.output)} out"
+            )
+        return unit
+
+    def tick(self, cycle: int) -> None:
         """Advance this unit's current merge stage by one cycle."""
-        if self.done:
-            return
         if self._parts is None:
             self._arm()
         self.busy_cycles += 1
@@ -123,7 +146,8 @@ class UnrolledSimulation:
     total_bytes_per_cycle: float = 128.0
     batch_bytes: int = 512
 
-    units: list[_SorterUnit] = field(init=False)
+    unit_cycles: list[int] = field(init=False, default_factory=list)
+    stages_done: int = field(init=False, default=0)
     parallel_cycles: int = field(init=False, default=0)
     final_merge_cycles: int = field(init=False, default=0)
     output: list[int] = field(init=False, default_factory=list)
@@ -131,40 +155,42 @@ class UnrolledSimulation:
     def __post_init__(self) -> None:
         if self.lambda_unroll < 2:
             raise ConfigurationError("unrolled simulation needs lambda >= 2")
-        share = self.total_bytes_per_cycle / self.lambda_unroll
-        self.units = [
-            _SorterUnit(
-                p=self.p,
-                leaves=self.leaves,
-                record_bytes=self.record_bytes,
-                bytes_per_cycle=share,
-                batch_bytes=self.batch_bytes,
-                presort_run=self.presort_run,
-            )
-            for _ in range(self.lambda_unroll)
-        ]
 
     # ------------------------------------------------------------------
-    def run(self, array: list[int], max_cycles: int = 5_000_000) -> int:
-        """Sort ``array``; returns total cycles (parallel + final merges)."""
-        chunk = -(-len(array) // self.lambda_unroll)
-        for index, unit in enumerate(self.units):
-            unit.load(list(array[index * chunk : (index + 1) * chunk]))
+    def run(
+        self,
+        array: Sequence[int],
+        max_cycles: int = 5_000_000,
+        plan: ParallelPlan | None = None,
+    ) -> int:
+        """Sort ``array``; returns total cycles (parallel + final merges).
 
-        cycle = 0
-        while not all(unit.done for unit in self.units):
-            if cycle >= max_cycles:
-                raise SimulationError(
-                    f"unrolled phase did not finish within {max_cycles} cycles"
-                )
-            for unit in self.units:
-                unit.tick(cycle)
-            cycle += 1
-        self.parallel_cycles = cycle
+        ``array`` holds keys in ``[0, 2**64)`` (a list or an integer
+        array).  Each unit sorts one address-range chunk on a 1/λ share
+        of the budget.  ``plan`` (default: serial) only decides which
+        process ticks each unit; the task list, the ``max()`` reduction
+        and the final merge are the same for every plan.
+        """
+        from repro.parallel.api import simulate_units_sharded
+
+        shape = {
+            "p": self.p,
+            "leaves": self.leaves,
+            "record_bytes": self.record_bytes,
+            "bytes_per_cycle": self.total_bytes_per_cycle / self.lambda_unroll,
+            "batch_bytes": self.batch_bytes,
+            "presort_run": self.presort_run,
+        }
+        ranges, results = simulate_units_sharded(
+            array, self.lambda_unroll, shape, max_cycles,
+            plan or ParallelPlan.serial(),
+        )
+        self.unit_cycles = [cycles for cycles, _stages in results]
+        self.stages_done = max(stages for _cycles, stages in results)
+        self.parallel_cycles = max(self.unit_cycles)
 
         # Final merges: λ sorted ranges through a shrunken tree at the
         # aggregate budget (only this phase idles units, §IV-B).
-        ranges = [unit.output for unit in self.units]
         merged, stats = simulate_merge(
             p=self.p,
             leaves=self.leaves,
@@ -182,4 +208,4 @@ class UnrolledSimulation:
     # ------------------------------------------------------------------
     def unit_busy_cycles(self) -> list[int]:
         """Per-unit busy-cycle counts for balance checks."""
-        return [unit.busy_cycles for unit in self.units]
+        return list(self.unit_cycles)

@@ -37,9 +37,10 @@ class _Terminal:
 TERMINAL = _Terminal()
 
 #: Pad key used to complete partial tuples; must exceed every real key.
-#: Real keys are at most 512-bit record prefixes compared as 64-bit numpy
-#: integers, so (2**64 - 1) is reserved.
-SENTINEL_KEY = (1 << 64) - 1
+#: Real keys are uint64 record prefixes, so the sentinel sits one above
+#: the whole key space and no key value is reserved.  The simulator holds
+#: records as Python ints; the sentinel never enters a numpy array.
+SENTINEL_KEY = 1 << 64
 
 
 def is_terminal(item: object) -> bool:

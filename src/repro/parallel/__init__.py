@@ -1,11 +1,14 @@
 """Process-pool execution layer for independent merges, trees and sweeps.
 
 The paper's performance story is built on *independent* units of work —
-λ_unrl trees over disjoint partitions, per-group merges within a stage,
-per-configuration optimizer evaluations — and this package runs them
-side by side on host cores without changing a single result:
+λ_unrl trees over disjoint partitions, per-group merges within a
+model-mode stage, per-configuration optimizer evaluations — and this
+package runs them side by side on host cores without changing a single
+result.  Simulate mode shards only the λ_unrl units, which share no
+state; a single tree's merge groups share one simulated pipeline, so
+they are never split apart:
 
-* :class:`ParallelPlan` is the one policy object (worker count, backend,
+* :class:`ParallelPlan` is the one policy object (worker count,
   chunking, per-task timeout with serial fallback) and its
   :meth:`~ParallelPlan.map` the one execution entry point;
 * :mod:`repro.parallel.shm` ships numpy arrays through POSIX shared
@@ -17,7 +20,8 @@ side by side on host cores without changing a single result:
 
 Determinism contract: same task list + same worker function +
 order-stable reduction ⇒ bit-identical results for every ``jobs``
-setting, pinned by the differential suite in ``tests/parallel``.
+setting, plan-less included, pinned by the differential suite in
+``tests/parallel``.
 """
 
 from repro.parallel.plan import ParallelPlan, available_cpus

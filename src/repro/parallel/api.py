@@ -4,16 +4,13 @@ Each helper takes the exact inputs of one serial loop plus a
 :class:`~repro.parallel.plan.ParallelPlan` and reproduces that loop's
 results through :meth:`ParallelPlan.map`.  The task decomposition never
 depends on the ``jobs`` setting, and every reduction is order-stable, so
-a helper's output is bit-identical across ``jobs=1``, ``jobs=N`` and
-``backend="serial"`` — the differential suite in ``tests/parallel``
-pins this.
+a helper's output is bit-identical at every ``jobs`` setting — the
+differential suite in ``tests/parallel`` pins this against the
+plan-less path.
 
-Record data — model-mode arrays *and* simulate-mode runs — travels
-through :mod:`repro.parallel.shm`: the parent packs batches into one
-shared block, workers attach zero-copy views, and only tiny descriptors
-and cycle counts ride the pickles.  Simulate-mode keys that cannot pack
-into a uint64 block (negative, or beyond 64 bits) degrade to the
-original pickled-int-list transport with identical results.
+Record data travels through :mod:`repro.parallel.shm`: the parent packs
+batches into one shared block, workers attach zero-copy views, and only
+tiny descriptors and cycle counts ride the pickles.
 """
 
 from __future__ import annotations
@@ -24,25 +21,16 @@ from repro.engine.stage import merge_stage
 from repro.parallel.plan import ParallelPlan
 from repro.parallel.shm import (
     alloc_arrays,
-    as_uint64_runs,
+    as_uint64_keys,
     pack_arrays,
     release,
     view_array,
 )
 from repro.parallel.workers import (
     worker_merge_group,
-    worker_simulate_group,
-    worker_simulate_group_shm,
-    worker_simulate_unit,
     worker_simulate_unit_shm,
     worker_sort_partition,
 )
-
-
-# Kept as a module attribute (not a bare-name import) so the
-# differential suite's monkeypatch of ``api._as_uint64_runs`` still
-# reroutes every call site below onto the pickled fallback.
-_as_uint64_runs = as_uint64_runs
 
 
 def merge_stage_sharded(
@@ -88,103 +76,6 @@ def merge_stage_sharded(
     finally:
         release(in_block)
         release(out_block)
-
-
-def simulate_stage_sharded(
-    runs: list[np.ndarray],
-    p: int,
-    leaves: int,
-    record_bytes: int,
-    read_bytes_per_cycle: float,
-    write_bytes_per_cycle: float,
-    batch_bytes: int,
-    plan: ParallelPlan,
-) -> tuple[list[list[int]], int]:
-    """Cycle-simulate one stage with each merge group on its own tree.
-
-    A stage's groups share one physical tree in the joint simulation
-    (they stream through it back to back), so the faithful reduction
-    here is the **sum** of per-group cycle counts: the same work with
-    the cross-group pipeline overlap — a few fill/drain cycles per
-    group — accounted to neither group.  The decomposition is the same
-    for every ``jobs`` setting, so cycle counts stay bit-identical
-    across serial and parallel plans.
-
-    Record transport is zero-copy: runs pack into one shared uint64
-    block, workers attach views of their group's slots, and merged
-    groups land in a pre-allocated output block (a merge preserves its
-    record count, so every output slot's size is known up front).  Only
-    keys that cannot live in a uint64 block ride the pickled fallback.
-    """
-    arrays = None if not runs else _as_uint64_runs(runs)
-    if arrays is None:
-        return _simulate_stage_pickled(
-            runs, p, leaves, record_bytes,
-            read_bytes_per_cycle, write_bytes_per_cycle, batch_bytes, plan,
-        )
-    bounds = [
-        (start, min(start + leaves, len(arrays)))
-        for start in range(0, len(arrays), leaves)
-    ]
-    in_block, in_desc = pack_arrays(arrays)
-    out_lengths = [
-        sum(int(arrays[i].size) for i in range(start, stop))
-        for start, stop in bounds
-    ]
-    out_block, out_desc = alloc_arrays(out_lengths, np.uint64)
-    try:
-        tasks = [
-            (
-                in_desc, out_desc, group, start, stop,
-                p, leaves, record_bytes,
-                read_bytes_per_cycle, write_bytes_per_cycle, batch_bytes,
-            )
-            for group, (start, stop) in enumerate(bounds)
-        ]
-        results = plan.map(worker_simulate_group_shm, tasks)
-        out_runs = []
-        cycles = 0
-        for group, (run_lengths, group_cycles) in enumerate(results):
-            cycles += group_cycles
-            slot = view_array(out_desc, group, out_block)
-            position = 0
-            for length in run_lengths:
-                out_runs.append(slot[position : position + length].tolist())
-                position += length
-        return out_runs, cycles
-    finally:
-        release(in_block)
-        release(out_block)
-
-
-def _simulate_stage_pickled(
-    runs: list[np.ndarray],
-    p: int,
-    leaves: int,
-    record_bytes: int,
-    read_bytes_per_cycle: float,
-    write_bytes_per_cycle: float,
-    batch_bytes: int,
-    plan: ParallelPlan,
-) -> tuple[list[list[int]], int]:
-    """Fallback transport: runs as int lists inside the task pickles."""
-    int_runs = [[int(x) for x in run] for run in runs]
-    tasks = [
-        (
-            p,
-            leaves,
-            int_runs[start : start + leaves],
-            record_bytes,
-            read_bytes_per_cycle,
-            write_bytes_per_cycle,
-            batch_bytes,
-        )
-        for start in range(0, len(int_runs), leaves)
-    ]
-    results = plan.map(worker_simulate_group, tasks)
-    out_runs = [run for group_runs, _cycles in results for run in group_runs]
-    cycles = sum(group_cycles for _runs, group_cycles in results)
-    return out_runs, cycles
 
 
 def sort_partitions_sharded(
@@ -239,95 +130,47 @@ def sort_partitions_sharded(
         release(out_block)
 
 
-def simulate_unrolled_sharded(
-    array: list[int],
-    p: int,
-    leaves: int,
+def simulate_units_sharded(
+    array: np.ndarray | list[int],
     lambda_unroll: int,
-    record_bytes: int,
-    presort_run: int,
-    total_bytes_per_cycle: float,
-    batch_bytes: int,
+    shape: dict,
+    max_cycles: int,
     plan: ParallelPlan,
-    max_cycles: int = 5_000_000,
-) -> tuple[list[int], int, int, int]:
-    """λ unrolled units, each cycle-simulated in its own worker.
+) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """λ unrolled sorter units, one task each, over address-range chunks.
 
-    Mirrors :meth:`repro.hw.banks.UnrolledSimulation.run`: every unit
-    sorts its address-range chunk on a 1/λ bandwidth share, then the
-    sorted ranges merge through one tree at the aggregate budget.  In
-    the joint loop a finished unit's tick is a no-op, so ticking each
-    unit alone visits the exact same cycles — per-unit completion
-    counts reduce to ``parallel_cycles`` with the existing ``max()``
-    semantics, bit-identical to the joint simulation.
+    The loop of :meth:`repro.hw.banks.UnrolledSimulation.run`: ``array``
+    splits into λ equal chunks and each task runs
+    :meth:`~repro.hw.banks._SorterUnit.run_to_completion` with the
+    :class:`~repro.hw.banks._SorterUnit` fields in ``shape``.  The array
+    packs into one shared uint64 block as λ chunk slots; each worker
+    writes its sorted range back into the same-sized output slot, and
+    only cycle and stage counts ride the result pickles.
 
-    Record transport is zero-copy: the array packs into one shared
-    uint64 block as λ chunk slots, each worker attaches a view of its
-    chunk and writes the sorted range back into the same-sized output
-    slot; only cycle/stage counts ride the result pickles.  Keys that
-    cannot live in a uint64 block ride the pickled fallback.
-
-    Returns ``(output, max_stages_done, parallel_cycles,
-    final_merge_cycles)``.
+    Returns each unit's sorted range and its ``(cycles, stages_done)``,
+    in unit order.
     """
-    from repro.hw.tree import simulate_merge
-
-    share = total_bytes_per_cycle / lambda_unroll
-    chunk = -(-len(array) // lambda_unroll)
+    keys = as_uint64_keys(array)
+    chunk = -(-keys.size // lambda_unroll)
     chunks = [
-        list(array[index * chunk : (index + 1) * chunk])
+        keys[index * chunk : (index + 1) * chunk]
         for index in range(lambda_unroll)
     ]
-    arrays = _as_uint64_runs(chunks)
-    if arrays is not None:
-        in_block, in_desc = pack_arrays(arrays)
-        out_block, out_desc = alloc_arrays(
-            [int(a.size) for a in arrays], np.uint64
-        )
-        try:
-            tasks = [
-                (
-                    in_desc, out_desc, index, p, leaves, record_bytes,
-                    share, batch_bytes, presort_run, max_cycles,
-                )
-                for index in range(lambda_unroll)
-            ]
-            results = plan.map(worker_simulate_unit_shm, tasks)
-            parallel_cycles = max(cycles for _busy, _stages, cycles in results)
-            stages_done = max(stages for _busy, stages, _cycles in results)
-            ranges = [
-                view_array(out_desc, index, out_block).tolist()
-                for index in range(lambda_unroll)
-            ]
-        finally:
-            release(in_block)
-            release(out_block)
-    else:
+    in_block, in_desc = pack_arrays(chunks)
+    out_block, out_desc = alloc_arrays(
+        [int(part.size) for part in chunks], np.uint64
+    )
+    try:
         tasks = [
-            (
-                p,
-                leaves,
-                record_bytes,
-                share,
-                batch_bytes,
-                presort_run,
-                chunks[index],
-                max_cycles,
-            )
+            (in_desc, out_desc, index, shape, max_cycles)
             for index in range(lambda_unroll)
         ]
-        results = plan.map(worker_simulate_unit, tasks)
-        parallel_cycles = max(cycles for _out, _busy, _stages, cycles in results)
-        stages_done = max(stages for _out, _busy, stages, _cycles in results)
-        ranges = [output for output, _busy, _stages, _cycles in results]
-    merged, stats = simulate_merge(
-        p=p,
-        leaves=leaves,
-        runs=ranges,
-        record_bytes=record_bytes,
-        read_bytes_per_cycle=total_bytes_per_cycle,
-        write_bytes_per_cycle=total_bytes_per_cycle,
-        batch_bytes=batch_bytes,
-        check_sorted_inputs=False,
-    )
-    return merged[0], stages_done, parallel_cycles, stats.cycles
+        results = plan.map(worker_simulate_unit_shm, tasks)
+        ranges = [
+            view_array(out_desc, index, out_block).tolist()
+            for index in range(lambda_unroll)
+        ]
+    finally:
+        release(in_block)
+        release(out_block)
+    return ranges, results

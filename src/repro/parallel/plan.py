@@ -11,10 +11,8 @@ is applied to the same task list in the same order, and the reduction is
 order-stable (results land at their task's index, never in completion
 order).
 
-Serial execution is forced — regardless of ``jobs`` — when any of these
-hold:
+The map runs as a plain loop in the parent when any of these hold:
 
-* ``backend="serial"`` was requested explicitly;
 * ``jobs`` resolves to 1, or there are fewer than two tasks;
 * the platform cannot ``fork`` (process workers would re-import the
   world per task under ``spawn``, which costs more than it saves for
@@ -86,11 +84,8 @@ class ParallelPlan:
     Parameters
     ----------
     jobs:
-        Worker count, or ``"auto"`` for the machine's CPU count.
-    backend:
-        ``"process"`` (default) shards across a process pool;
-        ``"serial"`` runs a plain loop in the parent (useful to compare
-        against, and what every serial-forcing condition degrades to).
+        Worker count, or ``"auto"`` for the machine's CPU count; 1 runs
+        a plain loop in the parent.
     chunk_size:
         Tasks per pool submission, or ``"auto"`` to split the task list
         into about four chunks per worker (amortises pickling for many
@@ -101,7 +96,6 @@ class ParallelPlan:
     """
 
     jobs: int | str = 1
-    backend: str = "process"
     chunk_size: int | str = "auto"
     task_timeout: float | None = None
 
@@ -113,10 +107,6 @@ class ParallelPlan:
                 )
         elif self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.backend not in ("process", "serial"):
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; expected 'process' or 'serial'"
-            )
         if isinstance(self.chunk_size, str):
             if self.chunk_size != "auto":
                 raise ConfigurationError(
@@ -136,17 +126,13 @@ class ParallelPlan:
     @classmethod
     def serial(cls) -> "ParallelPlan":
         """The do-nothing plan: a plain loop in the parent."""
-        return cls(jobs=1, backend="serial")
+        return cls(jobs=1)
 
     @classmethod
     def from_jobs(cls, jobs: int | str | None) -> "ParallelPlan | None":
         """CLI adapter: ``None`` stays ``None`` (caller keeps its default
-        path), 1 forces serial, anything else shards."""
-        if jobs is None:
-            return None
-        if jobs == 1:
-            return cls.serial()
-        return cls(jobs=jobs)
+        path), 1 is :meth:`serial`, anything else shards."""
+        return None if jobs is None else cls(jobs=jobs)
 
     # ------------------------------------------------------------------
     def resolve_jobs(self) -> int:
@@ -158,8 +144,7 @@ class ParallelPlan:
     def wants_processes(self, n_tasks: int) -> bool:
         """True when this map should actually shard across a pool."""
         return (
-            self.backend == "process"
-            and n_tasks > 1
+            n_tasks > 1
             and self.resolve_jobs() > 1
             and "fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon

@@ -129,40 +129,32 @@ def write_array(descriptor: ShmArrays, index: int, values: np.ndarray) -> None:
         block.close()
 
 
-def as_uint64_runs(runs: list) -> list[np.ndarray] | None:
-    """Coerce int runs to uint64 arrays for shm transport, or ``None``.
+def as_uint64_keys(keys) -> np.ndarray:
+    """``keys`` as a fresh uint64 array, the one record space shm ships.
 
-    The simulator's record space is non-negative 64-bit keys; anything
-    outside that (signalled by numpy's conversion errors) keeps the
-    caller on the pickled-int-list fallback, whose arbitrary-precision
-    ints have no such limit.  This is the one packability gate shared by
-    the simulate-mode transport and the cluster exchange shuttles.
+    Raises :class:`~repro.errors.ConfigurationError` for anything outside
+    ``[0, 2**64)``.  Casting straight to uint64 silently wraps negatives
+    and truncates floats instead of raising, so the gate checks the
+    array's own dtype kind and sign first.  numpy infers float64 for a
+    list mixing keys on both sides of ``2**63``, so a list of Python
+    ints takes the explicit uint64 cast instead, which raises on
+    anything outside the range.  This is the one gate shared by the
+    unrolled simulate transport and the cluster exchange.
     """
-    arrays = []
-    for run in runs:
-        if isinstance(run, np.ndarray):
-            # Casting straight to uint64 silently wraps negatives and
-            # truncates floats instead of raising, so gate on the
-            # array's own dtype kind and range first.
-            if run.dtype.kind == "u":
-                arrays.append(run.astype(np.uint64))
-                continue
-            if run.dtype.kind == "i" and not (run.size and int(run.min()) < 0):
-                arrays.append(run.astype(np.uint64))
-                continue
-            return None
-        # Lists: require genuine ints before casting (floats would
-        # truncate, and large values make numpy infer float64, so the
-        # element scan is the only airtight check; it costs the same
-        # O(n) as the pickled path's per-element int() conversions).
-        if not all(type(x) is int or isinstance(x, np.integer) for x in run):
-            return None
+    message = (
+        "records ship through uint64 shared-memory blocks; keys must be "
+        "integers in [0, 2**64)"
+    )
+    if not isinstance(keys, np.ndarray) and all(type(x) is int for x in keys):
         try:
-            # The explicit cast raises on anything outside [0, 2**64).
-            arrays.append(np.asarray(run, dtype=np.uint64))
-        except (OverflowError, ValueError, TypeError):
-            return None
-    return arrays
+            return np.asarray(keys, dtype=np.uint64)
+        except OverflowError as exc:
+            raise ConfigurationError(message) from exc
+    array = np.asarray(keys)
+    kind = array.dtype.kind
+    if array.size == 0 or kind == "u" or (kind == "i" and int(array.min()) >= 0):
+        return array.astype(np.uint64)
+    raise ConfigurationError(message)
 
 
 def release(block: shared_memory.SharedMemory) -> None:

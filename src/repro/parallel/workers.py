@@ -75,161 +75,26 @@ def worker_sort_partition(task: tuple) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# simulate-mode stage groups (engine/sorter.py)
-# ----------------------------------------------------------------------
-def worker_simulate_group(task: tuple) -> tuple:
-    """Cycle-simulate one merge group on its own tree.
-
-    ``task = (p, leaves, runs, record_bytes, read_bytes_per_cycle,
-    write_bytes_per_cycle, batch_bytes)`` with ``runs`` as plain int
-    lists riding the task pickle.  This is the fallback transport for
-    records that cannot pack into a uint64 shared block (negative or
-    >64-bit keys); the fast lane is :func:`worker_simulate_group_shm`.
-    Returns ``(output_runs, cycles)``.
-    """
-    from repro.hw.tree import simulate_merge
-
-    p, leaves, runs, record_bytes, read_bpc, write_bpc, batch_bytes = task
-    out_runs, stats = simulate_merge(
-        p=p,
-        leaves=leaves,
-        runs=runs,
-        record_bytes=record_bytes,
-        read_bytes_per_cycle=read_bpc,
-        write_bytes_per_cycle=write_bpc,
-        batch_bytes=batch_bytes,
-        check_sorted_inputs=False,
-    )
-    return (out_runs, stats.cycles)
-
-
-def worker_simulate_group_shm(task: tuple) -> tuple:
-    """Cycle-simulate one merge group with its runs in shared memory.
-
-    ``task = (in_desc, out_desc, group_index, start, stop, p, leaves,
-    record_bytes, read_bytes_per_cycle, write_bytes_per_cycle,
-    batch_bytes)`` — the group's input runs occupy slots ``[start,
-    stop)`` of the input block and the sorted output concatenates into
-    output slot ``group_index`` (a merge is length-preserving, so the
-    slot size is exactly the sum of the group's inputs).  Returns
-    ``(output_run_lengths, cycles)``; record data never rides a pickle
-    in either direction.
-    """
-    from multiprocessing import shared_memory
-
-    from repro.hw.tree import simulate_merge
-
-    (
-        in_desc, out_desc, group_index, start, stop,
-        p, leaves, record_bytes, read_bpc, write_bpc, batch_bytes,
-    ) = task
-    block = shared_memory.SharedMemory(name=in_desc.name)
-    try:
-        # tolist() materialises native ints once, up front: the simulator
-        # compares and hashes records in pure Python, where numpy scalars
-        # would be both slower and digest-visible.
-        runs = [view_array(in_desc, i, block).tolist() for i in range(start, stop)]
-    finally:
-        block.close()
-    out_runs, stats = simulate_merge(
-        p=p,
-        leaves=leaves,
-        runs=runs,
-        record_bytes=record_bytes,
-        read_bytes_per_cycle=read_bpc,
-        write_bytes_per_cycle=write_bpc,
-        batch_bytes=batch_bytes,
-        check_sorted_inputs=False,
-    )
-    flat = [record for run in out_runs for record in run]
-    write_array(out_desc, group_index, np.asarray(flat, dtype=np.dtype(out_desc.dtype)))
-    return (tuple(len(run) for run in out_runs), stats.cycles)
-
-
-# ----------------------------------------------------------------------
 # simulate-mode unrolled units (hw/banks.py)
 # ----------------------------------------------------------------------
-def worker_simulate_unit(task: tuple) -> tuple:
-    """Run one unrolled sorter unit's full cycle loop.
-
-    ``task = (p, leaves, record_bytes, bytes_per_cycle, batch_bytes,
-    presort_run, chunk, max_cycles)`` with ``chunk`` riding the task
-    pickle (the fallback transport when records cannot pack into a
-    uint64 shared block; see :func:`worker_simulate_unit_shm`).  Ticks
-    the unit exactly as :meth:`UnrolledSimulation.run`'s joint loop
-    would — a done unit's tick is a no-op there, so per-unit cycle
-    counts are identical and the parent recovers ``parallel_cycles`` as
-    their ``max()``.  Returns ``(output, busy_cycles, stages_done,
-    cycles)``.
-    """
-    from repro.errors import SimulationError
-    from repro.hw.banks import _SorterUnit
-
-    p, leaves, record_bytes, bytes_per_cycle, batch_bytes, presort_run, chunk, max_cycles = task
-    unit = _SorterUnit(
-        p=p,
-        leaves=leaves,
-        record_bytes=record_bytes,
-        bytes_per_cycle=bytes_per_cycle,
-        batch_bytes=batch_bytes,
-        presort_run=presort_run,
-    )
-    unit.load(list(chunk))
-    cycle = 0
-    while not unit.done:
-        if cycle >= max_cycles:
-            raise SimulationError(
-                f"unrolled phase did not finish within {max_cycles} cycles"
-            )
-        unit.tick(cycle)
-        cycle += 1
-    return (unit.output, unit.busy_cycles, unit.stages_done, cycle)
-
-
 def worker_simulate_unit_shm(task: tuple) -> tuple:
-    """Run one unrolled unit with its chunk in shared memory.
+    """Run one unrolled sorter unit over its chunk in shared memory.
 
-    ``task = (in_desc, out_desc, index, p, leaves, record_bytes,
-    bytes_per_cycle, batch_bytes, presort_run, max_cycles)`` — the
+    ``task = (in_desc, out_desc, index, shape, max_cycles)`` — the
     unit's address-range chunk lives in input slot ``index`` and its
     sorted output is written back to output slot ``index`` (same
-    length).  The cycle loop is identical to
-    :func:`worker_simulate_unit`; only the record transport differs.
-    Returns ``(busy_cycles, stages_done, cycles)``.
+    length); ``shape`` holds the :class:`~repro.hw.banks._SorterUnit`
+    fields.  ``tolist()`` hands the simulator native ints: it compares
+    and hashes records in pure Python, where numpy scalars would be both
+    slower and digest-visible.  Returns ``(cycles, stages_done)``.
     """
-    from multiprocessing import shared_memory
-
-    from repro.errors import SimulationError
     from repro.hw.banks import _SorterUnit
 
-    (
-        in_desc, out_desc, index, p, leaves, record_bytes,
-        bytes_per_cycle, batch_bytes, presort_run, max_cycles,
-    ) = task
-    block = shared_memory.SharedMemory(name=in_desc.name)
-    try:
-        chunk = view_array(in_desc, index, block).tolist()
-    finally:
-        block.close()
-    unit = _SorterUnit(
-        p=p,
-        leaves=leaves,
-        record_bytes=record_bytes,
-        bytes_per_cycle=bytes_per_cycle,
-        batch_bytes=batch_bytes,
-        presort_run=presort_run,
-    )
-    unit.load(chunk)
-    cycle = 0
-    while not unit.done:
-        if cycle >= max_cycles:
-            raise SimulationError(
-                f"unrolled phase did not finish within {max_cycles} cycles"
-            )
-        unit.tick(cycle)
-        cycle += 1
-    write_array(out_desc, index, np.asarray(unit.output, dtype=np.dtype(out_desc.dtype)))
-    return (unit.busy_cycles, unit.stages_done, cycle)
+    in_desc, out_desc, index, shape, max_cycles = task
+    chunk = read_array(in_desc, index).tolist()
+    unit = _SorterUnit.run_to_completion(chunk, max_cycles, **shape)
+    write_array(out_desc, index, np.asarray(unit.output, dtype=np.uint64))
+    return (unit.busy_cycles, unit.stages_done)
 
 
 # ----------------------------------------------------------------------
@@ -393,9 +258,6 @@ def worker_eval_throughput(task: tuple) -> list[tuple]:
 WORKER_ENTRIES = (
     worker_merge_group,
     worker_sort_partition,
-    worker_simulate_group,
-    worker_simulate_group_shm,
-    worker_simulate_unit,
     worker_simulate_unit_shm,
     worker_exchange_partition,
     worker_cluster_node_sort,
@@ -411,9 +273,6 @@ __all__ = [
     "worker_eval_throughput",
     "worker_exchange_partition",
     "worker_merge_group",
-    "worker_simulate_group",
-    "worker_simulate_group_shm",
-    "worker_simulate_unit",
     "worker_simulate_unit_shm",
     "worker_sort_partition",
 ]

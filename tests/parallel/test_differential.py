@@ -1,9 +1,9 @@
 """Differential suite: parallel == serial, bit for bit.
 
-The acceptance contract of the execution layer — for every parallelized
-surface (model-mode merge stages, simulate-mode stages, unrolled trees
-in both modes, optimizer rankings), every ``jobs`` setting must
-reproduce the serial results exactly: sorted bytes, modeled seconds,
+The acceptance contract of the execution layer — for every surface that
+takes a plan (model-mode merge stages, simulate-mode sorts, unrolled
+trees in both modes, optimizer rankings), every ``jobs`` setting must
+reproduce the plan-less results exactly: sorted bytes, modeled seconds,
 cycle counts, traffic and ranking order.  Each surface is exercised
 across at least three jobs settings and eight workload seeds.
 """
@@ -29,9 +29,10 @@ from repro.units import GB
 
 SEEDS = tuple(range(8))
 
-#: Three-plus jobs settings per the acceptance criteria; "auto" rides
-#: along to cover CPU-count resolution.
+#: The plan-less path first, as every surface's reference, then three-plus
+#: jobs settings; "auto" rides along to cover CPU-count resolution.
 JOBS_SETTINGS = (
+    None,
     ParallelPlan.serial(),
     ParallelPlan(jobs=2),
     ParallelPlan(jobs=4, chunk_size=2),
@@ -97,11 +98,8 @@ class TestAmtSorterModel:
 class TestAmtSorterSimulate:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_simulate_sort_matches_across_jobs(self, hardware, seed):
-        """Plan-attached simulate mode: identical at every jobs setting.
-
-        The per-group cycle decomposition is the same for all plans, so
-        outputs *and* cycle-derived seconds must agree bit for bit.
-        """
+        """Simulate mode: identical to the plan-less sort at every jobs
+        setting — outputs *and* cycle-derived seconds, bit for bit."""
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 1 << 30, size=900)
         reference = None
@@ -156,7 +154,7 @@ class TestUnrolledModel:
 class TestUnrolledSimulate:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sharded_units_match_joint_simulation(self, hardware, seed):
-        """Per-unit workers reproduce the joint tick loop exactly —
+        """Per-unit workers reproduce the plan-less simulation exactly —
         including ``parallel_cycles = max(unit completion cycles)``."""
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 1 << 30, size=1200)
@@ -236,74 +234,44 @@ class TestOptimizerRanking:
             assert serial._latency_cache[key] == value
 
 
+class TestFullRangeKeys:
+    def test_max_uint64_key_survives_every_simulate_surface(self, hardware):
+        """2**64 - 1 is an ordinary key: the pad sentinel sits above it,
+        so no simulate path drops or miscounts it."""
+        rng = np.random.default_rng(3)
+        data = rng.integers(0, 1 << 64, size=320, dtype=np.uint64)
+        data[::4] = np.iinfo(np.uint64).max
+        expected = np.sort(data)
+        for mode in ("model", "simulate"):
+            outcome = AmtSorter(
+                config=AmtConfig(p=4, leaves=4), hardware=hardware, mode=mode
+            ).sort(data)
+            assert np.array_equal(outcome.data, expected), mode
+        config = AmtConfig(p=4, leaves=4, lambda_unroll=4)
+        for plan in (None, ParallelPlan(jobs=2)):
+            outcome = UnrolledSorter(
+                config=config, hardware=hardware, parallel=plan
+            ).simulate(data)
+            assert np.array_equal(outcome.data, expected), plan
+
+
 class TestSimulateShmTransport:
-    """The zero-copy simulate-mode transport vs its pickled fallback."""
-
-    @staticmethod
-    def _runs(seed: int) -> list[list[int]]:
-        import random
-
-        rng = random.Random(seed)
-        return [
-            sorted(rng.randrange(0, 1000) for _ in range(rng.randrange(10, 60)))
-            for _ in range(8)
-        ]
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_shm_matches_pickled_stage(self, seed):
-        from repro.parallel.api import (
-            _simulate_stage_pickled,
-            simulate_stage_sharded,
-        )
-
-        runs = self._runs(seed)
-        kwargs = dict(
-            p=4, leaves=4, record_bytes=4,
-            read_bytes_per_cycle=16.0, write_bytes_per_cycle=16.0,
-            batch_bytes=64,
-        )
-        for plan in (ParallelPlan.serial(), ParallelPlan(jobs=2)):
-            shm = simulate_stage_sharded(runs, plan=plan, **kwargs)
-            pickled = _simulate_stage_pickled(runs, plan=plan, **kwargs)
-            assert shm == pickled
-
-    def test_unpackable_keys_use_fallback(self):
-        from repro.parallel.api import _as_uint64_runs, simulate_stage_sharded
-
-        # 2**64 exceeds uint64; negative values may not wrap silently.
-        assert _as_uint64_runs([[1, 2**64]]) is None
-        assert _as_uint64_runs([np.asarray([-1, 2], dtype=np.int64)]) is None
-        assert _as_uint64_runs([[1, 2.5]]) is None
-        huge = [[1, 5, 2**64 + 3], [2, 4, 6]]
-        out_runs, cycles = simulate_stage_sharded(
-            huge, p=2, leaves=2, record_bytes=4,
-            read_bytes_per_cycle=8.0, write_bytes_per_cycle=8.0,
-            batch_bytes=32, plan=ParallelPlan.serial(),
-        )
-        assert out_runs == [sorted(huge[0] + huge[1])]
-        assert cycles > 0
+    """The zero-copy simulate-mode transport's uint64 record space."""
 
     def test_uint64_range_packs(self):
-        from repro.parallel.api import _as_uint64_runs
+        from repro.hw.banks import UnrolledSimulation
+        from repro.parallel.shm import as_uint64_keys
 
-        packed = _as_uint64_runs([[0, 2**64 - 1], np.asarray([7], dtype=np.uint32)])
-        assert packed is not None
-        assert all(a.dtype == np.uint64 for a in packed)
-        assert packed[0].tolist() == [0, 2**64 - 1]
-
-    @pytest.mark.parametrize("seed", SEEDS[:4])
-    def test_unrolled_shm_matches_fallback(self, seed, monkeypatch):
-        import repro.parallel.api as api
-
-        rng = np.random.default_rng(seed)
-        array = [int(x) for x in rng.integers(0, 1 << 30, size=600)]
-        kwargs = dict(
-            p=4, leaves=4, lambda_unroll=4, record_bytes=4,
-            presort_run=16, total_bytes_per_cycle=64.0, batch_bytes=64,
-            plan=ParallelPlan(jobs=2),
-        )
-        shm = api.simulate_unrolled_sharded(array, **kwargs)
-        monkeypatch.setattr(api, "_as_uint64_runs", lambda runs: None)
-        pickled = api.simulate_unrolled_sharded(array, **kwargs)
-        assert shm == pickled
-        assert shm[0] == sorted(array)
+        # numpy infers float64 for this list; the gate must not.
+        full_range = [0, 2**64 - 1]
+        packed = [
+            as_uint64_keys(keys)
+            for keys in (full_range, np.asarray([7], dtype=np.uint32))
+        ]
+        assert all(run.dtype == np.uint64 for run in packed)
+        assert packed[0].tolist() == full_range
+        keys = [2**64 - 1, 5, 2**63, 0, 9, 2**64 - 2, 1, 2**63 + 1]
+        for plan in (None, ParallelPlan(jobs=2)):
+            sim = UnrolledSimulation(p=2, leaves=2, lambda_unroll=2)
+            sim.run(keys, plan=plan)
+            assert list(sim.output) == sorted(keys), plan

@@ -34,10 +34,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="jobs"):
             ParallelPlan(jobs="many")
 
-    def test_rejects_bad_backend(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            ParallelPlan(backend="thread")
-
     def test_rejects_bad_chunk_size(self):
         with pytest.raises(ConfigurationError, match="chunk_size"):
             ParallelPlan(chunk_size=0)
@@ -67,7 +63,6 @@ class TestResolution:
         assert not ParallelPlan.serial().wants_processes(100)
         assert not ParallelPlan(jobs=1).wants_processes(100)
         assert not ParallelPlan(jobs=4).wants_processes(1)
-        assert not ParallelPlan(jobs=4, backend="serial").wants_processes(100)
         assert ParallelPlan(jobs=4).wants_processes(2)
 
     def test_chunks_cover_everything_in_order(self):

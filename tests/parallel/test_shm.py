@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.parallel.shm import (
     alloc_arrays,
+    as_uint64_keys,
     pack_arrays,
     read_array,
     release,
@@ -66,37 +67,35 @@ def test_release_tolerates_double_release():
 
 
 class TestUint64Packability:
-    """The one shared guard deciding shm transport vs pickled fallback."""
+    """The one gate every record shipped through shm passes."""
 
     def test_unsigned_and_safe_signed_pack(self):
-        from repro.parallel.shm import as_uint64_runs
-
-        packed = as_uint64_runs([
-            np.asarray([0, 2**64 - 1], dtype=np.uint64),
-            np.asarray([7, 8], dtype=np.uint32),
-            np.asarray([0, 5], dtype=np.int64),
-            [1, 2, np.uint8(3)],
-        ])
-        assert packed is not None
-        assert all(run.dtype == np.uint64 for run in packed)
-        assert [list(run) for run in packed] == [
-            [0, 2**64 - 1], [7, 8], [0, 5], [1, 2, 3],
+        packed = [
+            as_uint64_keys(keys) for keys in (
+                np.asarray([0, 2**64 - 1], dtype=np.uint64),
+                np.asarray([7, 8], dtype=np.uint32),
+                np.asarray([0, 5], dtype=np.int64),
+            )
         ]
+        assert all(run.dtype == np.uint64 for run in packed)
+        assert [run.tolist() for run in packed] == [[0, 2**64 - 1], [7, 8], [0, 5]]
 
-    def test_unpackable_inputs_fall_back(self):
-        from repro.parallel.shm import as_uint64_runs
+    def test_out_of_range_keys_raise(self):
+        for keys in (
+            np.asarray([-1, 2], dtype=np.int64),
+            np.asarray([1.5]),
+            np.asarray([1, 2**64], dtype=object),
+        ):
+            with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*64\)"):
+                as_uint64_keys(keys)
 
-        assert as_uint64_runs([np.asarray([-1, 2], dtype=np.int64)]) is None
-        assert as_uint64_runs([[-1, 2]]) is None
-        assert as_uint64_runs([[1, 2**64]]) is None
-        assert as_uint64_runs([[1, 2.5]]) is None
-        assert as_uint64_runs([np.asarray([1.5])]) is None
-        assert as_uint64_runs([[1, "2"]]) is None
+    def test_cluster_and_unrolled_paths_share_the_gate(self):
+        from repro.distributed.executor import ClusterExecutor
+        from repro.hw.banks import UnrolledSimulation
 
-    def test_api_alias_is_the_shared_guard(self):
-        # The simulate-mode transport and the cluster exchange must
-        # consult the same guard; the api alias also keeps the
-        # differential suite's monkeypatch seam working.
-        from repro.parallel import api, shm
-
-        assert api._as_uint64_runs is shm.as_uint64_runs
+        negative = np.asarray([-1, 2], dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="uint64") as cluster:
+            ClusterExecutor(nodes=2).execute(negative)
+        with pytest.raises(ConfigurationError, match="uint64") as unrolled:
+            UnrolledSimulation(p=2, leaves=2, lambda_unroll=2).run(negative)
+        assert str(cluster.value) == str(unrolled.value)

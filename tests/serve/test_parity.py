@@ -14,6 +14,8 @@ from repro.obs.runtime import activated, live_observation
 from repro.serve import OptimizeJob, SortJob, SortSession
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServerThread
+from repro.serve.session import execute_payload
+from repro.serve.workers import worker_serve_job
 
 
 class TestSortDigestParity:
@@ -43,6 +45,16 @@ class TestSortDigestParity:
         serial = SortSession(jobs=None).run(job)
         pooled = SortSession(jobs=2).run(job)
         assert serial == pooled
+
+
+class TestSimulatePayloadParity:
+    def test_payload_independent_of_where_the_job_runs(self):
+        params = SortJob(records=3000, seed=9, mode="simulate").params()
+        serial = execute_payload(SortSession(None), "sort", params)
+        pooled = execute_payload(SortSession(2), "sort", params)
+        worker = worker_serve_job(("sort", params, None))
+        assert serial[0] == "ok"
+        assert serial == pooled == worker
 
 
 class TestOptimizeParity:

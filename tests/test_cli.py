@@ -78,6 +78,17 @@ class TestSort:
         out = capsys.readouterr().out
         assert "mode=simulate" in out and "verified=OK" in out
 
+    def test_simulate_output_independent_of_jobs(self, capsys):
+        outputs = []
+        for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
+            assert main([
+                "sort", "--records", "3000", "--mode", "simulate",
+                "--print-digest", *jobs,
+            ]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "digest=" in outputs[0]
+
     def test_workload_choice(self, capsys):
         assert main(["sort", "--records", "2000", "--workload", "reverse"]) == 0
         assert "verified=OK" in capsys.readouterr().out
