@@ -5,9 +5,10 @@ work, best of a few repetitions, and each test first asserts that the
 two legs produced identical results.  The floors are half the
 full-size targets, so host noise cannot flake them:
 
-* the event-driven simulator engine against the naive stepper, on
-  bandwidth-bound shapes (the engine's claim) and compute-bound ones
-  (where it must hold parity);
+* each fast simulator engine against the naive stepper, on
+  bandwidth-bound shapes and compute-bound ones (where the tick fast
+  path must hold parity): the timestamp engine ``simulate_merge``
+  runs by default, and the quiescence tick loop it falls back to;
 * a memoized ``Bonsai`` optimizer against cache-cold instances;
 * four workers against one, for the λ_unrl unrolled simulation and the
   4-node cluster sort (multicore hosts only);
@@ -34,6 +35,7 @@ from repro.core.parameters import ArrayParams, MergerArchParams
 from repro.distributed.executor import ClusterExecutor
 from repro.engine.sorter import AmtSorter
 from repro.engine.unrolled import UnrolledSorter
+from repro.hw import timestamp
 from repro.hw.tree import simulate_merge
 from repro.obs.runtime import DISABLED, activated, live_observation
 from repro.parallel import ParallelPlan, available_cpus
@@ -138,18 +140,25 @@ SHAPES = (
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=[shape.name for shape in SHAPES])
-def test_fast_engine_speedup_floor(shape):
+def test_fast_engine_speedup_floor(shape, monkeypatch):
+    """The timestamp engine and the tick fast path (forced by a zero
+    sweep cap) each clear the shape's floor over the naive stepper."""
     naive_seconds, naive = best_of(lambda: shape.simulate("naive"))
     fast_seconds, fast = best_of(lambda: shape.simulate("fast"))
+    monkeypatch.setattr(timestamp, "SWEEP_CAP", 0)
+    tick_seconds, tick = best_of(lambda: shape.simulate("fast"))
     assert fast == naive, f"{shape.name}: engines diverged"
+    assert tick == naive, f"{shape.name}: tick fast path diverged"
+    assert {stats.fallback for stats in tick[1]} == {"no_fixpoint"}
     if shape.n_records is not None:
         assert len(fast[1]) >= 2  # genuinely multi-stage
     floor = shape.target_speedup / 2
-    speedup = naive_seconds / fast_seconds
-    assert speedup >= floor, (
-        f"{shape.name}: {speedup:.2f}x under floor {floor:.2f}x "
-        f"({naive_seconds:.3f}s naive, {fast_seconds:.3f}s fast)"
-    )
+    for leg, seconds in (("timestamp", fast_seconds), ("tick", tick_seconds)):
+        speedup = naive_seconds / seconds
+        assert speedup >= floor, (
+            f"{shape.name}: {leg} {speedup:.2f}x under floor {floor:.2f}x "
+            f"({naive_seconds:.3f}s naive, {seconds:.3f}s {leg})"
+        )
 
 
 def test_optimizer_memoization_speeds_up():

@@ -155,11 +155,10 @@ class AmtSorter:
         frequency = self.arch.frequency_hz
         budget = self.hardware.beta_dram / frequency
         dtype = runs[0].dtype if runs else np.uint64
-        int_runs = [[int(x) for x in run] for run in runs]
         out_runs, stats = simulate_merge(
             p=self.config.p,
             leaves=self.config.leaves,
-            runs=int_runs,
+            runs=runs,
             record_bytes=self.arch.record_bytes,
             read_bytes_per_cycle=budget,
             write_bytes_per_cycle=budget,

@@ -7,7 +7,7 @@ cycle ``c + 1`` — the standard one-register-per-stage pipeline discipline.
 The resulting pipeline fill latency matches the datapath depth, and
 steady-state throughput is one tuple per component per cycle.
 
-Two execution engines drive the same component graph:
+Two tick engines drive the same component graph:
 
 * the **naive stepper** ticks every component on every cycle;
 * the **event-driven fast path** (:mod:`repro.hw.fastpath`) puts
@@ -18,6 +18,13 @@ Two execution engines drive the same component graph:
   equivalents — same final cycle count, same statistics, same data —
   which the differential suite in ``tests/hw/test_fastpath.py``
   verifies across randomized shapes.
+
+A merge stage (:func:`repro.hw.tree.simulate_merge`) with
+``engine="fast"`` does not tick at all: the timestamp engine
+(:mod:`repro.hw.timestamp`) solves the stage's event times as a fixed
+point.  Only the stages it cannot represent exactly come here, to the
+fast path; ``engine="naive"`` always comes here, to the stepper.  The
+unrolled and pipelined sorters tick their own component graphs here.
 """
 
 from __future__ import annotations

@@ -1,5 +1,12 @@
 """Cycle-exact event-driven fast path for the simulator.
 
+Which engine runs when: :class:`~repro.hw.clock.Simulation` uses this
+scheduler whenever every component implements the quiescence protocol
+below and ``fast_forward`` is set.  A merge stage under
+``simulate_merge(engine="fast")`` reaches it only as the fallback of the
+timestamp engine (:mod:`repro.hw.timestamp`); the unrolled and pipelined
+sorters' own component graphs always tick here.
+
 The naive :class:`~repro.hw.clock.Simulation` loop ticks every component
 on every cycle.  In the memory-bound configurations the paper cares most
 about (§IV, Eq. 1-3) almost all of those ticks are *stall ticks*: the

@@ -31,6 +31,35 @@ from repro.hw.probes import LoaderStats
 from repro.hw.terminal import TERMINAL, SENTINEL_KEY, is_terminal
 
 
+def batch_pieces(
+    lengths: Sequence[int], run: int, offset: int, batch_records: int, tuple_width: int
+) -> tuple[list[tuple[int, int, int]], int, int]:
+    """Carve one read batch out of a leaf's runs, from record ``offset``
+    of run ``run``.
+
+    A leaf's runs occupy consecutive DRAM addresses, so one batch may
+    span several short runs.  Returns the ``(run, start, stop)`` record
+    ranges the batch reads, in order, and the ``(run, offset)`` the next
+    batch starts from; a range that reaches its run's end carries that
+    run's terminal.  A batch that stops mid-run stops at a tuple
+    boundary, so sentinel pads only ever complete a run's last tuple.
+    """
+    pieces = []
+    taken = 0
+    while taken < batch_records and run < len(lengths):
+        length = lengths[run]
+        remaining = length - offset
+        take = min(batch_records - taken, remaining)
+        if take < remaining:
+            take -= take % tuple_width
+        pieces.append((run, offset, offset + take))
+        taken += take
+        if take < remaining:
+            return pieces, run, offset + take
+        run, offset = run + 1, 0
+    return pieces, run, offset
+
+
 @dataclass
 class _LeafFeed:
     """Pending input of one leaf: a queue of runs, each a list of keys."""
@@ -39,6 +68,10 @@ class _LeafFeed:
     runs: list[list[int]]
     run_index: int = 0
     offset: int = 0
+    lengths: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.lengths = [len(run) for run in self.runs]
 
     @property
     def exhausted(self) -> bool:
@@ -231,53 +264,45 @@ class DataLoader:
         self._inflight_index = index
         return self.feeds[index]
 
-    def _start_batch(self, feed: _LeafFeed) -> None:
-        """Carve the next batch out of the feed's pending runs.
+    def transfer_cycles(self, records: int) -> int:
+        """Cycles one batch of ``records`` records holds the memory port."""
+        size_bytes = max(records, 1) * self.record_bytes
+        return max(1, math.ceil(size_bytes / self.read_bytes_per_cycle))
 
-        A leaf's runs occupy consecutive DRAM addresses, so one burst may
-        span several short runs; terminal markers are interleaved at run
+    def _start_batch(self, feed: _LeafFeed) -> None:
+        """Carve the next batch out of the feed's pending runs
+        (:func:`batch_pieces`); terminal markers are interleaved at run
         boundaries (the zero-append of §V-B operates on the same stream).
         """
+        pieces, feed.run_index, feed.offset = batch_pieces(
+            feed.lengths, feed.run_index, feed.offset,
+            self.batch_records, self.tuple_width,
+        )
         items: list = []
         taken = 0
-        batch_records = self.batch_records
         tuple_width = self.tuple_width
         pad_row = (SENTINEL_KEY,) * tuple_width
-        while taken < batch_records and not feed.exhausted:
-            run = feed.runs[feed.run_index]
-            offset = feed.offset
-            remaining = len(run) - offset
-            take = min(batch_records - taken, remaining)
-            if take:
-                # the slice is already a fresh list the chunking below
-                # owns; copying it again would double the allocation
-                records = run[offset : offset + take]
-                offset += take
-                feed.offset = offset
-                taken += take
-                if tuple_width == 1:
-                    # Burst lane: leaf tuples are single records, so the
-                    # batch maps 1:1 onto rows without slicing.
-                    items.extend((record,) for record in records)
-                else:
-                    for start in range(0, len(records), tuple_width):
-                        chunk = tuple(records[start : start + tuple_width])
-                        if len(chunk) < tuple_width:
-                            chunk = chunk + pad_row[: tuple_width - len(chunk)]
-                        items.append(chunk)
-            if offset >= len(run):
-                items.append(TERMINAL)
-                feed.run_index += 1
-                feed.offset = 0
-                self.stats.runs_fed += 1
+        for run, start, stop in pieces:
+            # the slice is already a fresh list the chunking below owns;
+            # copying it again would double the allocation
+            records = feed.runs[run][start:stop]
+            taken += stop - start
+            if tuple_width == 1:
+                # Burst lane: leaf tuples are single records, so the
+                # batch maps 1:1 onto rows without slicing.
+                items.extend((record,) for record in records)
             else:
-                break  # batch quota hit mid-run
-        batch_size_bytes = max(taken, 1) * self.record_bytes
+                for index in range(0, len(records), tuple_width):
+                    chunk = tuple(records[index : index + tuple_width])
+                    if len(chunk) < tuple_width:
+                        chunk = chunk + pad_row[: tuple_width - len(chunk)]
+                    items.append(chunk)
+            if stop == feed.lengths[run]:
+                items.append(TERMINAL)
+                self.stats.runs_fed += 1
         self._inflight_feed = feed
         self._inflight_items = items
-        self._inflight_cycles_left = max(
-            1, math.ceil(batch_size_bytes / self.read_bytes_per_cycle)
-        )
+        self._inflight_cycles_left = self.transfer_cycles(taken)
         self.stats.batches_issued += 1
         self.stats.bytes_loaded += taken * self.record_bytes
 
@@ -325,6 +350,16 @@ def _bit_reverse(value: int, bits: int) -> int:
     return out
 
 
+def leaf_positions(n_leaves: int) -> list[int]:
+    """Which run of each group every leaf receives: ``bitrev(leaf)``.
+
+    See :func:`make_feeds`; the one statement of the placement, shared
+    with the timestamp engine.
+    """
+    depth = max(0, n_leaves.bit_length() - 1)
+    return [_bit_reverse(leaf, depth) for leaf in range(n_leaves)]
+
+
 def make_feeds(
     leaf_fifos: Sequence[Fifo], runs: Sequence[Sequence[int]], n_leaves: int
 ) -> list[_LeafFeed]:
@@ -349,8 +384,7 @@ def make_feeds(
         raise SimulationError(f"leaf count must be a power of two, got {n_leaves}")
     n_groups = max(1, -(-len(runs) // n_leaves))
     feeds = []
-    for leaf in range(n_leaves):
-        position = _bit_reverse(leaf, depth)
+    for leaf, position in enumerate(leaf_positions(n_leaves)):
         leaf_runs: list[list[int]] = []
         for group in range(n_groups):
             index = group * n_leaves + position

@@ -1,0 +1,690 @@
+"""Timestamp engine: one merge stage solved as a max-plus fixed point.
+
+The tick loop (:class:`~repro.hw.clock.Simulation`) advances every
+component one cycle at a time.  This engine computes the same stage
+without ticking, from two observations:
+
+* **Data is independent of timing.**  A k-merger consumes its ports in
+  the stable merge order of their head tuples' leading keys (the
+  :mod:`repro.hw.merger` docstring), and emits the sorted records of
+  everything it consumed in k-record tuples; a coupler pairs its input
+  tuples; the loader carves each leaf's runs into the same batches
+  whatever the cycle.  So every FIFO's item stream and every
+  component's action list follow from the keys alone, with numpy.
+* **Timing is a max-plus recurrence.**  Tick order within a cycle is the
+  writer, then ``tree.components`` root to leaf (a merger's couplers
+  just before it), then the loader.  An item pushed at cycle ``t`` is
+  seen by its consumer at ``t`` when the consumer ticks later in the
+  cycle and at ``t + 1`` otherwise; a freed slot reaches the producer
+  by the same rule.  Coupler-to-merger FIFOs are therefore push +0 /
+  pop +1, and every other FIFO push +1 / pop +0.  A component's action
+  ``s`` (one per tick at most) fires at ``t_s = max(t_{s-1} + 1, E_s)``,
+  where ``E_s`` is the latest of the cycles at which the items it needs
+  become visible and at which its output slot frees — one
+  ``np.maximum.accumulate`` per component.
+
+Each FIFO carries two int32 arrays: ``V[i]``, the cycle its consumer
+first sees item ``i``, and ``W[i]``, the cycle its producer first sees
+item ``i``'s slot free.  :func:`solve` sweeps Gauss-Seidel style —
+loader, merger and coupler levels leaf to root, writer — until a whole
+sweep changes no array.  Every dependency cycle in the stage crosses a
++1 edge (a slot cannot free in the cycle it fills), so each time is
+determined by strictly earlier events and the fixed point is unique: by
+induction over (cycle, tick position) it is the tick loop's trajectory.
+The engine only ever returns such a verified fixed point; every regime
+it cannot represent exactly returns a fallback reason instead, and the
+caller runs the tick loop (see :data:`FALLBACK_REASONS`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
+
+import numpy as np
+
+from repro.errors import ConfigurationError
+from repro.hw.loader import batch_pieces, leaf_positions
+from repro.hw.probes import LoaderStats, MergerStats
+from repro.parallel.shm import as_uint64_keys
+
+#: Sweeps allowed before the stage is handed back to the tick loop.
+#: Measured stages settle in 4-40 sweeps.
+SWEEP_CAP = 200
+
+#: Largest cycle the int32 time arrays may hold.
+_TIME_LIMIT = 1 << 30
+
+#: Why a stage ran the tick loop instead, by ``StageStats.fallback`` tag.
+FALLBACK_REASONS = {
+    "unsorted": "an input run is not sorted (check_sorted_inputs=False)",
+    "key_range": "a key is not an integer in [0, 2**64)",
+    "writer_stuck": "the writer's credit cap (4x its rate) is below one root tuple",
+    "max_cycles": "the stage needs more than max_cycles cycles",
+    "no_fixpoint": f"no fixed point within {SWEEP_CAP} sweeps",
+}
+
+
+@dataclass
+class Solution:
+    """A solved stage: merged runs plus everything ``StageStats`` reports."""
+
+    runs: list
+    cycles: int
+    merger_stats: list[MergerStats]
+    loader_stats: LoaderStats
+    bytes_written: int
+    sweeps: int
+
+
+def array_runs(runs: Sequence[Sequence[int]]) -> bool:
+    """Whether a stage's runs (and so its merged runs) are numpy arrays."""
+    return bool(runs) and all(isinstance(run, np.ndarray) for run in runs)
+
+
+def key_array(runs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The runs as one flat key array plus per-run lengths.
+
+    The keys are uint64 when every one is an integer in ``[0, 2**64)``
+    (the range :func:`repro.parallel.shm.as_uint64_keys` admits).  Any
+    other keys keep their own dtype (object for Python sequences), which
+    :func:`first_unsorted` still orders, and the stage runs the tick loop.
+    """
+    lengths = np.fromiter((len(run) for run in runs), dtype=np.int64, count=len(runs))
+    if array_runs(runs):
+        flat = np.concatenate(runs)
+    else:
+        flat = [key for run in runs for key in run]
+    try:
+        return as_uint64_keys(flat), lengths
+    except ConfigurationError:
+        return np.asarray(flat, dtype=None if array_runs(runs) else object), lengths
+
+
+def first_unsorted(keys: np.ndarray, lengths: np.ndarray) -> tuple[int, int] | None:
+    """``(run index, offset)`` of the first key below its predecessor."""
+    if keys.size < 2:
+        return None
+    drops = keys[1:] < keys[:-1]
+    ends = np.cumsum(lengths)
+    boundary = ends[(ends > 0) & (ends < keys.size)] - 1
+    drops[boundary] = False
+    if not drops.any():
+        return None
+    position = int(np.argmax(drops)) + 1
+    run = int(np.searchsorted(ends, position, side="right"))
+    return run, position - int(ends[run] - lengths[run])
+
+
+def _exclusive(values: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums, int32."""
+    out = np.cumsum(values, dtype=np.int32)
+    out -= values
+    return out
+
+
+def _segment_index(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For segments of ``counts`` items laid end to end: each item's
+    segment and its index within the segment (int32)."""
+    segment = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    local = np.arange(segment.size, dtype=np.int32)
+    local -= _exclusive(counts)[segment]
+    return segment, local
+
+
+@dataclass
+class _Block:
+    """A row of FIFOs, one per stream, laid out contiguously in V/W.
+
+    ``counts[x, g]`` is stream ``x``'s data tuples in group ``g``; each
+    group ends in one terminal.  ``offsets[x, g]`` is the global index
+    of group ``g``'s first item.
+    """
+
+    lo: int
+    hi: int
+    counts: np.ndarray
+    offsets: np.ndarray
+    capacity: int
+    push_delay: int
+    pop_delay: int
+
+    @classmethod
+    def layout(cls, base, counts, capacity, push_delay, pop_delay) -> "_Block":
+        counts = counts.astype(np.int32)
+        items = (counts + 1).reshape(-1)
+        offsets = (base + _exclusive(items)).reshape(counts.shape)
+        return cls(
+            base, base + int(items.sum()), counts, offsets,
+            capacity, push_delay, pop_delay,
+        )
+
+    def terminal(self) -> np.ndarray:
+        """Global index of each (stream, group) terminal."""
+        return self.offsets + self.counts
+
+    def slot_index(self, items: np.ndarray, streams: np.ndarray, dummy: int) -> np.ndarray:
+        """Index into W of the slot each of ``items`` waits for: the
+        item ``capacity`` places earlier in its FIFO, else ``dummy``."""
+        earlier = items - self.capacity
+        return np.where(earlier >= self.offsets[streams, 0], earlier, dummy).astype(np.int32)
+
+
+@dataclass
+class _Level:
+    """One row of identical components (a tree level's mergers or its
+    couplers), solved by one batched pass per sweep."""
+
+    #: V indices every action needs visible, W index of its output slot
+    need_a: np.ndarray
+    need_b: np.ndarray | None
+    slot: np.ndarray
+    #: actions that push, in output item order
+    push: np.ndarray
+    out: _Block
+    inp: _Block
+    #: per component: [start, stop) of its actions
+    bounds: list[tuple[int, int]]
+    #: coupler: the actions that pop, in input item order
+    pop: np.ndarray | None = None
+    #: merger: where each input item's pop time comes from in
+    #: concat(action times, terminal retirements)
+    pop_src: np.ndarray | None = None
+    #: merger: per (port stream, group) terminal, its V index, the
+    #: action it follows (``first``: none) and the next action's slot
+    term_need: np.ndarray | None = None
+    term_anchor: np.ndarray | None = None
+    term_first: np.ndarray | None = None
+    term_slot: np.ndarray | None = None
+    #: merger: first action and data tuples of each (merger, group)
+    block_start: np.ndarray | None = None
+    n: np.ndarray | None = None
+    #: the last sweep's action times and retirements
+    t: np.ndarray | None = None
+    retire: np.ndarray | None = None
+
+
+class _Stage:
+    """The static structure of one stage and its Gauss-Seidel sweep."""
+
+    def __init__(self, tree, keys, lengths, loader, writer) -> None:
+        self.tree = tree
+        self.depth = depth = tree.depth
+        leaves = tree.leaves
+        self.groups = groups = max(1, -(-lengths.size // leaves))
+        tuple_width = tree.leaf_width
+        self.widths = [tree.merger_width_at(level) for level in range(depth)]
+
+        # Which leaf each run feeds: run g*l + j goes to the leaf whose
+        # position is j (make_feeds).
+        leaf_of = np.empty(leaves, dtype=np.int64)
+        leaf_of[leaf_positions(leaves)] = np.arange(leaves)
+        run_index = np.arange(lengths.size)
+        self.run_leaf = leaf_of[run_index % leaves]
+        self.run_group = run_index // leaves
+        self.lengths = lengths
+        leaf_len = np.zeros((leaves, groups), dtype=np.int64)
+        leaf_len[self.run_leaf, self.run_group] = lengths
+
+        # Dense key ranks: equal keys tie, the sentinel ranks above all.
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        step = np.zeros(keys.size, dtype=np.int32)
+        np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+        del ordered
+        np.cumsum(step, out=step)
+        self.sentinel = int(step[-1]) + 1 if keys.size else 0
+        self.rank = np.empty_like(step)
+        self.rank[order] = step
+        del order, step
+
+        # One index space for every FIFO's items; the extra last slot is
+        # a W entry that is always free.
+        internal = tree.root_fifo.capacity
+        coupled = [
+            level + 1 < depth and self.widths[level + 1] < self.widths[level]
+            for level in range(depth)
+        ]
+        ports: list[_Block] = [None] * depth
+        pres: list[_Block | None] = [None] * depth
+        ports[depth - 1] = block = _Block.layout(
+            0, -(-leaf_len // tuple_width), tree.leaf_fifos[0].capacity, 1, 0
+        )
+        outs: list[_Block] = [None] * depth
+        for level in range(depth - 1, 0, -1):
+            port = ports[level].counts
+            merged = port[0::2] + port[1::2]
+            if coupled[level - 1]:
+                pres[level - 1] = outs[level] = block = _Block.layout(
+                    block.hi, merged, internal, 1, 0
+                )
+                ports[level - 1] = block = _Block.layout(
+                    block.hi, -(-merged // 2), internal, 0, 1
+                )
+            else:
+                ports[level - 1] = outs[level] = block = _Block.layout(
+                    block.hi, merged, internal, 1, 0
+                )
+        port = ports[0].counts
+        self.root = outs[0] = _Block.layout(block.hi, port[0::2] + port[1::2], internal, 1, 0)
+        self.ports = ports
+        self.dummy = self.root.hi
+        self.V = np.zeros(self.dummy + 1, dtype=np.int32)
+        self.W = np.zeros(self.dummy + 1, dtype=np.int32)
+
+        # Sweep order: leaf to root, a level's couplers after the level
+        # below them.
+        self.levels: list[_Level] = []
+        self.merger_levels: dict[int, _Level] = {}
+        for level in range(depth - 1, -1, -1):
+            self.merger_levels[level] = lv = self._merger_level(level, outs[level])
+            self.levels.append(lv)
+            if level and coupled[level - 1]:
+                self.levels.append(self._coupler_level(pres[level - 1], ports[level - 1]))
+        del self.rank
+        widest = max(len(lv.push) for lv in self.levels)
+        self.arange = np.arange(widest, dtype=np.int32)
+
+        self._carve_batches(leaf_len, tuple_width, loader)
+        self.write_rate = writer.write_bytes_per_cycle
+        self.root_cost = tree.p * loader.record_bytes
+
+    # ------------------------------------------------------------------
+    # structure
+    # ------------------------------------------------------------------
+    def _lead_ranks(self, level: int, tuple_seg: np.ndarray, tuple_j: np.ndarray) -> np.ndarray:
+        """Dense rank of each port tuple's leading key at ``level``, in
+        (stream, group, tuple) order; pads lead with the sentinel rank."""
+        counts = self.ports[level].counts
+        streams, groups = counts.shape
+        scale = self.sentinel + 1
+        run_seg = (self.run_leaf >> (self.depth - 1 - level)) * groups + self.run_group
+        packed = np.repeat(run_seg * scale, self.lengths)
+        packed += self.rank
+        packed.sort(kind="stable")
+        sizes = np.zeros(streams * groups, dtype=np.int64)
+        np.add.at(sizes, run_seg, self.lengths)
+        offset = tuple_j * self.widths[level]
+        real = offset < sizes[tuple_seg]
+        offset += _exclusive(sizes)[tuple_seg]
+        offset[~real] = 0
+        lead = packed[offset] if packed.size else np.zeros(offset.size, dtype=np.int64)
+        del packed, offset
+        lead -= tuple_seg.astype(np.int64) * scale
+        lead[~real] = self.sentinel
+        return lead
+
+    def _merger_level(self, level: int, out: _Block) -> _Level:
+        inp = self.ports[level]
+        groups = self.groups
+        n_ports = inp.counts.reshape(-1)
+        n_a = inp.counts[0::2].reshape(-1)
+        n_b = inp.counts[1::2].reshape(-1)
+        n = n_a + n_b                                   # per (merger, group)
+        blocks = np.where(n > 0, n + 2, 1).astype(np.int32)
+        block_start = _exclusive(blocks)
+        total = int(blocks.sum())
+        terms = inp.terminal()
+        term_a = terms[0::2].reshape(-1)
+        term_b = terms[1::2].reshape(-1)
+        terms = terms.reshape(-1)
+
+        # Per action: consumes take a group's first n slots, then come a
+        # flush and a terminal, which need both ports at their terminal.
+        # Every action but a group's priming consume pushes one item.
+        seg, local = _segment_index(blocks)
+        need_a = term_a[seg]
+        need_b = term_b[seg]
+        push = (local >= 1) | (n[seg] == 0)
+        local -= 1
+        np.maximum(local, 0, out=local)
+        local += out.offsets.reshape(-1)[seg]
+        slot = out.slot_index(local, seg // groups, self.dummy)
+        del seg, local
+
+        # Consumes: the stable merge of the ports' leading keys, port a
+        # first on ties, as rank r of each (merger, group).
+        tuple_seg, tuple_j = _segment_index(n_ports)
+        key = self._lead_ranks(level, tuple_seg, tuple_j)
+        pair = (tuple_seg // groups >> 1) * groups + tuple_seg % groups
+        key += pair.astype(np.int64) * (self.sentinel + 1)
+        order = np.argsort(key, kind="stable")
+        del key
+        tuple_seg, tuple_j, pair = tuple_seg[order], tuple_j[order], pair[order]
+        del order
+        rank = np.arange(tuple_seg.size, dtype=np.int32)
+        rank -= _exclusive(n)[pair]
+        act = block_start[pair] + rank
+        before = np.where((tuple_seg // groups) & 1, rank - tuple_j, tuple_j)
+        need_a[act] = term_a[pair] - n_a[pair] + before
+        before -= rank
+        need_b[act] = term_b[pair] - n_b[pair] - before
+        del before, rank, pair
+
+        # Each input item's pop: its consume, or for a terminal the
+        # retirement slot after all actions.
+        pop_src = np.empty(inp.hi - inp.lo, dtype=np.int32)
+        pop_src[inp.offsets.reshape(-1)[tuple_seg] + tuple_j - inp.lo] = act
+        term_index = np.arange(terms.size, dtype=np.int32)
+        pop_src[terms - inp.lo] = total + term_index
+
+        # A port's terminal retires, at no cycle cost, after its last
+        # consume (or the previous group's terminal action) and no
+        # later than the action that follows.
+        last = np.full(terms.size, -1, dtype=np.int32)
+        is_last = tuple_j == n_ports[tuple_seg] - 1
+        last[tuple_seg[is_last]] = act[is_last]
+        del tuple_seg, tuple_j, act, is_last
+        pair = (term_index // groups >> 1) * groups + term_index % groups
+        first = (term_index % groups == 0) & (last < 0)
+        following = np.where(last >= 0, last + 1, block_start[pair])
+        anchor = np.where(first, 0, following - 1).astype(np.int32)
+
+        starts = block_start.reshape(-1, groups)[:, 0]
+        stops = np.append(starts[1:], total)
+        return _Level(
+            need_a=need_a, need_b=need_b, slot=slot, push=push, out=out, inp=inp,
+            bounds=list(zip(starts.tolist(), stops.tolist())),
+            pop_src=pop_src, term_need=terms, term_anchor=anchor,
+            term_first=first, term_slot=slot[following],
+            block_start=block_start, n=n,
+        )
+
+    def _coupler_level(self, inp: _Block, out: _Block) -> _Level:
+        """Per input group of n half-tuples: n consumes (every second one
+        pushes a pair), a sentinel-padded push when n is odd, and the
+        terminal, popped and pushed in one action."""
+        n_in = inp.counts.reshape(-1)
+        blocks = n_in + (n_in & 1) + 1
+        total = int(blocks.sum())
+        seg, local = _segment_index(blocks)
+        consume = local < n_in[seg]
+        term = local == blocks[seg] - 1
+        need = inp.offsets.reshape(-1)[seg] + np.minimum(local, n_in[seg])
+        pushed = np.where(consume, local >> 1, (n_in[seg] + term) >> 1)
+        pushed += out.offsets.reshape(-1)[seg]
+        starts = _exclusive(blocks).reshape(-1, self.groups)[:, 0]
+        stops = np.append(starts[1:], total)
+        return _Level(
+            need_a=need, need_b=None,
+            slot=out.slot_index(pushed, seg // self.groups, self.dummy),
+            push=~consume | (local & 1 == 1),
+            out=out, inp=inp,
+            bounds=list(zip(starts.tolist(), stops.tolist())),
+            pop=consume | term,
+        )
+
+    # ------------------------------------------------------------------
+    def _carve_batches(self, leaf_len: np.ndarray, tuple_width: int, loader) -> None:
+        """Each leaf's batches as (items, transfer cycles), carved by
+        :func:`~repro.hw.loader.batch_pieces` from run lengths alone."""
+        batch_records = loader.batch_records
+        self.batches: list[list[tuple[int, int]]] = []
+        sizes: list[int] = []
+        taken_total = 0
+        for lengths in leaf_len.tolist():
+            feed: list[tuple[int, int]] = []
+            run = offset = 0
+            while run < len(lengths):
+                pieces, run, offset = batch_pieces(
+                    lengths, run, offset, batch_records, tuple_width
+                )
+                taken = items = 0
+                for piece_run, start, stop in pieces:
+                    taken += stop - start
+                    items += -(-(stop - start) // tuple_width) + (stop == lengths[piece_run])
+                feed.append((items, loader.transfer_cycles(taken)))
+                sizes.append(items)
+                taken_total += taken
+            self.batches.append(feed)
+        self.batch_sizes = np.array(sizes, dtype=np.int64)
+        self.loader_stats = LoaderStats(
+            batches_issued=len(sizes),
+            bytes_loaded=taken_total * loader.record_bytes,
+            runs_fed=int(leaf_len.size),
+            cycles_bandwidth_limited=sum(c for feed in self.batches for _i, c in feed),
+        )
+        batch_records_tuples = -(-batch_records // tuple_width)
+        self.need_free = batch_records_tuples + 1
+        leaves = self.ports[self.depth - 1]
+        items = np.arange(leaves.lo, leaves.hi, dtype=np.int32)
+        streams = np.repeat(np.arange(leaves.counts.shape[0]), (leaves.counts + 1).sum(axis=1))
+        self.leaf_slot = leaves.slot_index(items, streams, self.dummy)
+
+    # ------------------------------------------------------------------
+    # one sweep
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _store(array: np.ndarray, lo: int, hi: int, values: np.ndarray) -> bool:
+        """Write ``values`` to ``array[lo:hi]``; whether anything changed."""
+        if np.array_equal(array[lo:hi], values):
+            return False
+        array[lo:hi] = values
+        return True
+
+    def _load(self) -> bool:
+        """Exact replay of the loader: round-robin ``_find_feed`` against
+        the leaf pop times, one batch in flight, skid-buffer parking.
+
+        A feed is eligible once its FIFO has ``batch_tuples + 1`` free
+        slots and nothing of it is parked; a delivered item enters its
+        FIFO at the delivery tick or, parked, when its slot frees.
+        """
+        leaves = self.ports[self.depth - 1]
+        pops = self.W
+        capacity = leaves.capacity
+        need_free = self.need_free
+        fifo_lo = leaves.offsets[:, 0].tolist()
+        batches = self.batches
+        n_feeds = len(batches)
+        never = 1 << 62
+        next_batch = [0] * n_feeds
+        pushed = [0] * n_feeds
+        ready = [0 if feed else never for feed in batches]
+        delivered: list[list[int]] = [[] for _ in range(n_feeds)]
+        live = sum(1 for feed in batches if feed)
+        cycle = cursor = 0
+        while live:
+            start = max(cycle, min(ready))
+            index = cursor
+            while ready[index] > start:
+                index = index + 1 if index + 1 < n_feeds else 0
+            items, cycles = batches[index][next_batch[index]]
+            done = start + cycles - 1
+            delivered[index].append(done)
+            parked_until = done
+            last = pushed[index] + items - 1
+            if last >= capacity:
+                parked_until = max(done, int(pops[fifo_lo[index] + last - capacity]))
+            pushed[index] += items
+            next_batch[index] += 1
+            if next_batch[index] == len(batches[index]):
+                ready[index] = never
+                live -= 1
+            else:
+                wanted = pushed[index] - capacity + need_free
+                ready[index] = parked_until if wanted <= 0 else max(
+                    parked_until, int(pops[fifo_lo[index] + wanted - 1])
+                )
+            cursor = index + 1 if index + 1 < n_feeds else 0
+            cycle = start + cycles
+        pushes = np.repeat(
+            np.array([t for feed in delivered for t in feed], dtype=np.int32),
+            self.batch_sizes,
+        )
+        np.maximum(pushes, self.W[self.leaf_slot], out=pushes)
+        pushes += 1
+        return self._store(self.V, leaves.lo, leaves.hi, pushes)
+
+    def _solve_level(self, lv: _Level) -> bool:
+        """One level's action times by segmented cummax, then its pushes
+        (output V) and pops (input W)."""
+        V, W = self.V, self.W
+        times = V[lv.need_a]
+        if lv.need_b is not None:
+            np.maximum(times, V[lv.need_b], out=times)
+        np.maximum(times, W[lv.slot], out=times)
+        # t_s = max(t_{s-1} + 1, E_s)  <=>  t_s - s = cummax(E_s - s)
+        steps = self.arange[: times.size]
+        times -= steps
+        for lo, hi in lv.bounds:
+            np.maximum.accumulate(times[lo:hi], out=times[lo:hi])
+        times += steps
+        lv.t = times
+        pushes = times[lv.push]
+        pushes += lv.out.push_delay
+        changed = self._store(V, lv.out.lo, lv.out.hi, pushes)
+        if lv.pop is not None:
+            pops = times[lv.pop]
+        else:
+            retire = times[lv.term_anchor]
+            retire += 1
+            retire[lv.term_first] = 0
+            np.maximum(retire, V[lv.term_need], out=retire)
+            np.maximum(retire, W[lv.term_slot], out=retire)
+            lv.retire = retire
+            pops = np.concatenate((times, retire))[lv.pop_src]
+        pops += lv.inp.pop_delay
+        return self._store(W, lv.inp.lo, lv.inp.hi, pops) or changed
+
+    def _write(self) -> bool:
+        """The writer's pops: the arrival itself when one tick's credit
+        always covers a root tuple, else an exact float credit replay."""
+        root = self.root
+        arrivals = self.V[root.lo:root.hi]
+        rate, cost = self.write_rate, self.root_cost
+        if rate >= cost:
+            return self._store(self.W, root.lo, root.hi, arrivals)
+        cap = 4 * rate
+        credit = 0.0
+        tick = -1
+        pops = []
+        terminal = set(root.terminal().reshape(-1).tolist())
+        for index, arrival in enumerate(arrivals.tolist(), start=root.lo):
+            target = max(arrival, tick)
+            for _ in range(target - tick):
+                if credit >= cap:
+                    break
+                credit = min(credit + rate, cap)
+            tick = target
+            if index not in terminal:
+                while credit < cost:
+                    credit = min(credit + rate, cap)
+                    tick += 1
+                credit -= cost
+            pops.append(tick)
+        return self._store(self.W, root.lo, root.hi, np.array(pops, dtype=np.int32))
+
+    def sweep(self) -> bool:
+        """One Gauss-Seidel sweep; whether any time changed."""
+        changed = self._load()
+        for lv in self.levels:
+            changed = self._solve_level(lv) or changed
+        return self._write() or changed
+
+    # ------------------------------------------------------------------
+    # results
+    # ------------------------------------------------------------------
+    def merger_stats(self, cycles: int) -> list[MergerStats]:
+        """Per-merger counters from the fixed point's action times.
+
+        Between two actions a merger ticks without acting: idle while no
+        run is in progress, else stalled on output while its output FIFO
+        is full and stalled on input after that.  A run is in progress
+        from its first consume, or from the first terminal retirement of
+        an empty port, to its terminal action.
+        """
+        stats: list[MergerStats] = []
+        groups = self.groups
+        for level in range(self.depth):
+            lv = self.merger_levels[level]
+            t = lv.t
+            starts = np.array([lo for lo, _hi in lv.bounds])
+            begin = np.empty_like(t)
+            begin[1:] = t[:-1]
+            begin[starts] = -1
+            begin += 1
+            retire = lv.retire.copy()
+            retire[lv.inp.counts.reshape(-1) > 0] = np.iinfo(np.int32).max
+            retire = retire.reshape(-1, 2, groups).min(axis=1).reshape(-1)
+            running = begin.copy()
+            heads = lv.block_start
+            running[heads] = np.clip(retire, begin[heads], t[heads])
+            full_until = np.clip(self.W[lv.slot], running, t)
+            idle = np.add.reduceat(running - begin, starts)
+            stall_output = np.add.reduceat(full_until - running, starts)
+            stall_input = np.add.reduceat(t - full_until, starts)
+            ends = np.append(starts[1:], t.size) - 1
+            idle += cycles - 1 - t[ends]
+            n = lv.n.reshape(-1, groups)
+            for index in range(len(lv.bounds)):
+                stats.append(MergerStats(
+                    name=f"{self.tree.name}.L{level}.{index}",
+                    k=self.widths[level],
+                    active_cycles=int(n[index].sum()),
+                    prime_cycles=int((n[index] > 0).sum()),
+                    flush_cycles=groups,
+                    stall_input=int(stall_input[index]),
+                    stall_output=int(stall_output[index]),
+                    idle_cycles=int(idle[index]),
+                    runs_completed=groups,
+                ))
+        return stats
+
+
+def _output_runs(runs, keys: np.ndarray, lengths: np.ndarray, leaves: int) -> list:
+    """Each group's records in order, as the writer collects them:
+    uint64 arrays for array runs, else lists of the runs' own keys."""
+    groups = max(1, -(-len(runs) // leaves))
+    if array_runs(runs):
+        starts = np.concatenate(([0], np.cumsum(lengths))).tolist()
+        return [
+            np.sort(keys[starts[g * leaves] : starts[min((g + 1) * leaves, len(runs))]])
+            for g in range(groups)
+        ]
+    return [
+        sorted(chain.from_iterable(runs[g * leaves : (g + 1) * leaves]))
+        for g in range(groups)
+    ]
+
+
+def solve(tree, runs, keys: np.ndarray, lengths: np.ndarray, loader, writer, max_cycles: int):
+    """Solve one stage of ``runs`` (``keys``, ``lengths``: their
+    :func:`key_array`) on ``tree``; a :class:`Solution` or a fallback reason.
+
+    ``loader`` and ``writer`` carry the stage's memory parameters (their
+    feeds and source are not read); ``tree``'s leaf FIFOs must already
+    have their stage capacity.
+    """
+    if 4 * writer.write_bytes_per_cycle < tree.p * loader.record_bytes:
+        return "writer_stuck"
+    stage = _Stage(tree, keys, lengths, loader, writer)
+    # Every time of a stage is below its cycle count, and one sweep adds
+    # at most the loader's transfer cycles to the last: both checks keep
+    # the int32 arrays from wrapping.  A stage that trips them early
+    # still ends up exact, in the tick loop.
+    limit = min(max_cycles, _TIME_LIMIT)
+    if stage.loader_stats.cycles_bandwidth_limited > limit:
+        return "max_cycles"
+    for sweep in range(1, SWEEP_CAP + 1):
+        changed = stage.sweep()
+        if max(int(stage.V.max()), int(stage.W.max())) >= limit:
+            return "max_cycles"
+        if not changed:
+            break
+    else:
+        return "no_fixpoint"
+    cycles = int(stage.W[stage.root.hi - 1]) + 1
+    loader_stats = stage.loader_stats
+    loader_stats.cycles_idle = cycles - loader_stats.cycles_bandwidth_limited
+    merger_stats = stage.merger_stats(cycles)
+    del stage
+    return Solution(
+        runs=_output_runs(runs, keys, lengths, tree.leaves),
+        cycles=cycles,
+        merger_stats=merger_stats,
+        loader_stats=loader_stats,
+        bytes_written=int(keys.size) * loader.record_bytes,
+        sweeps=sweep,
+    )

@@ -11,6 +11,14 @@ If for a given level k, we have 2^k > p, we use 1-mergers."
 leaves, output writer at the root — and returns the merged runs plus
 cycle-level statistics.  This is the reproduction's stand-in for running
 the Verilog design on the FPGA.
+
+Which engine runs a stage: ``engine="fast"`` (the default) solves it
+with the timestamp engine (:mod:`repro.hw.timestamp`), and falls back
+to ticking the tree under the event-driven fast path
+(:mod:`repro.hw.fastpath`) for the regimes listed in
+:data:`repro.hw.timestamp.FALLBACK_REASONS`, recording the reason in
+``StageStats.fallback``; ``engine="naive"`` ticks every component every
+cycle.  All three give the same runs, cycles and statistics.
 """
 
 from __future__ import annotations
@@ -19,7 +27,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError, SimulationError
+from repro.hw import timestamp
 from repro.hw.clock import DEFAULT_MAX_CYCLES, Simulation
 from repro.hw.coupler import Coupler
 from repro.hw.fifo import Fifo
@@ -173,8 +184,9 @@ def simulate_merge(
     Parameters
     ----------
     runs:
-        Sorted input runs; run ``j*l + i`` feeds leaf ``i`` in group ``j``.
-        Every group of ``l`` consecutive runs becomes one output run.
+        Sorted input runs, as integer sequences or numpy arrays; run
+        ``j*l + i`` feeds leaf ``i`` in group ``j``.  Every group of
+        ``l`` consecutive runs becomes one output run.
     record_bytes:
         Record width ``r``.
     read_bytes_per_cycle / write_bytes_per_cycle:
@@ -188,9 +200,10 @@ def simulate_merge(
         default (:data:`repro.hw.clock.DEFAULT_MAX_CYCLES`) for every
         stage driver.
     engine:
-        ``"fast"`` (default) runs the quiescence fast-forward scheduler;
-        ``"naive"`` forces the per-cycle stepper.  Both produce
-        identical outputs, cycle counts and statistics — see
+        ``"fast"`` (default) runs the timestamp engine, or the
+        quiescence fast-forward scheduler for a stage it cannot
+        represent; ``"naive"`` forces the per-cycle stepper.  All
+        produce identical outputs, cycle counts and statistics — see
         ``docs/performance.md``.
     auto_shrink:
         When a stage has fewer runs than leaves, merge through the
@@ -205,78 +218,112 @@ def simulate_merge(
     -------
     (output_runs, stats):
         Merged runs in group order, and cycle-level stage statistics.
+        The runs are uint64 arrays when ``runs`` are numpy arrays whose
+        keys all lie in ``[0, 2**64)``, and lists otherwise: for list
+        input (reusing its key objects), and for arrays holding other
+        keys (negative or float), which the tick loop merges as Python
+        scalars.
     """
     if engine not in ("fast", "naive"):
         raise ConfigurationError(
             f"unknown simulation engine {engine!r}; expected 'fast' or 'naive'"
         )
-    if check_sorted_inputs:
-        for index, run in enumerate(runs):
-            for left, right in zip(run, run[1:]):
-                if right < left:
-                    raise ConfigurationError(
-                        f"input run {index} is not sorted at value {right!r}"
-                    )
-    if auto_shrink and len(runs) < leaves:
-        shrunk = 1 << max(1, (max(2, len(runs)) - 1).bit_length())
-        leaves = min(leaves, shrunk)
-    tree = AmtTree(p=p, leaves=leaves)
-    demand_bytes = tree.p * record_bytes
-    if read_bytes_per_cycle is None:
-        read_bytes_per_cycle = float(2 * demand_bytes)
-    if write_bytes_per_cycle is None:
-        write_bytes_per_cycle = float(2 * demand_bytes)
-
-    # Size leaf FIFOs to hold two full batches (§V-A).
-    batch_tuples = max(
-        1, (max(tree.leaf_width, batch_bytes // record_bytes)) // tree.leaf_width
-    )
-    for fifo in tree.leaf_fifos:
-        fifo.capacity = max(fifo.capacity, 2 * (batch_tuples + 1))
-
-    n_groups = max(1, math.ceil(len(runs) / leaves))
-    feeds = make_feeds(tree.leaf_fifos, runs, leaves)
-    loader = DataLoader(
-        feeds=feeds,
-        tuple_width=tree.leaf_width,
-        record_bytes=record_bytes,
-        read_bytes_per_cycle=read_bytes_per_cycle,
-        batch_bytes=batch_bytes,
-    )
-    writer = OutputWriter(
-        source=tree.root_fifo,
-        record_bytes=record_bytes,
-        write_bytes_per_cycle=write_bytes_per_cycle,
-        expected_runs=n_groups,
-    )
-    sim = Simulation(fast_forward=engine == "fast")
-    sim.add(writer)
-    for component in tree.components:
-        sim.add(component)
-    sim.add(loader)
-
     obs = observation()
-    with obs.span(
-        "hw.merge_stage", p=p, leaves=leaves, groups=n_groups,
-    ) as span:
-        cycles = sim.run_until(lambda: writer.done, max_cycles=max_cycles)
-        span.set(cycles=cycles)
+    with obs.span("hw.merge_stage", p=p) as span:
+        keys, lengths = timestamp.key_array(runs)
+        uint64_keys = keys.dtype == np.uint64
+        fallback = None if uint64_keys else "key_range"
+        if (unsorted := timestamp.first_unsorted(keys, lengths)) is not None:
+            if check_sorted_inputs:
+                index, offset = unsorted
+                raise ConfigurationError(
+                    f"input run {index} is not sorted at value {runs[index][offset]!r}"
+                )
+            fallback = fallback or "unsorted"
+        if auto_shrink and len(runs) < leaves:
+            shrunk = 1 << max(1, (max(2, len(runs)) - 1).bit_length())
+            leaves = min(leaves, shrunk)
+        tree = AmtTree(p=p, leaves=leaves)
+        demand_bytes = tree.p * record_bytes
+        if read_bytes_per_cycle is None:
+            read_bytes_per_cycle = float(2 * demand_bytes)
+        if write_bytes_per_cycle is None:
+            write_bytes_per_cycle = float(2 * demand_bytes)
+
+        # Size leaf FIFOs to hold two full batches (§V-A).
+        batch_tuples = max(
+            1, (max(tree.leaf_width, batch_bytes // record_bytes)) // tree.leaf_width
+        )
+        for fifo in tree.leaf_fifos:
+            fifo.capacity = max(fifo.capacity, 2 * (batch_tuples + 1))
+
+        n_groups = max(1, math.ceil(len(runs) / leaves))
+        span.set(leaves=leaves, groups=n_groups)
+        # The timestamp engine reads only the loader's and writer's
+        # parameters; the tick loop below gives the loader its feeds.
+        loader = DataLoader(
+            feeds=[],
+            tuple_width=tree.leaf_width,
+            record_bytes=record_bytes,
+            read_bytes_per_cycle=read_bytes_per_cycle,
+            batch_bytes=batch_bytes,
+        )
+        writer = OutputWriter(
+            source=tree.root_fifo,
+            record_bytes=record_bytes,
+            write_bytes_per_cycle=write_bytes_per_cycle,
+            expected_runs=n_groups,
+        )
+        solution = None
+        if engine == "fast" and fallback is None:
+            solution = timestamp.solve(tree, runs, keys, lengths, loader, writer, max_cycles)
+            if isinstance(solution, str):
+                fallback, solution = solution, None
+        if engine == "naive":
+            fallback = None
+        if solution is None:
+            arrays = timestamp.array_runs(runs)
+            if arrays:
+                runs = [run.tolist() for run in runs]
+            loader.feeds = make_feeds(tree.leaf_fifos, runs, leaves)
+            sim = Simulation(fast_forward=engine == "fast")
+            sim.add(writer)
+            for component in tree.components:
+                sim.add(component)
+            sim.add(loader)
+            span.set(engine="tick", fallback=fallback)
+            cycles = sim.run_until(lambda: writer.done, max_cycles=max_cycles)
+            solution = timestamp.Solution(
+                runs=[np.array(run, dtype=np.uint64) for run in writer.runs]
+                if arrays and uint64_keys else writer.runs,
+                cycles=cycles,
+                merger_stats=[merger.stats for merger in tree.mergers],
+                loader_stats=loader.stats,
+                bytes_written=writer.bytes_written,
+                sweeps=0,
+            )
+        else:
+            span.set(engine="timestamp", sweeps=solution.sweeps)
+        span.set(cycles=solution.cycles)
 
     records_in = sum(len(run) for run in runs)
-    records_out = sum(len(run) for run in writer.runs)
+    records_out = sum(len(run) for run in solution.runs)
     stats = StageStats(
-        cycles=cycles,
+        cycles=solution.cycles,
         records_in=records_in,
         records_out=records_out,
-        bytes_read=loader.stats.bytes_loaded,
-        bytes_written=writer.bytes_written,
-        output_runs=len(writer.runs),
-        merger_stats=[merger.stats for merger in tree.mergers],
-        loader_stats=loader.stats,
+        bytes_read=solution.loader_stats.bytes_loaded,
+        bytes_written=solution.bytes_written,
+        output_runs=len(solution.runs),
+        merger_stats=solution.merger_stats,
+        loader_stats=solution.loader_stats,
+        sweeps=solution.sweeps,
+        fallback=fallback,
     )
     if records_out != records_in:
         raise SimulationError(
             f"record count mismatch: {records_in} in, {records_out} out"
         )
     stats.publish(obs)
-    return writer.runs, stats
+    return solution.runs, stats
+

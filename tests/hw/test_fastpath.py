@@ -1,13 +1,18 @@
-"""Differential verification of the event-driven fast path.
+"""Differential verification of ``simulate_merge(engine="fast")``.
 
-The whole value of ``repro.hw.fastpath`` rests on one claim: for any
-stage the fast engine and the naive per-cycle stepper are observably
-identical — same merged output, same final cycle count, same per-merger
-and per-loader statistics, and the same error on deadlock.  This suite
-asserts that claim over a randomized space of shapes (bandwidth budgets,
-batch sizes, tree geometries, workload styles) plus the known corner
-paths: the degenerate 1-merger tree, the auto-shrink late-stage path,
-empty and single-record runs, and budget-exhausted timeouts.
+The fast engine is the timestamp engine (``repro.hw.timestamp``), with
+the event-driven tick loop (``repro.hw.fastpath``) as its fallback.  The
+whole value of both rests on one claim: for any stage the fast engine
+and the naive per-cycle stepper are observably identical — same merged
+output, same final cycle count, same per-merger and per-loader
+statistics, and the same error on deadlock.  This suite asserts that
+claim over a randomized space of shapes (bandwidth budgets, batch sizes,
+tree geometries, workload styles, full-range uint64 keys) plus the known
+corner paths: the degenerate 1-merger tree, the auto-shrink late-stage
+path, empty and single-record runs, budget-exhausted timeouts, and one
+forced case per fallback reason.  ``TestDifferential`` runs every shape
+twice: as is (the timestamp engine) and, in ``TestTickFastPath``, with
+the sweep cap at zero, so each stage takes the tick fast path.
 """
 
 from __future__ import annotations
@@ -15,13 +20,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.hw import fastpath
+from repro.hw import fastpath, timestamp
 from repro.hw.clock import Simulation
 from repro.hw.fifo import Fifo
 from repro.hw.tree import simulate_merge
+from repro.obs.runtime import activated, live_observation
+from repro.serve.session import SortJob, SortSession
 
 RECORD_BYTES = 4
 
@@ -90,11 +99,67 @@ def assert_identical(fast, naive, label=""):
         return
     out_fast, stats_fast = fast
     out_naive, stats_naive = naive
-    assert out_fast == out_naive, f"{label}: merged output differs"
+    assert [type(run) for run in out_fast] == [type(run) for run in out_naive], label
+    assert [list(run) for run in out_fast] == [list(run) for run in out_naive], (
+        f"{label}: merged output differs"
+    )
     assert stats_fast.cycles == stats_naive.cycles, (
         f"{label}: cycles {stats_fast.cycles} vs {stats_naive.cycles}"
     )
     assert stats_fast == stats_naive, f"{label}: StageStats differ"
+
+
+def sorted_groups(runs, leaves):
+    """What one stage must output: each group of ``leaves`` runs, merged."""
+    groups = max(1, -(-len(runs) // leaves))
+    return [
+        sorted(key for run in runs[g * leaves : (g + 1) * leaves] for key in run)
+        for g in range(groups)
+    ]
+
+
+def full_range_runs(rng: random.Random, n_runs: int, run_len: int):
+    """uint64 keys over the whole range, the edges and heavy duplicates."""
+    edges = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1]
+    return [
+        sorted(
+            rng.choice(edges) if rng.random() < 0.4 else rng.randrange(1 << 64)
+            for _ in range(run_len)
+        )
+        for _ in range(n_runs)
+    ]
+
+
+EDGE_SHAPES = {
+    # Full-range uint64 keys, 2**64 - 1 included, duplicated across runs.
+    "uint64_full_range": lambda rng: dict(
+        p=4, leaves=4, runs=full_range_runs(rng, 9, 37), batch_bytes=64,
+        read_bytes_per_cycle=6.0, write_bytes_per_cycle=12.0,
+    ),
+    # Leaf width 8 with run lengths that are not multiples of it, and
+    # batches that cut runs mid-way.
+    "ragged_lengths": lambda rng: dict(
+        p=16, leaves=4,
+        runs=[sorted(rng.randrange(1000) for _ in range(n))
+              for n in (1, 7, 9, 15, 17, 33, 63, 65)],
+        batch_bytes=64, read_bytes_per_cycle=8.0,
+    ),
+    # Fewer runs than leaves: the shrunken tree, fed numpy arrays.
+    "auto_shrink_numpy": lambda rng: dict(
+        p=8, leaves=16,
+        runs=[np.sort(np.array([rng.randrange(1 << 40) for _ in range(n)], dtype=np.uint64))
+              for n in (90, 3, 41)],
+        batch_bytes=256, read_bytes_per_cycle=4.0,
+    ),
+    # Empty runs between full ones, a whole empty group, no runs at all.
+    "empty_runs": lambda rng: dict(
+        p=2, leaves=4,
+        runs=[[], sorted(rng.randrange(50) for _ in range(20)), [], [],
+              [], [], [], [], [5], [], [1, 1, 1], []],
+        batch_bytes=16,
+    ),
+    "no_runs": lambda rng: dict(p=4, leaves=4, runs=[]),
+}
 
 
 #: Presorter run length of the multi-stage shapes (§VI-C).
@@ -168,6 +233,14 @@ PINNED_SHAPES = (
 
 
 class TestDifferential:
+    #: ``StageStats.fallback`` of a stage the fast engine can represent.
+    FALLBACK = None
+
+    def assert_engine(self, stats):
+        """The stage ran the engine this class targets."""
+        assert stats.fallback == self.FALLBACK
+        assert (stats.sweeps > 0) == (self.FALLBACK is None)
+
     @pytest.mark.parametrize(
         "shape", PINNED_SHAPES, ids=[shape.name for shape in PINNED_SHAPES]
     )
@@ -198,6 +271,7 @@ class TestDifferential:
             )
             assert_identical(fast, naive, label=f"{shape.name} stage {stages}")
             runs, stats = fast
+            self.assert_engine(stats)
             stages += 1
             cycles += stats.cycles
             if records is None or len(runs) == 1:
@@ -207,6 +281,18 @@ class TestDifferential:
             assert stages == shape.stages
             assert runs[0] == sorted(records)
 
+    @pytest.mark.parametrize("name", sorted(EDGE_SHAPES))
+    def test_edge_shapes(self, name):
+        shape = EDGE_SHAPES[name](random.Random(11))
+        fast, naive = run_both(**shape)
+        assert_identical(fast, naive, label=name)
+        out, stats = fast
+        self.assert_engine(stats)
+        runs = [list(map(int, run)) for run in shape["runs"]]
+        leaves = shape["leaves"]
+        if len(runs) < leaves:
+            leaves = 1 << max(1, (max(2, len(runs)) - 1).bit_length())
+        assert [list(map(int, run)) for run in out] == sorted_groups(runs, leaves)
 
     @pytest.mark.parametrize("seed", range(32))
     def test_randomized_shapes(self, seed):
@@ -270,6 +356,19 @@ class TestDifferential:
         assert "writer: runs=0/1" in message
 
 
+class TestTickFastPath(TestDifferential):
+    """Every ``TestDifferential`` case with the timestamp engine's sweep
+    cap at zero: each stage falls back to the quiescence fast path
+    (``repro.hw.fastpath``), which stays checked against the naive
+    stepper on the same shapes."""
+
+    FALLBACK = "no_fixpoint"
+
+    @pytest.fixture(autouse=True)
+    def force_tick_loop(self, monkeypatch):
+        monkeypatch.setattr(timestamp, "SWEEP_CAP", 0)
+
+
 class TestStallReport:
     def test_report_lists_fifos_and_endpoints(self):
         """The snapshot names every FIFO with occupancy and high-water."""
@@ -314,3 +413,137 @@ class TestEngineSelection:
         elapsed = sim.run_until(lambda: len(ticks) >= 5, max_cycles=10)
         assert elapsed == 5
         assert ticks == [0, 1, 2, 3, 4]
+
+
+class TestTimestampEngine:
+    """The timestamp engine against the naive stepper on corner shapes."""
+
+    @given(
+        p=st.sampled_from([1, 2, 4, 8, 16]),
+        leaves=st.sampled_from([2, 4, 8, 16]),
+        lengths=st.lists(st.integers(0, 24), max_size=20),
+        batch_bytes=st.sampled_from([4, 16, 64, 256, 1024]),
+        read_factor=st.sampled_from([None, 0.1, 0.3, 1.0, 3.0]),
+        write_factor=st.sampled_from([None, 0.25, 0.3, 0.5, 1.0]),
+        full_range=st.booleans(),
+        tick_loop=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_fast_equals_naive(
+        self, p, leaves, lengths, batch_bytes, read_factor, write_factor,
+        full_range, tick_loop, seed,
+    ):
+        """``tick_loop`` zeroes the sweep cap, so the fast engine is the
+        tick fast path instead of the timestamp engine."""
+        rng = random.Random(seed)
+        span = 1 << 64 if full_range else 30
+        runs = [sorted(rng.randrange(span) for _ in range(n)) for n in lengths]
+        demand = p * RECORD_BYTES
+        shape = dict(
+            p=p, leaves=leaves, runs=runs, record_bytes=RECORD_BYTES,
+            batch_bytes=batch_bytes, auto_shrink=False,
+            read_bytes_per_cycle=None if read_factor is None else read_factor * demand,
+            write_bytes_per_cycle=None if write_factor is None else write_factor * demand,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            if tick_loop:
+                patch.setattr(timestamp, "SWEEP_CAP", 0)
+            fast, naive = run_both(**shape)
+        assert_identical(fast, naive, label=f"{shape} tick_loop={tick_loop}")
+        assert fast[0] == sorted_groups(runs, leaves)
+
+    def test_unsorted_input_falls_back(self):
+        runs = [[5, 1, 9], [2, 3], [8, 0], [4]]
+        fast, naive = run_both(p=2, leaves=4, runs=runs, check_sorted_inputs=False)
+        assert_identical(fast, naive, label="unsorted")
+        assert fast[1].fallback == "unsorted"
+
+    def test_keys_outside_uint64_fall_back(self):
+        runs = [[-7, -1, 4], [-3, 2], [0, 10**3]]
+        fast, naive = run_both(p=2, leaves=4, runs=runs)
+        assert_identical(fast, naive, label="key range")
+        assert fast[1].fallback == "key_range"
+
+    def test_signed_arrays_fall_back_to_python_ints(self):
+        """int64 arrays with negative keys merge as Python ints and come
+        back as lists; an unsorted one is rejected like any other run."""
+        runs = [np.array(run, dtype=np.int64) for run in ([-7, -1, 4], [-3, 2], [0, 10**3])]
+        fast, naive = run_both(p=2, leaves=4, runs=runs)
+        assert_identical(fast, naive, label="signed arrays")
+        out, stats = fast
+        assert stats.fallback == "key_range"
+        assert out == [[-7, -3, -1, 0, 2, 4, 1000]]
+        assert all(type(key) is int for key in out[0])
+        runs[1] = np.array([2, -3], dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="input run 1 is not sorted at value"):
+            simulate_merge(2, 4, runs)
+
+    def test_stuck_writer_falls_back(self):
+        """A credit cap below one root tuple: the tick loop decides (here
+        the runs are empty, so it never has a tuple to write)."""
+        fast, naive = run_both(
+            p=16, leaves=4, runs=[[], [], [], []], write_bytes_per_cycle=2.0,
+        )
+        assert_identical(fast, naive, label="stuck writer")
+        assert fast[1].fallback == "writer_stuck"
+
+    def test_max_cycles_falls_back_to_the_same_error(self):
+        runs = gen_runs(random.Random(2), 8, 40, "rand")
+        shape = dict(p=4, leaves=8, runs=runs, read_bytes_per_cycle=3.0)
+        _out, stats = simulate_merge(engine="naive", **shape)
+        exact_fast, exact_naive = run_both(max_cycles=stats.cycles, **shape)
+        assert_identical(exact_fast, exact_naive, label="budget met")
+        assert exact_fast[1].fallback is None
+        fast, naive = run_both(max_cycles=stats.cycles - 1, **shape)
+        assert isinstance(fast, SimulationError)
+        assert str(fast) == str(naive)
+
+    def test_no_fixpoint_falls_back(self, monkeypatch):
+        monkeypatch.setattr(timestamp, "SWEEP_CAP", 1)
+        shape = random_shape(0)
+        fast, naive = run_both(**shape)
+        assert_identical(fast, naive, label="sweep cap")
+        assert fast[1].fallback == "no_fixpoint"
+
+
+class TestNoFallbacks:
+    """The ledger's simulate shapes at their ``SMOKE`` sizes run the
+    timestamp engine on every stage (benchmarks/ledger/workloads.py)."""
+
+    def run_observed(self, fn):
+        live = live_observation()
+        with activated(live):
+            fn()
+        registry = live.registry
+        assert registry.counter_total("sim.engine_fallbacks") == 0
+        assert registry.counter_total("sim.engine_sweeps") > 0
+        stages = [s for s in live.sink.spans() if s["name"] == "hw.merge_stage"]
+        assert stages and all(s["attrs"]["engine"] == "timestamp" for s in stages)
+        assert all(s["attrs"]["sweeps"] > 0 for s in stages)
+        return registry
+
+    def test_simulate_compute(self):
+        job = SortJob(
+            records=1_500, workload="uniform", seed=1, p=8, leaves=16, mode="simulate",
+        )
+        payloads = []
+        registry = self.run_observed(lambda: payloads.append(SortSession().run_sort(job)))
+        assert payloads[0]["records"] == 1_500
+        assert registry.counter_value("sim.stages") == payloads[0]["stages"]
+
+    def test_simulate_storage(self):
+        rng = random.Random(1)
+        keys = [rng.randrange(1 << 32) for _ in range(3_000)]
+        runs = [sorted(keys[i : i + PRESORT_RUN]) for i in range(0, len(keys), PRESORT_RUN)]
+
+        def sort():
+            nonlocal runs
+            while len(runs) > 1:
+                runs, _stats = simulate_merge(
+                    16, 4, runs, read_bytes_per_cycle=0.02 * 16 * RECORD_BYTES,
+                    batch_bytes=4096, check_sorted_inputs=False,
+                )
+
+        self.run_observed(sort)
+        assert runs[0] == sorted(keys)

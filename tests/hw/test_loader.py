@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.hw.fifo import Fifo
 from repro.hw.loader import DataLoader, OutputWriter, make_feeds
 from repro.hw.terminal import SENTINEL_KEY, TERMINAL, is_terminal
+from repro.hw.tree import simulate_merge
 
 
 def drain_loader(loader: DataLoader, max_cycles: int = 100_000) -> None:
@@ -64,6 +67,35 @@ class TestLoading:
         )
         drain_loader(loader)
         assert fifo_contents(fifo) == [(1, 2), (3, SENTINEL_KEY), TERMINAL]
+
+    def test_batch_cut_mid_run_ends_at_tuple_boundary(self):
+        """A batch quota that cuts a run between tuple boundaries ends the
+        batch at the last whole tuple: pads only ever complete a run's
+        final tuple, never a tuple in the middle of the run."""
+        fifo = Fifo(100)
+        feeds = make_feeds([fifo], [[1], [2, 3, 4, 5, 6]], 1)
+        loader = DataLoader(
+            feeds=feeds,
+            tuple_width=2,
+            record_bytes=4,
+            read_bytes_per_cycle=8,
+            batch_bytes=16,  # 4 records: run 0, 2 (not 3) of run 1, the rest
+        )
+        drain_loader(loader)
+        assert fifo_contents(fifo) == [
+            (1, SENTINEL_KEY), TERMINAL, (2, 3), (4, 5), (6, SENTINEL_KEY), TERMINAL,
+        ]
+        assert loader.stats.batches_issued == 2
+        assert loader.stats.bytes_loaded == 6 * 4
+
+    def test_mid_run_cut_keeps_simulated_merge_sorted(self):
+        """Regression: a mid-run pad used to put a sentinel inside a run,
+        and the merged output came back unsorted under both engines."""
+        rng = random.Random(4)
+        runs = [sorted(rng.randrange(0, 1000) for _ in range(17)) for _ in range(8)]
+        for engine in ("fast", "naive"):
+            out, _stats = simulate_merge(8, 2, runs, batch_bytes=64, engine=engine)
+            assert out == [sorted(runs[2 * g] + runs[2 * g + 1]) for g in range(4)]
 
     def test_empty_run_is_terminal_only(self):
         fifo = Fifo(100)
