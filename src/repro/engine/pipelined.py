@@ -136,7 +136,7 @@ class PipelinedSorter:
             ),
             batch_bytes=min(self.hardware.batch_bytes, 1024),
         )
-        cycles = simulation.run([[int(x) for x in array] for array in arrays])
+        cycles = simulation.run(arrays)
         outputs = [
             np.asarray(simulation.outputs[index], dtype=np.asarray(arrays[index]).dtype)
             for index in range(len(arrays))

@@ -84,7 +84,7 @@ class UnrolledSorter:
         idling final merges; intended for laptop-scale arrays.  Timing
         comes from the simulated clock at ``arch.frequency_hz``.  The
         units share no state, so ``parallel`` only decides which process
-        ticks each one; outputs and cycle counts are the same for every
+        runs each one; outputs and cycle counts are the same for every
         plan.
         """
         from repro.hw.banks import UnrolledSimulation
@@ -113,7 +113,7 @@ class UnrolledSorter:
         return SortOutcome(
             data=np.asarray(simulation.output, dtype=data.dtype),
             seconds=cycles / self.arch.frequency_hz,
-            stages=simulation.stages_done + 1,
+            stages=simulation.stages_done,
             record_bytes=self.arch.record_bytes,
             mode="simulate",
             detail={

@@ -24,7 +24,8 @@ A merge stage (:func:`repro.hw.tree.simulate_merge`) with
 (:mod:`repro.hw.timestamp`) solves the stage's event times as a fixed
 point.  Only the stages it cannot represent exactly come here, to the
 fast path; ``engine="naive"`` always comes here, to the stepper.  The
-unrolled and pipelined sorters tick their own component graphs here.
+unrolled and pipelined sorters run every stage through
+``simulate_merge``, so they follow the same rule.
 """
 
 from __future__ import annotations

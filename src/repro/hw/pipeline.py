@@ -12,6 +12,15 @@ paper's claim directly: after the pipeline fills, sorted arrays emerge
 at a constant cadence of one array per array-interval — the I/O bus
 never idles (§III-A3).
 
+Stages hand whole sorted-run sets across DRAM banks, so each (stage,
+array) pass is one :func:`~repro.hw.tree.simulate_merge` call, and the
+schedule is a flow shop: stage ``i`` starts array ``j`` once stage
+``i - 1`` has finished it and stage ``i`` has finished array ``j - 1``,
+
+    finish(i, j) = max(finish(i - 1, j), finish(i, j - 1)) + cycles(i, j)
+
+An array completes on cycle ``finish(last stage, j) - 1``.
+
 Scale note: like the rest of :mod:`repro.hw`, this is for laptop-scale
 inputs; each stage's fan-in must cover the whole array
 (``presort_run * leaves**stage_count >= n_records``, Eq. 5's depth bound).
@@ -19,102 +28,14 @@ inputs; each stage's fan-in must cover the whole array
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.hw.loader import DataLoader, OutputWriter, make_feeds
-from repro.hw.tree import AmtTree
-
-
-@dataclass
-class _StageJob:
-    """One array's passage through one pipeline stage."""
-
-    array_index: int
-    runs: list[list[int]]
-
-
-@dataclass
-class _PipelineStage:
-    """One AMT plus its private loader/writer, re-armed per array.
-
-    The hardware streams continuously; the simulator re-instantiates the
-    loader per array (state reset), which is equivalent because stages
-    hand whole sorted-run sets across DRAM banks anyway.
-    """
-
-    index: int
-    p: int
-    leaves: int
-    record_bytes: int
-    bytes_per_cycle: float
-    batch_bytes: int
-
-    queue: list[_StageJob] = field(default_factory=list)
-    _active: dict | None = field(default=None, repr=False)
-    completed: list[_StageJob] = field(default_factory=list)
-    busy_cycles: int = field(default=0)
-
-    def push(self, job: _StageJob) -> None:
-        """Enqueue an array's runs for this stage."""
-        self.queue.append(job)
-
-    def tick(self, cycle: int = 0) -> None:
-        """Advance the stage's active merge by one cycle."""
-        if self._active is None:
-            if not self.queue:
-                return
-            self._arm(self.queue.pop(0))
-        self.busy_cycles += 1
-        parts = self._active
-        parts["writer"].tick(cycle)
-        for component in parts["tree"].components:
-            component.tick(cycle)
-        parts["loader"].tick(cycle)
-        if parts["writer"].done:
-            self.completed.append(
-                _StageJob(array_index=parts["job"].array_index,
-                          runs=parts["writer"].runs)
-            )
-            self._active = None
-
-    def _arm(self, job: _StageJob) -> None:
-        leaves = self.leaves
-        runs = job.runs
-        record_bytes = self.record_bytes
-        if len(runs) < leaves:
-            shrunk = 1 << max(1, (max(2, len(runs)) - 1).bit_length())
-            leaves = min(leaves, shrunk)
-        tree = AmtTree(p=self.p, leaves=leaves)
-        leaf_width = tree.leaf_width
-        batch_tuples = max(
-            1,
-            (max(leaf_width, self.batch_bytes // record_bytes))
-            // leaf_width,
-        )
-        for fifo in tree.leaf_fifos:
-            fifo.capacity = max(fifo.capacity, 2 * (2 * batch_tuples + 1))
-        n_groups = max(1, math.ceil(len(runs) / leaves))
-        loader = DataLoader(
-            feeds=make_feeds(tree.leaf_fifos, runs, leaves),
-            tuple_width=leaf_width,
-            record_bytes=record_bytes,
-            read_bytes_per_cycle=self.bytes_per_cycle,
-            batch_bytes=self.batch_bytes,
-        )
-        writer = OutputWriter(
-            source=tree.root_fifo,
-            record_bytes=record_bytes,
-            write_bytes_per_cycle=self.bytes_per_cycle,
-            expected_runs=n_groups,
-        )
-        self._active = {"job": job, "tree": tree, "loader": loader, "writer": writer}
-
-    @property
-    def idle(self) -> bool:
-        """True when the stage has nothing armed or queued."""
-        return self._active is None and not self.queue
+from repro.hw.tree import simulate_merge
+from repro.parallel.shm import as_uint64_keys
 
 
 @dataclass
@@ -142,76 +63,71 @@ class PipelineSimulation:
     bank_bytes_per_cycle: float = 64.0
     batch_bytes: int = 512
 
-    stages: list[_PipelineStage] = field(init=False)
+    stage_busy_cycles: list[int] = field(init=False, default_factory=list)
     completion_cycles: dict[int, int] = field(init=False, default_factory=dict)
     outputs: dict[int, list[int]] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.lambda_pipe < 2:
             raise ConfigurationError("pipeline needs >= 2 stages")
-        self.stages = [
-            _PipelineStage(
-                index=i,
-                p=self.p,
-                leaves=self.leaves,
-                record_bytes=self.record_bytes,
-                bytes_per_cycle=self.bank_bytes_per_cycle,
-                batch_bytes=self.batch_bytes,
-            )
-            for i in range(self.lambda_pipe)
-        ]
 
     # ------------------------------------------------------------------
     def capacity_records(self) -> int:
         """Eq. 5's depth bound for this pipeline."""
         return self.presort_run * self.leaves**self.lambda_pipe
 
-    def run(self, arrays: list[list[int]], max_cycles: int = 5_000_000) -> int:
+    def run(self, arrays: list[Sequence[int]], max_cycles: int = 5_000_000) -> int:
         """Sort every array; returns total cycles.
 
-        Completion cycles per array land in :attr:`completion_cycles`;
-        sorted outputs in :attr:`outputs`.
+        Arrays hold keys in ``[0, 2**64)``.  Completion cycles per array
+        land in :attr:`completion_cycles`; sorted outputs in
+        :attr:`outputs`; each stage's summed merge cycles in
+        :attr:`stage_busy_cycles`.
         """
+        queued = []
         for index, array in enumerate(arrays):
             if len(array) > self.capacity_records():
                 raise ConfigurationError(
                     f"array {index} exceeds the Eq. 5 pipeline capacity "
                     f"({len(array)} > {self.capacity_records()})"
                 )
-            runs = [
-                sorted(array[start : start + self.presort_run])
-                for start in range(0, len(array), self.presort_run)
-            ] or [[]]
-            self.stages[0].push(_StageJob(array_index=index, runs=runs))
+            keys = as_uint64_keys(array)
+            queued.append([
+                np.sort(keys[start : start + self.presort_run])
+                for start in range(0, keys.size, self.presort_run)
+            ] or [keys])
 
-        expected = len(arrays)
-        cycle = 0
-        while len(self.completion_cycles) < expected:
-            if cycle >= max_cycles:
+        self.stage_busy_cycles = [0] * self.lambda_pipe
+        stage_free = [0] * self.lambda_pipe  # finish(i, j - 1)
+        for index, runs in enumerate(queued):
+            ready = 0  # finish(i - 1, j)
+            for stage in range(self.lambda_pipe):
+                start = max(ready, stage_free[stage])
+                try:
+                    runs, stats = simulate_merge(
+                        p=self.p,
+                        leaves=self.leaves,
+                        runs=runs,
+                        record_bytes=self.record_bytes,
+                        read_bytes_per_cycle=self.bank_bytes_per_cycle,
+                        write_bytes_per_cycle=self.bank_bytes_per_cycle,
+                        batch_bytes=self.batch_bytes,
+                        max_cycles=max_cycles - start,
+                    )
+                except SimulationError as exc:
+                    raise SimulationError(
+                        f"pipeline did not finish within {max_cycles} cycles: {exc}"
+                    ) from exc
+                ready = stage_free[stage] = start + stats.cycles
+                self.stage_busy_cycles[stage] += stats.cycles
+            if len(runs) != 1:
                 raise SimulationError(
-                    f"pipeline did not finish within {max_cycles} cycles"
+                    f"array {index} left the pipeline in "
+                    f"{len(runs)} runs; pipeline too shallow"
                 )
-            for stage in self.stages:
-                stage.tick(cycle)
-            self._advance(cycle)
-            cycle += 1
-        return cycle
-
-    def _advance(self, cycle: int) -> None:
-        """Hand completed stage outputs to the next stage / the output."""
-        for position, stage in enumerate(self.stages):
-            while stage.completed:
-                job = stage.completed.pop(0)
-                if position + 1 < len(self.stages):
-                    self.stages[position + 1].push(job)
-                else:
-                    if len(job.runs) != 1:
-                        raise SimulationError(
-                            f"array {job.array_index} left the pipeline in "
-                            f"{len(job.runs)} runs; pipeline too shallow"
-                        )
-                    self.completion_cycles[job.array_index] = cycle
-                    self.outputs[job.array_index] = job.runs[0]
+            self.completion_cycles[index] = ready - 1
+            self.outputs[index] = runs[0].tolist()
+        return stage_free[-1]
 
     # ------------------------------------------------------------------
     def completion_intervals(self) -> list[int]:

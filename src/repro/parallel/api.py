@@ -136,19 +136,19 @@ def simulate_units_sharded(
     shape: dict,
     max_cycles: int,
     plan: ParallelPlan,
-) -> tuple[list[list[int]], list[tuple[int, int]]]:
+) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
     """λ unrolled sorter units, one task each, over address-range chunks.
 
     The loop of :meth:`repro.hw.banks.UnrolledSimulation.run`: ``array``
     splits into λ equal chunks and each task runs
-    :meth:`~repro.hw.banks._SorterUnit.run_to_completion` with the
-    :class:`~repro.hw.banks._SorterUnit` fields in ``shape``.  The array
-    packs into one shared uint64 block as λ chunk slots; each worker
-    writes its sorted range back into the same-sized output slot, and
-    only cycle and stage counts ride the result pickles.
+    :func:`~repro.hw.banks.sort_unit` with the keyword arguments in
+    ``shape``.  The array packs into one shared uint64 block as λ chunk
+    slots; each worker writes its sorted range back into the same-sized
+    output slot, and only cycle and stage counts ride the result
+    pickles.
 
-    Returns each unit's sorted range and its ``(cycles, stages_done)``,
-    in unit order.
+    Returns each unit's sorted range (a uint64 array) and its
+    ``(cycles, stages_done)``, in unit order.
     """
     keys = as_uint64_keys(array)
     chunk = -(-keys.size // lambda_unroll)
@@ -167,7 +167,7 @@ def simulate_units_sharded(
         ]
         results = plan.map(worker_simulate_unit_shm, tasks)
         ranges = [
-            view_array(out_desc, index, out_block).tolist()
+            view_array(out_desc, index, out_block).copy()
             for index in range(lambda_unroll)
         ]
     finally:

@@ -83,18 +83,15 @@ def worker_simulate_unit_shm(task: tuple) -> tuple:
     ``task = (in_desc, out_desc, index, shape, max_cycles)`` — the
     unit's address-range chunk lives in input slot ``index`` and its
     sorted output is written back to output slot ``index`` (same
-    length); ``shape`` holds the :class:`~repro.hw.banks._SorterUnit`
-    fields.  ``tolist()`` hands the simulator native ints: it compares
-    and hashes records in pure Python, where numpy scalars would be both
-    slower and digest-visible.  Returns ``(cycles, stages_done)``.
+    length); ``shape`` holds :func:`~repro.hw.banks.sort_unit`'s
+    keyword arguments.  Returns ``(cycles, stages_done)``.
     """
-    from repro.hw.banks import _SorterUnit
+    from repro.hw.banks import sort_unit
 
     in_desc, out_desc, index, shape, max_cycles = task
-    chunk = read_array(in_desc, index).tolist()
-    unit = _SorterUnit.run_to_completion(chunk, max_cycles, **shape)
-    write_array(out_desc, index, np.asarray(unit.output, dtype=np.uint64))
-    return (unit.busy_cycles, unit.stages_done)
+    output, cycles, stages = sort_unit(read_array(in_desc, index), max_cycles, **shape)
+    write_array(out_desc, index, output)
+    return (cycles, stages)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ from repro.core.configuration import AmtConfig
 from repro.core.optimizer import Bonsai
 from repro.core.parameters import ArrayParams, HardwareParams, MergerArchParams
 from repro.engine.stage import merge_stage
+from repro.hw.banks import UnrolledSimulation
+from repro.hw.pipeline import PipelineSimulation
 from repro.hw.tree import simulate_merge
 from repro.units import GB, KiB
 
@@ -66,6 +68,82 @@ class TestRecordConservation:
         out_multiset = sorted(x for run in simulated for x in run)
         assert in_multiset == out_multiset
         assert stats.records_in == stats.records_out == len(in_multiset)
+
+
+def draw_keys(draw, count: int) -> np.ndarray:
+    """``count`` seeded keys: uint32, or uint64 over the full range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(0, 2**32, size=count, dtype=np.uint32)
+    return rng.integers(0, 2**64, size=count, dtype=np.uint64)
+
+
+@st.composite
+def unrolled_runs(draw):
+    """An unrolled simulation, its input keys, and nothing else: every
+    unit's write budget is at least a quarter root tuple (``p·r/4``),
+    below which the writer can never drain the root."""
+    p = draw(st.sampled_from([1, 2, 4, 8]))
+    lam = draw(st.integers(2, 4))
+    record_bytes = draw(st.sampled_from([4, 8, 16]))
+    share = draw(st.sampled_from([0.25, 0.5, 1.0, 4.0]))
+    sim = UnrolledSimulation(
+        p=p,
+        leaves=draw(st.sampled_from([2, 4, 8, 16])),
+        lambda_unroll=lam,
+        record_bytes=record_bytes,
+        presort_run=draw(st.sampled_from([4, 16, 32])),
+        total_bytes_per_cycle=lam * share * p * record_bytes,
+        batch_bytes=draw(st.sampled_from([256, 512, 1024])),
+    )
+    return sim, draw_keys(draw, draw(st.integers(0, 1500)))
+
+
+@st.composite
+def pipeline_runs(draw):
+    """A pipeline within its Eq. 5 capacity, and its queue of arrays."""
+    p = draw(st.sampled_from([1, 2, 4, 8]))
+    record_bytes = draw(st.sampled_from([4, 8, 16]))
+    share = draw(st.sampled_from([0.25, 0.5, 1.0, 4.0]))
+    pipeline = PipelineSimulation(
+        p=p,
+        leaves=draw(st.sampled_from([2, 4, 8])),
+        lambda_pipe=draw(st.integers(2, 3)),
+        record_bytes=record_bytes,
+        presort_run=draw(st.sampled_from([4, 8, 16])),
+        bank_bytes_per_cycle=share * p * record_bytes,
+        batch_bytes=draw(st.sampled_from([256, 512, 1024])),
+    )
+    most = min(pipeline.capacity_records(), 600)
+    lengths = draw(st.lists(st.integers(0, most), min_size=1, max_size=4))
+    return pipeline, [draw_keys(draw, length) for length in lengths]
+
+
+class TestUnrolledAndPipelinedSurfaces:
+    """Every unrolled and pipelined shape sorts like ``np.sort``, and its
+    cycle accounting adds up."""
+
+    @given(unrolled_runs())
+    @settings(max_examples=25, deadline=None)
+    def test_unrolled(self, drawn):
+        sim, keys = drawn
+        total = sim.run(keys)
+        assert np.array_equal(np.asarray(sim.output, dtype=np.uint64), np.sort(keys))
+        assert total == sim.parallel_cycles + sim.final_merge_cycles
+        assert sim.parallel_cycles == max(sim.unit_cycles)
+
+    @given(pipeline_runs())
+    @settings(max_examples=25, deadline=None)
+    def test_pipelined(self, drawn):
+        pipeline, arrays = drawn
+        total = pipeline.run(arrays)
+        for index, keys in enumerate(arrays):
+            assert np.array_equal(
+                np.asarray(pipeline.outputs[index], dtype=np.uint64), np.sort(keys)
+            )
+        completions = [pipeline.completion_cycles[i] for i in range(len(arrays))]
+        assert completions == sorted(completions)
+        assert total == completions[-1] + 1
 
 
 class TestOptimizerMonotonicity:
