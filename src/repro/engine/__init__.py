@@ -2,8 +2,9 @@
 
 Executes the merge-sort procedure of Fig. 2 end to end:
 
-* :mod:`repro.engine.stage` — one merge stage, functionally (one stable
-  numpy sort per merge group) or cycle-simulated (via :mod:`repro.hw`).
+* :mod:`repro.engine.stage` — one merge stage, functionally (one numpy
+  sort per merge group, bit-identical to a stable merge) or
+  cycle-simulated (via :mod:`repro.hw`).
 * :mod:`repro.engine.sorter` — the recursive-stage DRAM sorter (§IV-A).
 * :mod:`repro.engine.unrolled` — unrolled execution: range-partitioned
   (§III-A2) and address-range with AMT idling (§IV-B).

@@ -3,12 +3,16 @@
 Runs merge stages until the input is one sorted run.  Two execution
 modes:
 
-* ``"model"`` — the data moves through the functional merge: one stable
-  sort per merge group (timsort merges the presorted runs, and ties keep
-  the lower-indexed run first), bit-identical to the binary tournament
-  of two-way merges it replaced.  Each stage's time comes from the
-  performance model (``N r / min(p f r, beta)``).  Scales to millions of
-  records.
+* ``"model"`` — the data moves through the functional merge.  The input
+  is copied once into one buffer whose runs lie end to end: the
+  presorter sorts its rows of ``presort_run`` records, and stage ``k``
+  sorts its rows of ``presort_run * leaves**k`` records in place (the
+  ragged tail on its own), which is exactly the grouping of
+  :func:`~repro.engine.stage.merge_stage`.  Each row sort is a merge of
+  the row's runs with ties kept in run order (see
+  :func:`~repro.engine.stage.sort_kind`).  Each stage's time comes from
+  the performance model (``N r / min(p f r, beta)``).  Scales to
+  millions of records.
 * ``"simulate"`` — every stage runs in the cycle-level simulator,
   including loader batching, FIFO stalls and terminal flushing; the
   stage time is the simulated cycle count over the clock frequency.
@@ -24,12 +28,11 @@ import numpy as np
 from repro.core.configuration import AmtConfig
 from repro.core.parameters import HardwareParams, MergerArchParams
 from repro.engine.results import SortOutcome
-from repro.engine.stage import merge_stage, split_into_runs
+from repro.engine.stage import sort_rows, split_into_runs
 from repro.errors import ConfigurationError
 from repro.hw.tree import simulate_merge
 from repro.memory.traffic import TrafficMeter
 from repro.obs.runtime import observation
-from repro.parallel.plan import ParallelPlan
 
 
 @dataclass
@@ -47,13 +50,9 @@ class AmtSorter:
     presort_run:
         Bitonic presorter run length (1 disables; §VI-C uses 16).
     mode:
-        ``"model"`` or ``"simulate"``.
-    parallel:
-        Optional :class:`~repro.parallel.plan.ParallelPlan` sharding
-        each model-mode stage's independent merge groups across a worker
-        pool; results are bit-identical with or without a plan.  Simulate
-        mode ignores it: a stage's groups stream back to back through one
-        tree (§V-B), so the stage is one joint ``simulate_merge``.
+        ``"model"`` or ``"simulate"``.  A simulate-mode stage streams its
+        groups back to back through one tree (§V-B): one joint
+        ``simulate_merge`` per stage.
     """
 
     config: AmtConfig
@@ -61,7 +60,6 @@ class AmtSorter:
     arch: MergerArchParams = field(default_factory=MergerArchParams)
     presort_run: int = 16
     mode: str = "model"
-    parallel: ParallelPlan | None = None
 
     def __post_init__(self) -> None:
         if self.config.lambda_unroll != 1 or self.config.lambda_pipe != 1:
@@ -96,41 +94,46 @@ class AmtSorter:
             )
         obs = observation()
         record_bytes = self.arch.record_bytes
+        records = int(data.size)
+        simulate = self.mode == "simulate"
         with obs.span(
-            "sorter.sort", mode=self.mode, records=int(data.size)
+            "sorter.sort", mode=self.mode, records=records
         ) as sort_span:
-            runs = split_into_runs(
-                data, self.presort_run, presorted=input_presorted
-            )
+            run = self.presort_run
+            if simulate:
+                runs = split_into_runs(data, run, presorted=input_presorted)
+            else:
+                buffer = np.array(data)
+                if not input_presorted:
+                    sort_rows(buffer, run)
             traffic = TrafficMeter()
             seconds = 0.0
             stages = 0
-            while len(runs) > 1 or stages == 0:
+            while run < records or stages == 0:
                 with obs.span(
-                    "sorter.stage", stage=stages, runs=len(runs)
+                    "sorter.stage", stage=stages, runs=-(-records // run)
                 ) as stage_span:
-                    if self.mode == "simulate":
+                    run *= self.config.leaves
+                    if simulate:
                         runs, stage_seconds = self._run_stage_simulated(runs)
                         stage_span.set(
                             cycles=round(stage_seconds * self.arch.frequency_hz)
                         )
                     else:
-                        runs = self._run_stage_model(runs)
-                        stage_seconds = (
-                            data.size * record_bytes / self.stage_rate
-                        )
+                        sort_rows(buffer, run)
+                        stage_seconds = records * record_bytes / self.stage_rate
                 stages += 1
                 seconds += stage_seconds
-                traffic.record_read("dram", data.size * record_bytes)
-                traffic.record_write("dram", data.size * record_bytes)
-                obs.count("engine.stage_records", int(data.size), mode=self.mode)
-                obs.count("engine.bytes_read", int(data.size) * record_bytes)
-                obs.count("engine.bytes_written", int(data.size) * record_bytes)
+                traffic.record_read("dram", records * record_bytes)
+                traffic.record_write("dram", records * record_bytes)
+                obs.count("engine.stage_records", records, mode=self.mode)
+                obs.count("engine.bytes_read", records * record_bytes)
+                obs.count("engine.bytes_written", records * record_bytes)
             obs.count("engine.stages", stages, mode=self.mode)
             obs.count("engine.sorts")
             sort_span.set(stages=stages, model_seconds=seconds)
         return SortOutcome(
-            data=runs[0],
+            data=runs[0] if simulate else buffer,
             seconds=seconds,
             stages=stages,
             record_bytes=record_bytes,
@@ -140,14 +143,6 @@ class AmtSorter:
         )
 
     # ------------------------------------------------------------------
-    def _run_stage_model(self, runs: list[np.ndarray]) -> list[np.ndarray]:
-        """One functional merge stage, sharded when a plan is attached."""
-        if self.parallel is None:
-            return merge_stage(runs, self.config.leaves)
-        from repro.parallel.api import merge_stage_sharded
-
-        return merge_stage_sharded(runs, self.config.leaves, self.parallel)
-
     def _run_stage_simulated(
         self, runs: list[np.ndarray]
     ) -> tuple[list[np.ndarray], float]:

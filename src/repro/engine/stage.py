@@ -3,11 +3,16 @@
 The engine's "model" mode moves the actual data while timing comes from
 the performance model; ``simulate`` mode delegates to the cycle-level
 simulator instead.  Model mode merges each group of ``leaves`` sorted
-runs with one stable sort of their concatenation.  For 32- and 64-bit
-keys numpy's stable sort is timsort, which detects the presorted runs
-and merges them with galloping, so this is a real k-way merge at
-``np.sort`` speed.  Its output is bit-identical to the binary tournament
-of two-way merges it replaced.
+runs by sorting the group's concatenation: the runs sit in group order,
+so a stable sort is exactly the k-way merge in which the lower-indexed
+run wins ties, bit-identical to the binary tournament of two-way merges
+it replaced.  Equal integer (and bool) keys are the same bytes, so for
+those dtypes any sort returns the stable sort's bytes and numpy's
+default sort, the fastest, is used; every other dtype keeps the
+stable sort (:func:`sort_kind`).  The model-mode
+:class:`~repro.engine.sorter.AmtSorter` keeps no run list at all: its
+runs lie end to end in one buffer, so a stage is one :func:`sort_rows`
+call over rows as long as a merge group.
 
 All merges are stable with respect to key order; within equal keys the
 left (lower-indexed-run) elements come first, matching the hardware
@@ -15,6 +20,8 @@ merger's ``<=`` port preference.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,6 +49,30 @@ def merge_two_sorted_with_perm(
     return merged, left_positions, right_positions
 
 
+def sort_kind(dtype: np.dtype) -> str | None:
+    """The numpy sort kind whose output is the stable sort's, bit for bit.
+
+    Equal integers and bools are identical bytes, so numpy's default
+    sort (``None``) cannot be told apart from a stable one and is the
+    fastest.  Other dtypes hold equal keys with different bytes (float
+    ±0.0 and NaN payloads, records), so they sort with ``"stable"``.
+    """
+    return None if np.dtype(dtype).kind in "iub" else "stable"
+
+
+def sort_rows(buffer: np.ndarray, row: int) -> None:
+    """Sort a 1-D contiguous ``buffer`` in place, ``row`` records at a time.
+
+    The full rows sort as the rows of one matrix, the ragged tail on its
+    own, under :func:`sort_kind`.  With ``row`` the length of a merge
+    group this is one merge stage over runs laid end to end.
+    """
+    kind = sort_kind(buffer.dtype)
+    full = buffer.size - buffer.size % row
+    buffer[:full].reshape(-1, row).sort(axis=1, kind=kind)
+    buffer[full:].sort(kind=kind)
+
+
 def merge_runs_numpy(runs: list[np.ndarray]) -> np.ndarray:
     """Stable k-way merge of sorted runs (lower-indexed runs win ties).
 
@@ -57,22 +88,39 @@ def merge_runs_numpy(runs: list[np.ndarray]) -> np.ndarray:
     arrays = [run for run in map(np.asarray, runs) if run.size]
     if not arrays:
         return np.asarray(runs[-1]).copy()
-    return np.sort(np.concatenate(arrays), kind="stable")
+    merged = np.concatenate(arrays)
+    merged.sort(kind=sort_kind(merged.dtype))
+    return merged
 
 
 def merge_stage(runs: list[np.ndarray], leaves: int) -> list[np.ndarray]:
     """One AMT merge stage: groups of ``leaves`` runs each become one run.
 
     Mirrors :func:`repro.hw.loader.make_feeds`' grouping — output run
-    ``j`` merges input runs ``[j * leaves, (j + 1) * leaves)``.
+    ``j`` merges input runs ``[j * leaves, (j + 1) * leaves)``, exactly
+    as :func:`merge_runs_numpy` would.  Runs of one dtype are
+    concatenated once and each group's slice is sorted in place, so the
+    output runs are disjoint slices of one fresh array; runs of mixed
+    dtypes merge group by group, each group in its own result dtype.
     """
     if leaves < 2:
         raise ConfigurationError(f"a merge stage needs >= 2 leaves, got {leaves}")
     if not runs:
         return [np.empty(0, dtype=np.uint64)]
+    arrays = [np.asarray(run) for run in runs]
+    starts = range(0, len(arrays), leaves)
+    if len({array.dtype for array in arrays}) > 1:
+        return [merge_runs_numpy(arrays[start : start + leaves]) for start in starts]
+    buffer = np.concatenate(arrays)
+    kind = sort_kind(buffer.dtype)
+    offsets = list(accumulate((array.size for array in arrays), initial=0))
     merged = []
-    for start in range(0, len(runs), leaves):
-        merged.append(merge_runs_numpy(runs[start : start + leaves]))
+    for start in starts:
+        stop = min(start + leaves, len(arrays))
+        group = buffer[offsets[start] : offsets[stop]]
+        if stop - start > 1:
+            group.sort(kind=kind)
+        merged.append(group)
     return merged
 
 
@@ -81,20 +129,19 @@ def split_into_runs(data: np.ndarray, run_length: int, presorted: bool = False) 
 
     The presorter's job (§VI-C): with ``presorted=True`` the slices are
     assumed sorted already and only split.  The input is copied once and
-    its full runs are sorted as the rows of one matrix, the ragged tail
-    on its own.  The runs are disjoint slices of that copy, so writing
-    into one changes neither its neighbours nor the input.
+    sorted by :func:`sort_rows`.  The runs are disjoint slices of that
+    copy, so writing into one changes neither its neighbours nor the
+    input.
     """
     if run_length < 1:
         raise ConfigurationError(f"run length must be >= 1, got {run_length}")
     out = np.array(data)
-    full = out.size - out.size % run_length
-    rows = out[:full].reshape(-1, run_length)
-    tail = out[full:]
     if not presorted:
-        rows.sort(axis=1, kind="stable")
-        tail.sort(kind="stable")
-    return list(rows) + ([tail] if tail.size else [])
+        sort_rows(out, run_length)
+    full = out.size - out.size % run_length
+    return list(out[:full].reshape(-1, run_length)) + (
+        [out[full:]] if full < out.size else []
+    )
 
 
 def check_stage_invariants(

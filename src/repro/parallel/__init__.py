@@ -1,12 +1,12 @@
 """Process-pool execution layer for independent merges, trees and sweeps.
 
 The paper's performance story is built on *independent* units of work —
-λ_unrl trees over disjoint partitions, per-group merges within a
-model-mode stage, per-configuration optimizer evaluations — and this
-package runs them side by side on host cores without changing a single
-result.  Simulate mode shards only the λ_unrl units, which share no
-state; a single tree's merge groups share one simulated pipeline, so
-they are never split apart:
+λ_unrl trees over disjoint partitions, the nodes of a cluster sort,
+per-configuration optimizer evaluations — and this package runs them
+side by side on host cores without changing a single result.  A single
+tree's merge groups are never split apart: in simulate mode they share
+one simulated pipeline, and in model mode a whole stage is one in-place
+row sort of one buffer, which no pool dispatch could beat:
 
 * :class:`ParallelPlan` is the one policy object (worker count,
   chunking, per-task timeout with serial fallback) and its

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.stage import merge_stage
 from repro.parallel.plan import ParallelPlan
 from repro.parallel.shm import (
     alloc_arrays,
@@ -27,55 +26,9 @@ from repro.parallel.shm import (
     view_array,
 )
 from repro.parallel.workers import (
-    worker_merge_group,
     worker_simulate_unit_shm,
     worker_sort_partition,
 )
-
-
-def merge_stage_sharded(
-    runs: list[np.ndarray], leaves: int, plan: ParallelPlan | None
-) -> list[np.ndarray]:
-    """One AMT merge stage, groups fanned out across the pool.
-
-    Semantics match :func:`repro.engine.stage.merge_stage` exactly; the
-    serial function is also the fallback whenever sharding cannot help
-    (no plan, a single group, mixed-dtype runs that would change the
-    packed block's common dtype, or a serial-forced plan).
-    """
-    if not runs or leaves < 2:
-        return merge_stage(runs, leaves)
-    bounds = [
-        (start, min(start + leaves, len(runs)))
-        for start in range(0, len(runs), leaves)
-    ]
-    dtypes = {run.dtype for run in runs}
-    if (
-        plan is None
-        or len(dtypes) != 1
-        or not plan.wants_processes(len(bounds))
-    ):
-        return merge_stage(runs, leaves)
-    dtype = dtypes.pop()
-    in_block, in_desc = pack_arrays(runs)
-    out_lengths = [
-        sum(int(runs[i].size) for i in range(start, stop))
-        for start, stop in bounds
-    ]
-    out_block, out_desc = alloc_arrays(out_lengths, dtype)
-    try:
-        tasks = [
-            (in_desc, out_desc, group, start, stop)
-            for group, (start, stop) in enumerate(bounds)
-        ]
-        plan.map(worker_merge_group, tasks)
-        return [
-            view_array(out_desc, group, out_block).copy()
-            for group in range(len(bounds))
-        ]
-    finally:
-        release(in_block)
-        release(out_block)
 
 
 def sort_partitions_sharded(

@@ -1,9 +1,9 @@
 """The parallel execution plan: one policy object for every sharded loop.
 
 Every independently-executable unit of work in the reproduction — the
-merge groups of one stage, the λ_unrl trees of an unrolled sort, the
-configuration chunks of an optimizer sweep, the nodes of a cluster
-sort — goes through one entry point, :meth:`ParallelPlan.map`.  The plan
+λ_unrl trees of an unrolled sort, the configuration chunks of an
+optimizer sweep, the nodes of a cluster sort, a batch of served jobs —
+goes through one entry point, :meth:`ParallelPlan.map`.  The plan
 decides *how* the map runs (a process pool or a plain loop); it never
 changes *what* is computed, so results are bit-identical across every
 ``jobs`` setting by construction: the same module-level worker function

@@ -1,18 +1,19 @@
 """Shared-memory transport for numpy record arrays.
 
-Process workers receive their tasks by pickling; for the model-mode
-merge path the tasks *are* large record arrays, and pickling them twice
-(parent -> worker, worker -> parent) would dominate the wall-clock the
-pool is supposed to save.  This module ships arrays through
+Process workers receive their tasks by pickling; for the unrolled
+partitions, the unrolled simulate units and the cluster exchange the
+tasks *are* large record arrays, and pickling them twice (parent ->
+worker, worker -> parent) would dominate the wall-clock the pool is
+supposed to save.  This module ships arrays through
 ``multiprocessing.shared_memory`` instead:
 
-* the parent packs every input run into one shared block and sends
+* the parent packs every input array into one shared block and sends
   workers only a tiny :class:`ShmArrays` descriptor (block name, dtype,
   per-array lengths);
-* the parent pre-allocates one *output* block — merge outputs have
-  exactly known sizes (a merged group is as long as the sum of its
-  inputs) — and each worker writes its group's result into its own
-  disjoint slice, returning nothing but an acknowledgement.
+* the parent pre-allocates one *output* block — every output has an
+  exactly known size (a sorted partition is as long as its input) — and
+  each worker writes its result into its own disjoint slice, returning
+  nothing but small metadata.
 
 Workers attach read-only by convention: tasks partition both blocks, so
 no two workers ever touch the same output slice and no lock is needed.
@@ -23,6 +24,8 @@ The parent owns both blocks' lifetimes (``close`` + ``unlink`` in a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -38,15 +41,15 @@ class ShmArrays:
     dtype: str
     lengths: tuple[int, ...]
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        """Element offset of each array inside the block."""
-        out = []
-        position = 0
-        for length in self.lengths:
-            out.append(position)
-            position += length
-        return tuple(out)
+        """Element offset of each array inside the block.
+
+        Computed once per descriptor: :func:`view_array` reads it for
+        every array, and a rebuild per access would make viewing all
+        ``n`` arrays cost O(n²).
+        """
+        return tuple(accumulate(self.lengths, initial=0))[:-1]
 
     @property
     def total(self) -> int:

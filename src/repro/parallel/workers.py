@@ -24,32 +24,6 @@ from repro.parallel.shm import ShmArrays, read_array, view_array, write_array
 
 
 # ----------------------------------------------------------------------
-# model-mode merge stage (engine/stage.py)
-# ----------------------------------------------------------------------
-def worker_merge_group(task: tuple) -> int:
-    """Merge one group of runs: shared block in, shared slot out.
-
-    ``task = (in_desc, out_desc, group_index, start, stop)`` — merge
-    input runs ``[start, stop)`` with ``merge_runs_numpy`` and write
-    the result into output slot ``group_index``.  Returns the group
-    index as an acknowledgement (the data never rides the pickle).
-    """
-    from multiprocessing import shared_memory
-
-    from repro.engine.stage import merge_runs_numpy
-
-    in_desc, out_desc, group_index, start, stop = task
-    block = shared_memory.SharedMemory(name=in_desc.name)
-    try:
-        runs = [view_array(in_desc, i, block) for i in range(start, stop)]
-        merged = merge_runs_numpy(runs)
-        write_array(out_desc, group_index, merged)
-    finally:
-        block.close()
-    return group_index
-
-
-# ----------------------------------------------------------------------
 # model-mode unrolled partitions (engine/unrolled.py)
 # ----------------------------------------------------------------------
 def worker_sort_partition(task: tuple) -> tuple:
@@ -253,7 +227,6 @@ def worker_eval_throughput(task: tuple) -> list[tuple]:
 
 #: Names re-exported for the ``worker-entry`` check's allow-list tests.
 WORKER_ENTRIES = (
-    worker_merge_group,
     worker_sort_partition,
     worker_simulate_unit_shm,
     worker_exchange_partition,
@@ -269,7 +242,6 @@ __all__ = [
     "worker_eval_latency",
     "worker_eval_throughput",
     "worker_exchange_partition",
-    "worker_merge_group",
     "worker_simulate_unit_shm",
     "worker_sort_partition",
 ]

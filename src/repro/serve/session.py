@@ -161,9 +161,10 @@ class SortSession:
     Parameters
     ----------
     jobs:
-        Worker-process count for sharded loops (a count, ``"auto"``, or
-        ``None`` for the plain serial path) — exactly the CLI ``--jobs``
-        contract; results are bit-identical at every setting.
+        Worker-process count (a count, ``"auto"``, or ``None`` for the
+        plain serial path) — exactly the CLI ``--jobs`` contract.  It
+        shards optimizer evaluations and served batches; a single-tree
+        sort never shards.  Results are bit-identical at every setting.
     """
 
     def __init__(self, jobs: int | str | None = None) -> None:
@@ -252,7 +253,6 @@ class SortSession:
             hardware=platform.hardware,
             arch=MergerArchParams(),
             mode=job.mode,
-            parallel=self.plan,
         )
         outcome = sorter.sort(data)
         with obs.span("sort.validate", records=len(data)):

@@ -16,7 +16,8 @@ from repro.core import presets
 from repro.core.configuration import AmtConfig
 from repro.core.optimizer import Bonsai
 from repro.core.parameters import ArrayParams, HardwareParams, MergerArchParams
-from repro.engine.stage import merge_stage
+from repro.engine.sorter import AmtSorter
+from repro.engine.stage import merge_stage, split_into_runs
 from repro.hw.banks import UnrolledSimulation
 from repro.hw.pipeline import PipelineSimulation
 from repro.hw.tree import simulate_merge
@@ -144,6 +145,111 @@ class TestUnrolledAndPipelinedSurfaces:
         completions = [pipeline.completion_cycles[i] for i in range(len(arrays))]
         assert completions == sorted(completions)
         assert total == completions[-1] + 1
+
+
+#: Model-mode key dtypes: numpy's 8- and 16-bit sorts, 32 bits, full-range
+#: uint64, signed keys with negatives, and floats holding equal keys with
+#: different bytes (±0.0, NaN payloads).
+MODEL_DTYPES = ("uint8", "uint16", "uint32", "uint64", "int64", "float64")
+FLOAT_SPECIALS = np.array(
+    [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0], dtype=np.float64
+)
+#: A quiet NaN with a nonzero payload: same order as ``np.nan``, other bytes.
+PAYLOAD_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+
+
+def draw_model_keys(draw, dtype: str, count: int) -> np.ndarray:
+    """``count`` seeded keys of ``dtype`` over its full range, optionally
+    squeezed onto a few distinct values so that ties abound."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dtype == "float64":
+        keys = rng.standard_normal(count) * 1e3
+        specials = rng.random(count) < 0.4
+        pool = np.concatenate([FLOAT_SPECIALS, PAYLOAD_NAN])
+        keys[specials] = rng.choice(pool, size=int(specials.sum()))
+    else:
+        info = np.iinfo(dtype)
+        keys = rng.integers(info.min, info.max, size=count, dtype=dtype, endpoint=True)
+    if count and draw(st.booleans()):
+        keys = rng.choice(keys[: max(1, count // 8)], size=count)
+    return keys
+
+
+@st.composite
+def model_sorts(draw):
+    """A model-mode sorter shape and its input, presorted in runs of
+    ``presort_run`` records when ``input_presorted`` is drawn."""
+    dtype = draw(st.sampled_from(MODEL_DTYPES))
+    presort_run = draw(st.sampled_from([1, 2, 4, 16, 37]))
+    leaves = draw(st.sampled_from([2, 4, 8, 16]))
+    keys = draw_model_keys(draw, dtype, draw(st.integers(0, 3000)))
+    presorted = draw(st.booleans())
+    if presorted:
+        # ``keys[:0]`` keeps the dtype when there are no runs at all.
+        keys = np.concatenate([keys[:0], *split_into_runs(keys, presort_run)])
+    return keys, presort_run, leaves, presorted
+
+
+@st.composite
+def irregular_runs(draw):
+    """Sorted runs of random lengths (empty ones included), of one dtype
+    or of mixed dtypes, and a merge width."""
+    dtypes = draw(
+        st.lists(st.sampled_from(MODEL_DTYPES), min_size=1, max_size=3, unique=True)
+    )
+    runs = []
+    for _ in range(draw(st.integers(0, 14))):
+        dtype = draw(st.sampled_from(dtypes))
+        keys = draw_model_keys(draw, dtype, draw(st.sampled_from([0, 0, 1, 5, 40, 300])))
+        runs.append(np.sort(keys, kind="stable"))
+    return runs, draw(st.sampled_from([2, 3, 4, 16]))
+
+
+def reference_stages(keys, presort_run, leaves, presorted) -> int:
+    """Stage count of the list path: split, then merge until one run."""
+    runs = split_into_runs(keys, presort_run, presorted=presorted)
+    stages = 0
+    while len(runs) > 1 or stages == 0:
+        runs = merge_stage(runs, leaves)
+        stages += 1
+    return stages
+
+
+class TestModelSurface:
+    """The model-mode data path sorts every dtype exactly like a stable
+    ``np.sort``, byte for byte, in the list path's number of stages."""
+
+    @given(model_sorts())
+    @settings(max_examples=80, deadline=None)
+    def test_amt_sorter_equals_stable_sort(self, drawn):
+        keys, presort_run, leaves, presorted = drawn
+        sorter = AmtSorter(
+            config=AmtConfig(p=4, leaves=leaves),
+            hardware=presets.aws_f1_measured().hardware,
+            presort_run=presort_run,
+        )
+        outcome = sorter.sort(keys, input_presorted=presorted)
+        expected = np.sort(keys, kind="stable")
+        assert outcome.data.dtype == expected.dtype
+        assert outcome.data.tobytes() == expected.tobytes()
+        if keys.size:
+            assert outcome.stages == reference_stages(keys, presort_run, leaves, presorted)
+
+    @given(irregular_runs())
+    @settings(max_examples=120, deadline=None)
+    def test_merge_stage_equals_per_group_stable_sort(self, drawn):
+        runs, leaves = drawn
+        out = merge_stage(runs, leaves)
+        groups = [runs[start : start + leaves] for start in range(0, len(runs), leaves)]
+        assert len(out) == max(1, len(groups))
+        for merged, group in zip(out, groups):
+            filled = [run for run in group if run.size]
+            if filled:
+                expected = np.sort(np.concatenate(filled), kind="stable")
+            else:
+                expected = group[-1]
+            assert merged.dtype == expected.dtype
+            assert merged.tobytes() == expected.tobytes()
 
 
 class TestOptimizerMonotonicity:

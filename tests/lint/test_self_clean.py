@@ -73,10 +73,10 @@ MUTATIONS: tuple[tuple[str, str, str, dict[str, str]], ...] = (
      "import numpy as np\n\nimport repro.engine.stage\n",
      {"worker-entry": "parallel/workers.py"}),
     ("parallel/workers.py",
-     "    in_desc, out_desc, group_index, start, stop = task\n",
+     "    in_desc, out_desc, index, shape, max_cycles = task\n",
      "    global _LAST_TASK\n"
      "    _LAST_TASK = task\n"
-     "    in_desc, out_desc, group_index, start, stop = task\n",
+     "    in_desc, out_desc, index, shape, max_cycles = task\n",
      {"proc-global-write": "parallel/workers.py"}),
     ("core/configuration.py",
      "    lambda_pipe: int = 1\n",

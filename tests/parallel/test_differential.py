@@ -1,11 +1,11 @@
 """Differential suite: parallel == serial, bit for bit.
 
 The acceptance contract of the execution layer — for every surface that
-takes a plan (model-mode merge stages, simulate-mode sorts, unrolled
-trees in both modes, optimizer rankings), every ``jobs`` setting must
-reproduce the plan-less results exactly: sorted bytes, modeled seconds,
-cycle counts, traffic and ranking order.  Each surface is exercised
-across at least three jobs settings and eight workload seeds.
+takes a ``jobs`` setting (session sorts in both modes, unrolled trees in
+both modes, optimizer rankings), every setting must reproduce the
+plan-less results exactly: sorted bytes, modeled seconds, cycle counts,
+traffic and ranking order.  Each surface is exercised across at least
+three jobs settings and eight workload seeds.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from repro.core.configuration import AmtConfig
 from repro.core.optimizer import Bonsai
 from repro.core.parameters import ArrayParams, MergerArchParams
 from repro.engine.sorter import AmtSorter
-from repro.engine.stage import merge_stage, split_into_runs
 from repro.engine.unrolled import UnrolledSorter
+from repro.obs.runtime import activated, live_observation
 from repro.parallel import ParallelPlan
-from repro.parallel.api import merge_stage_sharded
 from repro.records.valsort import content_digest
+from repro.serve.session import SortJob, SortSession
 from repro.units import GB
 
 SEEDS = tuple(range(8))
@@ -56,66 +56,46 @@ def outcomes_identical(left, right) -> bool:
     )
 
 
-class TestMergeStage:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_sharded_stage_matches_serial(self, seed):
-        rng = np.random.default_rng(seed)
-        runs = split_into_runs(rng.integers(0, 1 << 30, size=3000), 64)
-        serial = merge_stage(list(runs), 8)
-        for plan in JOBS_SETTINGS:
-            sharded = merge_stage_sharded(list(runs), 8, plan)
-            assert len(sharded) == len(serial)
-            for left, right in zip(serial, sharded):
-                assert np.array_equal(left, right) and left.dtype == right.dtype
+#: ``SortSession(jobs=...)`` values covering the same settings.
+SESSION_JOBS = tuple(None if plan is None else plan.jobs for plan in JOBS_SETTINGS)
 
-    def test_mixed_dtype_runs_fall_back_to_serial(self):
-        runs = [
-            np.array([1, 5, 9], dtype=np.uint32),
-            np.array([2, 4], dtype=np.uint64),
-            np.array([3, 8], dtype=np.uint64),
-        ]
-        serial = merge_stage(list(runs), 2)
-        sharded = merge_stage_sharded(list(runs), 2, ParallelPlan(jobs=4))
-        for left, right in zip(serial, sharded):
-            assert np.array_equal(left, right) and left.dtype == right.dtype
+
+def assert_session_parity(job: SortJob) -> None:
+    """A session's sort payload — digest, checksum, stages, model or
+    simulated seconds — is the plan-less one at every ``jobs`` setting."""
+    reference = SortSession().run_sort(job)
+    assert reference["stages"] > 1
+    for jobs in SESSION_JOBS:
+        payload = SortSession(jobs=jobs).run_sort(job)
+        assert payload["digest"] == reference["digest"], jobs
+        assert payload["stages"] == reference["stages"], jobs
+        assert payload["seconds"] == reference["seconds"], jobs
+        assert payload == reference, jobs
 
 
 class TestAmtSorterModel:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_model_sort_matches_serial(self, hardware, seed):
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 1 << 30, size=4000)
-        serial = AmtSorter(
-            config=AmtConfig(p=8, leaves=8), hardware=hardware
-        ).sort(data)
-        for plan in JOBS_SETTINGS:
-            parallel = AmtSorter(
-                config=AmtConfig(p=8, leaves=8), hardware=hardware, parallel=plan
-            ).sort(data)
-            assert outcomes_identical(serial, parallel)
+    def test_model_sort_matches_serial(self, seed):
+        assert_session_parity(SortJob(records=4000, seed=seed, p=8, leaves=8))
+
+    def test_model_sort_never_dispatches_to_the_pool(self):
+        """One in-place row sort per stage: a pooled session does no
+        pool work for a model-mode sort."""
+        job = SortJob(records=50_000)
+        live = live_observation()
+        with activated(live):
+            pooled = SortSession(jobs=2).run_sort(job)
+        assert live.registry.counter_value("parallel.maps", mode="pool") == 0
+        assert pooled["digest"] == SortSession().run_sort(job)["digest"]
 
 
 class TestAmtSorterSimulate:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_simulate_sort_matches_across_jobs(self, hardware, seed):
-        """Simulate mode: identical to the plan-less sort at every jobs
-        setting — outputs *and* cycle-derived seconds, bit for bit."""
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 1 << 30, size=900)
-        reference = None
-        for plan in JOBS_SETTINGS:
-            outcome = AmtSorter(
-                config=AmtConfig(p=8, leaves=8),
-                hardware=hardware,
-                mode="simulate",
-                parallel=plan,
-            ).sort(data)
-            assert outcome.is_sorted()
-            assert np.array_equal(outcome.data, np.sort(data))
-            if reference is None:
-                reference = outcome
-            else:
-                assert outcomes_identical(reference, outcome)
+    def test_simulate_sort_matches_across_jobs(self, seed):
+        """Simulate mode: outputs *and* cycle-derived seconds, bit for bit."""
+        assert_session_parity(
+            SortJob(records=900, seed=seed, p=8, leaves=8, mode="simulate")
+        )
 
 
 class TestUnrolledModel:

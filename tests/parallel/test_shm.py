@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,22 @@ def test_pack_and_read_round_trip():
             assert np.array_equal(read_array(desc, index), original)
     finally:
         release(block)
+
+
+def test_viewing_every_packed_array_is_linear():
+    """Each offset is computed once per descriptor, so viewing all of a
+    20,000-array block's arrays stays far below a second (rebuilding the
+    offsets per view made it O(n²): about 15 s)."""
+    arrays = [np.full(2, index, dtype=np.uint32) for index in range(20_000)]
+    block, desc = pack_arrays(arrays)
+    try:
+        started = time.perf_counter()
+        firsts = [int(view_array(desc, index, block)[0]) for index in range(len(arrays))]
+        elapsed = time.perf_counter() - started
+    finally:
+        release(block)
+    assert firsts == list(range(20_000))
+    assert elapsed < 1.0
 
 
 def test_pack_rejects_empty_list():
