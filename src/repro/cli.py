@@ -24,7 +24,7 @@ from repro.core.configuration import AmtConfig
 from repro.core.parameters import ArrayParams, MergerArchParams
 from repro.core.scalability import ScalabilityModel
 from repro.core.ssd_planner import SsdSortPlan
-from repro.errors import BonsaiError
+from repro.errors import BonsaiError, NoFeasibleConfigError
 from repro.records.workloads import WorkloadSpec, generate
 from repro.units import GB, KB, MB, TB, format_bytes, format_seconds
 
@@ -93,7 +93,6 @@ def _configure_optimize(opt: argparse.ArgumentParser) -> None:
     opt.add_argument("--leaves-cap", type=int, default=None)
     opt.add_argument("--top", type=int, default=5,
                      help="how many ranked configurations to print")
-    _add_jobs_flag(opt)
     _add_obs_flags(opt)
 
 
@@ -203,10 +202,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from repro.core.optimizer import no_feasible_message
     from repro.serve import OptimizeJob, SortSession
 
-    session = SortSession(jobs=args.jobs)
-    payload = session.run_optimize(OptimizeJob(
+    payload = SortSession().run_optimize(OptimizeJob(
         platform=args.platform,
         size_bytes=args.size,
         record_bytes=args.record_bytes,
@@ -215,6 +214,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         leaves_cap=args.leaves_cap,
         top=args.top,
     ))
+    if not payload["rows"]:
+        raise NoFeasibleConfigError(
+            no_feasible_message(args.objective, ArrayParams.from_bytes(args.size))
+        )
     print(f"platform={payload['platform']}  size={format_bytes(args.size)}  "
           f"objective={args.objective}")
     rows = [

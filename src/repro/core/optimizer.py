@@ -33,7 +33,6 @@ from repro.core.performance import PerformanceModel
 from repro.core.resources import ResourceModel
 from repro.errors import ConfigurationError, NoFeasibleConfigError
 from repro.obs.runtime import observation
-from repro.parallel.plan import ParallelPlan
 from repro.units import GB
 
 UnrollMode = Literal["partition", "address_range"]
@@ -44,6 +43,16 @@ UnrollMode = Literal["partition", "address_range"]
 #: unbounded memo would grow with every request; 16 keeps all 8 slices
 #: of a four-size latency-and-throughput sweep resident.
 LATENCY_CACHE_SLICES = 16
+
+
+def no_feasible_message(objective: str, array: ArrayParams) -> str:
+    """Why an empty ``objective`` ranking of ``array`` has no optimum."""
+    if objective == "throughput":
+        return (
+            "no pipelined AMT configuration can sort arrays of "
+            f"{array.total_bytes:,} bytes within resources and Eq. 5"
+        )
+    return "no AMT configuration fits the available on-chip resources"
 
 
 @dataclass(frozen=True)
@@ -92,17 +101,6 @@ class Bonsai:
         :class:`~repro.core.frequency.FrequencyModel` that degrades each
         configuration's clock past its congestion thresholds, letting
         the implemented l = 64 choice *emerge* from the search.
-    parallel:
-        Optional :class:`~repro.parallel.plan.ParallelPlan` evaluating
-        configuration chunks in worker processes.  Workers return
-        evaluation tuples and the parent folds them into its frozen-key
-        caches before ranking, so the ranking loop itself — and with it
-        the order, ties and all — is byte-for-byte the serial one.
-    observe:
-        Whether this instance reports memo-hit/miss counters to the
-        active observation.  Worker-side replicas are constructed with
-        ``False`` so their internal cache population is not double
-        counted against the parent's accounting.
     """
 
     hardware: HardwareParams
@@ -114,8 +112,6 @@ class Bonsai:
     pipe_max: int = 8
     leaves_cap: int | None = None
     frequency_model: object | None = None
-    parallel: ParallelPlan | None = None
-    observe: bool = True
 
     performance: PerformanceModel = field(init=False)
     resources: ResourceModel = field(init=False)
@@ -135,12 +131,6 @@ class Bonsai:
     # first: the eviction order of ``_store_latency``.
     _latency_slices: dict = field(init=False, default_factory=dict, repr=False)
     _throughput_cache: dict = field(init=False, default_factory=dict, repr=False)
-    # Cache keys filled by a pool prefetch whose first parent-side
-    # lookup has not happened yet.  Memo accounting treats that first
-    # lookup as a *miss* (the evaluation really ran, just in a worker),
-    # which keeps hit/miss counters identical between serial and
-    # sharded runs by construction.
-    _fresh_keys: set = field(init=False, default_factory=set, repr=False)
 
     def __post_init__(self) -> None:
         for label, value in (
@@ -172,8 +162,6 @@ class Bonsai:
 
     def _note_memo(self, cache: str, hit: bool) -> None:
         """Report one memo lookup to the active observation."""
-        if not self.observe:
-            return
         observation().count(
             "optimizer.memo_hits" if hit else "optimizer.memo_misses",
             cache=cache,
@@ -240,20 +228,16 @@ class Bonsai:
                 cached = self.performance.latency_unrolled(config, array)
             self._store_latency(key, cached)
             self._note_memo("latency", hit=False)
-        elif ("latency", key) in self._fresh_keys:
-            self._fresh_keys.discard(("latency", key))
-            self._note_memo("latency", hit=False)
         else:
             self._note_memo("latency", hit=True)
         return cached
 
-    def _store_latency(self, key: tuple, latency: float, fresh: bool = False) -> None:
+    def _store_latency(self, key: tuple, latency: float) -> None:
         """Insert one latency memo entry: the memo's single insert path.
 
         Entries are grouped by their ``(array, mode)`` slice.  A new
         slice beyond :data:`LATENCY_CACHE_SLICES` evicts the oldest
-        slice's entries and their fresh marks.  ``fresh`` marks an entry
-        a pool prefetch filled, whose first lookup still counts as a miss.
+        slice's entries.
         """
         members = self._latency_slices.get(key[1:])
         if members is None:
@@ -262,11 +246,8 @@ class Bonsai:
                 oldest = next(iter(self._latency_slices))
                 for old in self._latency_slices.pop(oldest):
                     del self._latency_cache[old]
-                    self._fresh_keys.discard(("latency", old))
         members.append(key)
         self._latency_cache[key] = latency
-        if fresh:
-            self._fresh_keys.add(("latency", key))
 
     def _throughput(self, config: AmtConfig) -> float:
         cached = self._throughput_cache.get(config)
@@ -274,83 +255,9 @@ class Bonsai:
             cached = self.performance.throughput_combined(config)
             self._throughput_cache[config] = cached
             self._note_memo("throughput", hit=False)
-        elif ("throughput", config) in self._fresh_keys:
-            self._fresh_keys.discard(("throughput", config))
-            self._note_memo("throughput", hit=False)
         else:
             self._note_memo("throughput", hit=True)
         return cached
-
-    # ------------------------------------------------------------------
-    # parallel cache prefetch
-    # ------------------------------------------------------------------
-    def _worker_kwargs(self) -> dict:
-        """Constructor kwargs for a worker-side replica of this optimizer.
-
-        Everything except ``parallel`` (workers never nest pools), so
-        the replica evaluates the exact same models over the exact same
-        search space.
-        """
-        return {
-            "hardware": self.hardware,
-            "arch": self.arch,
-            "presort_run": self.presort_run,
-            "p_max": self.p_max,
-            "leaves_max": self.leaves_max,
-            "unroll_max": self.unroll_max,
-            "pipe_max": self.pipe_max,
-            "leaves_cap": self.leaves_cap,
-            "frequency_model": self.frequency_model,
-            "observe": False,
-        }
-
-    def _prefetch_latencies(self, array: ArrayParams, unroll_mode: str) -> None:
-        """Fill ``_latency_cache`` for every feasible config via the pool."""
-        if self.parallel is None:
-            return
-        configs = [
-            config
-            for config in self.feasible_configs(include_pipelines=False)
-            if (config, array, unroll_mode) not in self._latency_cache
-        ]
-        if not self.parallel.wants_processes(len(configs)):
-            return
-        from repro.parallel.workers import worker_eval_latency
-
-        kwargs = self._worker_kwargs()
-        tasks = [
-            (kwargs, tuple(configs[i] for i in chunk), array, unroll_mode)
-            for chunk in self.parallel.chunks(len(configs))
-        ]
-        for pairs in self.parallel.map(worker_eval_latency, tasks):
-            for config, latency in pairs:
-                self._store_latency((config, array, unroll_mode), latency, fresh=True)
-
-    def _prefetch_throughputs(self, array: ArrayParams) -> None:
-        """Fill throughput/latency caches for the Eq. 5-feasible configs."""
-        if self.parallel is None:
-            return
-        configs = [
-            config
-            for config in self.feasible_configs(include_pipelines=True)
-            if config not in self._throughput_cache
-        ]
-        if not self.parallel.wants_processes(len(configs)):
-            return
-        from repro.parallel.workers import worker_eval_throughput
-
-        kwargs = self._worker_kwargs()
-        tasks = [
-            (kwargs, tuple(configs[i] for i in chunk), array)
-            for chunk in self.parallel.chunks(len(configs))
-        ]
-        for rows in self.parallel.map(worker_eval_throughput, tasks):
-            for config, can_sort, throughput, latency in rows:
-                if not can_sort:
-                    continue
-                self._throughput_cache[config] = throughput
-                self._fresh_keys.add(("throughput", config))
-                self._store_latency((config, array, "combined"), latency, fresh=True)
 
     def rank_by_latency(
         self,
@@ -368,7 +275,6 @@ class Bonsai:
             "optimizer.rank_latency",
             records=array.n_records, unroll_mode=unroll_mode,
         ) as span:
-            self._prefetch_latencies(array, unroll_mode)
             ranked = []
             for config in self.feasible_configs(include_pipelines=False):
                 latency = self._latency(config, array, unroll_mode)
@@ -394,8 +300,7 @@ class Bonsai:
                     r.bram_bytes,
                 )
             )
-            if self.observe:
-                obs.count("optimizer.configs_ranked", len(ranked), sweep="latency")
+            obs.count("optimizer.configs_ranked", len(ranked), sweep="latency")
             span.set(configs=len(ranked))
         return ranked[:top] if top is not None else ranked
 
@@ -405,9 +310,7 @@ class Bonsai:
         """The minimum-sorting-time configuration (argmin of §III-C)."""
         ranked = self.rank_by_latency(array, unroll_mode=unroll_mode, top=1)
         if not ranked:
-            raise NoFeasibleConfigError(
-                "no AMT configuration fits the available on-chip resources"
-            )
+            raise NoFeasibleConfigError(no_feasible_message("latency", array))
         return ranked[0]
 
     # ------------------------------------------------------------------
@@ -425,7 +328,6 @@ class Bonsai:
         with obs.span(
             "optimizer.rank_throughput", records=array.n_records
         ) as span:
-            self._prefetch_throughputs(array)
             ranked = []
             for config in self.feasible_configs(include_pipelines=True):
                 if not self.pipeline_can_sort(config, array):
@@ -444,10 +346,7 @@ class Bonsai:
             ranked.sort(
                 key=lambda r: (-r.throughput_bytes, r.lut_usage, r.bram_bytes)
             )
-            if self.observe:
-                obs.count(
-                    "optimizer.configs_ranked", len(ranked), sweep="throughput"
-                )
+            obs.count("optimizer.configs_ranked", len(ranked), sweep="throughput")
             span.set(configs=len(ranked))
         return ranked[:top] if top is not None else ranked
 
@@ -455,10 +354,7 @@ class Bonsai:
         """The maximum-throughput configuration (argmax of §III-C)."""
         ranked = self.rank_by_throughput(array, top=1)
         if not ranked:
-            raise NoFeasibleConfigError(
-                "no pipelined AMT configuration can sort arrays of "
-                f"{array.total_bytes:,} bytes within resources and Eq. 5"
-            )
+            raise NoFeasibleConfigError(no_feasible_message("throughput", array))
         return ranked[0]
 
     def pipeline_can_sort(self, config: AmtConfig, array: ArrayParams) -> bool:

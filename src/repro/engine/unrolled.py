@@ -35,10 +35,11 @@ from repro.parallel.plan import ParallelPlan
 class UnrolledSorter:
     """λ_unrl independent AMTs over one array.
 
-    ``parallel`` optionally shards the independent trees across a
-    process pool (one worker per partition in model mode, one per
-    cycle-simulated unit in :meth:`simulate`); results are bit-identical
-    to the serial loops for every ``jobs`` setting.
+    ``parallel`` optionally runs the cycle-simulated units of
+    :meth:`simulate` in a process pool, one worker per unit; results are
+    bit-identical to the serial loop for every ``jobs`` setting.  Model
+    mode always sorts its partitions in a serial loop: each one is a few
+    in-place row sorts, cheaper than shipping it to a worker and back.
     """
 
     config: AmtConfig
@@ -123,28 +124,10 @@ class UnrolledSorter:
         )
 
     def _sort_partitions(self, partitions: list[np.ndarray]) -> list[SortOutcome]:
-        """Model-mode sort of the λ independent partitions, in order.
-
-        Shards one worker per partition when a plan is attached; the
-        worker runs the same single-tree :class:`AmtSorter` as the
-        serial loop, so outcomes are identical either way.
-        """
+        """Model-mode sort of the λ independent partitions, in order."""
         with observation().span(
             "unrolled.partitions", partitions=len(partitions)
         ):
-            if self.parallel is not None:
-                from repro.parallel.api import sort_partitions_sharded
-
-                outcomes = sort_partitions_sharded(
-                    partitions,
-                    config=self._tree_sorter.config,
-                    hardware=self._tree_sorter.hardware,
-                    arch=self.arch,
-                    presort_run=self.presort_run,
-                    plan=self.parallel,
-                )
-                if outcomes is not None:
-                    return outcomes
             return [self._tree_sorter.sort(partition) for partition in partitions]
 
     def sort(self, data: np.ndarray) -> SortOutcome:

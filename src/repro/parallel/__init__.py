@@ -1,12 +1,15 @@
-"""Process-pool execution layer for independent merges, trees and sweeps.
+"""Process-pool execution layer for independent simulated units and nodes.
 
 The paper's performance story is built on *independent* units of work —
-λ_unrl trees over disjoint partitions, the nodes of a cluster sort,
-per-configuration optimizer evaluations — and this package runs them
-side by side on host cores without changing a single result.  A single
-tree's merge groups are never split apart: in simulate mode they share
-one simulated pipeline, and in model mode a whole stage is one in-place
-row sort of one buffer, which no pool dispatch could beat:
+λ_unrl trees over disjoint address ranges, the nodes of a cluster sort —
+and this package runs the ones that outweigh a pool round trip side by
+side on host cores without changing a single result: unrolled
+*simulation* units, cluster nodes and their exchange, and served job
+batches.  Model-mode unrolled partitions and optimizer rankings stay in
+the parent, because their pool round trip costs more than the work.  A
+single tree's merge groups are never split apart: in simulate mode they
+share one simulated pipeline, and in model mode a whole stage is one
+in-place row sort of one buffer, which no pool dispatch could beat:
 
 * :class:`ParallelPlan` is the one policy object (worker count,
   chunking, per-task timeout with serial fallback) and its
@@ -15,8 +18,8 @@ row sort of one buffer, which no pool dispatch could beat:
   memory instead of pickles;
 * :mod:`repro.parallel.workers` holds the module-level, import-pure
   worker entries (enforced by ``bonsai check``'s ``worker-entry`` rule);
-* :mod:`repro.parallel.api` reproduces each serial hot loop with an
-  order-stable sharded equivalent.
+* :mod:`repro.parallel.api` reproduces the unrolled simulator's unit
+  loop with an order-stable sharded equivalent.
 
 Determinism contract: same task list + same worker function +
 order-stable reduction ⇒ bit-identical results for every ``jobs``

@@ -1,16 +1,17 @@
-"""Parent-side sharding helpers for the engine's serial hot loops.
+"""Parent-side sharding of the unrolled simulator's independent units.
 
-Each helper takes the exact inputs of one serial loop plus a
+:func:`simulate_units_sharded` takes the exact inputs of
+:meth:`repro.hw.banks.UnrolledSimulation.run`'s unit loop plus a
 :class:`~repro.parallel.plan.ParallelPlan` and reproduces that loop's
 results through :meth:`ParallelPlan.map`.  The task decomposition never
-depends on the ``jobs`` setting, and every reduction is order-stable, so
-a helper's output is bit-identical at every ``jobs`` setting — the
+depends on the ``jobs`` setting, and the reduction is order-stable, so
+the output is bit-identical at every ``jobs`` setting — the
 differential suite in ``tests/parallel`` pins this against the
 plan-less path.
 
 Record data travels through :mod:`repro.parallel.shm`: the parent packs
-batches into one shared block, workers attach zero-copy views, and only
-tiny descriptors and cycle counts ride the pickles.
+the chunks into one shared block, workers attach zero-copy views, and
+only tiny descriptors and cycle counts ride the pickles.
 """
 
 from __future__ import annotations
@@ -25,62 +26,7 @@ from repro.parallel.shm import (
     release,
     view_array,
 )
-from repro.parallel.workers import (
-    worker_simulate_unit_shm,
-    worker_sort_partition,
-)
-
-
-def sort_partitions_sharded(
-    partitions: list[np.ndarray],
-    config,
-    hardware,
-    arch,
-    presort_run: int,
-    plan: ParallelPlan | None,
-) -> list | None:
-    """Model-mode sort of independent partitions, one worker each.
-
-    Returns a list of :class:`~repro.engine.results.SortOutcome` in
-    partition order, or ``None`` when sharding does not apply and the
-    caller should run its serial loop (same worker code path either
-    way, so both give identical outcomes).
-    """
-    from repro.engine.results import SortOutcome
-
-    dtypes = {part.dtype for part in partitions}
-    if (
-        plan is None
-        or len(dtypes) != 1
-        or not plan.wants_processes(len(partitions))
-    ):
-        return None
-    dtype = dtypes.pop()
-    in_block, in_desc = pack_arrays(partitions)
-    out_block, out_desc = alloc_arrays([int(p.size) for p in partitions], dtype)
-    try:
-        tasks = [
-            (in_desc, out_desc, index, config, hardware, arch, presort_run, "model")
-            for index in range(len(partitions))
-        ]
-        results = plan.map(worker_sort_partition, tasks)
-        outcomes = []
-        for index, seconds, stages, traffic, detail in results:
-            outcomes.append(
-                SortOutcome(
-                    data=view_array(out_desc, index, out_block).copy(),
-                    seconds=seconds,
-                    stages=stages,
-                    record_bytes=arch.record_bytes,
-                    mode="model",
-                    traffic=traffic,
-                    detail=detail,
-                )
-            )
-        return outcomes
-    finally:
-        release(in_block)
-        release(out_block)
+from repro.parallel.workers import worker_simulate_unit_shm
 
 
 def simulate_units_sharded(

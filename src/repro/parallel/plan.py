@@ -1,15 +1,14 @@
 """The parallel execution plan: one policy object for every sharded loop.
 
-Every independently-executable unit of work in the reproduction — the
-λ_unrl trees of an unrolled sort, the configuration chunks of an
-optimizer sweep, the nodes of a cluster sort, a batch of served jobs —
-goes through one entry point, :meth:`ParallelPlan.map`.  The plan
-decides *how* the map runs (a process pool or a plain loop); it never
-changes *what* is computed, so results are bit-identical across every
-``jobs`` setting by construction: the same module-level worker function
-is applied to the same task list in the same order, and the reduction is
-order-stable (results land at their task's index, never in completion
-order).
+Every unit of work the reproduction shards — the λ_unrl units of an
+unrolled simulation, the nodes of a cluster sort and its exchange, a
+batch of served jobs — goes through one entry point,
+:meth:`ParallelPlan.map`.  The plan decides *how* the map runs (a
+process pool or a plain loop); it never changes *what* is computed, so
+results are bit-identical across every ``jobs`` setting by
+construction: the same module-level worker function is applied to the
+same task list in the same order, and the reduction is order-stable
+(results land at their task's index, never in completion order).
 
 The map runs as a plain loop in the parent when any of these hold:
 

@@ -24,31 +24,6 @@ from repro.parallel.shm import ShmArrays, read_array, view_array, write_array
 
 
 # ----------------------------------------------------------------------
-# model-mode unrolled partitions (engine/unrolled.py)
-# ----------------------------------------------------------------------
-def worker_sort_partition(task: tuple) -> tuple:
-    """Sort one partition through a single-tree :class:`AmtSorter`.
-
-    ``task = (in_desc, out_desc, index, config, hardware, arch,
-    presort_run, mode)``; the partition lives in input slot ``index``
-    and the sorted data is written back to output slot ``index``.
-    Returns the timing/traffic metadata the parent needs to rebuild the
-    partition's :class:`~repro.engine.results.SortOutcome`.
-    """
-    from repro.engine.sorter import AmtSorter
-
-    in_desc, out_desc, index, config, hardware, arch, presort_run, mode = task
-    data = read_array(in_desc, index)
-    sorter = AmtSorter(
-        config=config, hardware=hardware, arch=arch,
-        presort_run=presort_run, mode=mode,
-    )
-    outcome = sorter.sort(data)
-    write_array(out_desc, index, np.asarray(outcome.data, dtype=data.dtype))
-    return (index, outcome.seconds, outcome.stages, outcome.traffic, outcome.detail)
-
-
-# ----------------------------------------------------------------------
 # simulate-mode unrolled units (hw/banks.py)
 # ----------------------------------------------------------------------
 def worker_simulate_unit_shm(task: tuple) -> tuple:
@@ -173,75 +148,17 @@ def worker_cluster_node_sort(task: tuple) -> tuple:
     return (receiver, float(outcome.seconds), int(outcome.stages))
 
 
-# ----------------------------------------------------------------------
-# optimizer sweeps (core/optimizer.py)
-# ----------------------------------------------------------------------
-def worker_eval_latency(task: tuple) -> list[tuple]:
-    """Evaluate §III-C latency for a chunk of configurations.
-
-    ``task = (bonsai_kwargs, configs, array, unroll_mode)``.  Builds a
-    fresh :class:`Bonsai` from the parent's constructor kwargs so the
-    evaluation runs the *same* code path as the serial loop, then
-    returns ``(config, latency_seconds)`` pairs for the parent to fold
-    into its frozen-key memoization cache.
-    """
-    from repro.core.optimizer import Bonsai
-
-    bonsai_kwargs, configs, array, unroll_mode = task
-    bonsai = Bonsai(**bonsai_kwargs)
-    return [
-        (config, bonsai._latency(config, array, unroll_mode))
-        for config in configs
-    ]
-
-
-def worker_eval_throughput(task: tuple) -> list[tuple]:
-    """Evaluate Eq. 5 + throughput/latency for a chunk of configurations.
-
-    ``task = (bonsai_kwargs, configs, array)``.  Mirrors the serial
-    ``rank_by_throughput`` loop: configurations failing
-    ``pipeline_can_sort`` are skipped (their objective is never
-    computed, exactly like serial).  Returns
-    ``(config, can_sort, throughput_bytes, latency_seconds)`` with
-    ``None`` objectives for skipped configs.
-    """
-    from repro.core.optimizer import Bonsai
-
-    bonsai_kwargs, configs, array = task
-    bonsai = Bonsai(**bonsai_kwargs)
-    results = []
-    for config in configs:
-        if not bonsai.pipeline_can_sort(config, array):
-            results.append((config, False, None, None))
-            continue
-        results.append(
-            (
-                config,
-                True,
-                bonsai._throughput(config),
-                bonsai._latency(config, array, "combined"),
-            )
-        )
-    return results
-
-
 #: Names re-exported for the ``worker-entry`` check's allow-list tests.
 WORKER_ENTRIES = (
-    worker_sort_partition,
     worker_simulate_unit_shm,
     worker_exchange_partition,
     worker_cluster_node_sort,
-    worker_eval_latency,
-    worker_eval_throughput,
 )
 
 __all__ = [
     "ShmArrays",
     "WORKER_ENTRIES",
     "worker_cluster_node_sort",
-    "worker_eval_latency",
-    "worker_eval_throughput",
     "worker_exchange_partition",
     "worker_simulate_unit_shm",
-    "worker_sort_partition",
 ]

@@ -237,8 +237,7 @@ class _Server:
             if not batch:
                 return
             tasks = [
-                (job.payload[2].kind, job.payload[2].params(), None)
-                for job in batch
+                (job.payload[2].kind, job.payload[2].params()) for job in batch
             ]
             try:
                 outcomes = await loop.run_in_executor(
@@ -317,9 +316,7 @@ def _execute_batch(session: SortSession, tasks: list) -> list:
     plan = session.plan
     if plan is not None and len(tasks) > 1 and plan.wants_processes(len(tasks)):
         return plan.map(worker_serve_job, tasks)
-    return [
-        execute_payload(session, kind, params) for kind, params, _jobs in tasks
-    ]
+    return [execute_payload(session, kind, params) for kind, params in tasks]
 
 
 async def _serve_async(config: ServeConfig, control: ServeControl | None) -> int:

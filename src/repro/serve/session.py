@@ -7,7 +7,7 @@ to a :class:`SortSession`.  The session owns everything those surfaces
 used to build ad hoc:
 
 * platform preset resolution (cached per name);
-* the :class:`~repro.parallel.plan.ParallelPlan` every sharded loop uses;
+* the :class:`~repro.parallel.plan.ParallelPlan` served batches fan out on;
 * one memoized :class:`~repro.core.optimizer.Bonsai` per optimizer key,
   so a long-lived daemon amortizes sweep evaluation across requests;
 * job execution returning plain JSON-shaped payloads.
@@ -163,8 +163,10 @@ class SortSession:
     jobs:
         Worker-process count (a count, ``"auto"``, or ``None`` for the
         plain serial path) — exactly the CLI ``--jobs`` contract.  It
-        shards optimizer evaluations and served batches; a single-tree
-        sort never shards.  Results are bit-identical at every setting.
+        shards served batches only: a single-tree sort and an optimizer
+        ranking always run in this process, because each is cheaper
+        than a pool round trip.  Results are bit-identical at every
+        setting.
     """
 
     def __init__(self, jobs: int | str | None = None) -> None:
@@ -212,7 +214,6 @@ class SortSession:
                 presort_run=presort,
                 leaves_cap=leaves_cap,
             )
-            bonsai.parallel = self.plan
             self._optimizers[key] = bonsai
         return bonsai
 

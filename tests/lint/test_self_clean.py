@@ -78,10 +78,11 @@ MUTATIONS: tuple[tuple[str, str, str, dict[str, str]], ...] = (
      "    _LAST_TASK = task\n"
      "    in_desc, out_desc, index, shape, max_cycles = task\n",
      {"proc-global-write": "parallel/workers.py"}),
-    ("core/configuration.py",
-     "    lambda_pipe: int = 1\n",
-     "    lambda_pipe: int = 1\n    guard: threading.Lock | None = None\n",
-     {"proc-unpicklable": "core/optimizer.py"}),
+    ("parallel/shm.py",
+     "    lengths: tuple[int, ...]\n",
+     "    lengths: tuple[int, ...]\n"
+     "    block: shared_memory.SharedMemory | None = None\n",
+     {"proc-unpicklable": "parallel/shm.py"}),
     ("parallel/api.py",
      "        release(in_block)\n        release(out_block)\n",
      "        release(out_block)\n",

@@ -15,12 +15,12 @@ import pytest
 
 from repro.core import presets
 from repro.core.configuration import AmtConfig
-from repro.core.optimizer import Bonsai
-from repro.core.parameters import ArrayParams, MergerArchParams
+from repro.core.parameters import ArrayParams
 from repro.engine.unrolled import UnrolledSorter
 from repro.obs.metrics import diff_counters
 from repro.obs.runtime import activated, live_observation
 from repro.parallel import ParallelPlan
+from repro.serve.session import SortSession
 from repro.units import GB
 
 IGNORED = ("parallel.",)
@@ -40,24 +40,29 @@ def observed_counters(fn):
 
 
 class TestUnrolledSortMerge:
-    @pytest.mark.parametrize("partitioning", ["range", "address"])
-    def test_serial_and_jobs2_counters_identical(self, hardware, partitioning):
+    """An unrolled sorter carrying a jobs=2 plan: its model sort runs in
+    the parent, its simulated units run in the pool, and both keep the
+    serial counters."""
+
+    def run(self, hardware, partitioning, plan):
         rng = np.random.default_rng(11)
         data = rng.integers(0, 1 << 30, size=5000)
-        config = AmtConfig(p=8, leaves=16, lambda_unroll=4)
-
-        def run(plan):
-            sorter = UnrolledSorter(
-                config=config, hardware=hardware,
-                partitioning=partitioning, parallel=plan,
-            )
-            return sorter.sort(data)
-
-        serial_outcome, serial = observed_counters(lambda: run(None))
-        sharded_outcome, sharded = observed_counters(
-            lambda: run(ParallelPlan(jobs=2))
+        sorter = UnrolledSorter(
+            config=AmtConfig(p=8, leaves=16, lambda_unroll=4),
+            hardware=hardware, partitioning=partitioning, parallel=plan,
         )
-        assert np.array_equal(serial_outcome.data, sharded_outcome.data)
+        return sorter.sort(data), sorter.simulate(data[:1200])
+
+    @pytest.mark.parametrize("partitioning", ["range", "address"])
+    def test_serial_and_jobs2_counters_identical(self, hardware, partitioning):
+        serial_outcomes, serial = observed_counters(
+            lambda: self.run(hardware, partitioning, None)
+        )
+        sharded_outcomes, sharded = observed_counters(
+            lambda: self.run(hardware, partitioning, ParallelPlan(jobs=2))
+        )
+        for serial_outcome, sharded_outcome in zip(serial_outcomes, sharded_outcomes):
+            assert np.array_equal(serial_outcome.data, sharded_outcome.data)
         problems = diff_counters(
             serial.registry.counters(),
             sharded.registry.counters(),
@@ -67,71 +72,54 @@ class TestUnrolledSortMerge:
 
     def test_parallel_bookkeeping_does_differ(self, hardware):
         # Guard against the comparison passing vacuously: the sharded
-        # run must actually have taken the pool path.
-        rng = np.random.default_rng(12)
-        data = rng.integers(0, 1 << 30, size=5000)
-        config = AmtConfig(p=8, leaves=16, lambda_unroll=4)
+        # run must actually have taken the pool path, once, for the
+        # simulated units.
         _, sharded = observed_counters(
-            lambda: UnrolledSorter(
-                config=config, hardware=hardware,
-                parallel=ParallelPlan(jobs=2),
-            ).sort(data)
+            lambda: self.run(hardware, "range", ParallelPlan(jobs=2))
         )
         registry = sharded.registry
-        assert registry.counter_value("parallel.maps", mode="pool") > 0
+        assert registry.counter_value("parallel.maps", mode="pool") == 1
         assert registry.counter_total("parallel.tasks") > 0
 
 
 class TestOptimizerSweepMerge:
-    def build(self, plan):
-        platform = presets.aws_f1()
-        return Bonsai(
-            hardware=platform.hardware,
-            arch=MergerArchParams(),
-            presort_run=16,
-            p_max=8,
-            leaves_max=64,
-            unroll_max=2,
-            pipe_max=2,
-            parallel=plan,
-        )
+    """A pooled session's optimizer ranks in the parent: its counters,
+    ``parallel.*`` bookkeeping included, equal a serial session's."""
+
+    def build(self, jobs):
+        return SortSession(jobs=jobs).optimizer("aws-f1")
+
+    def assert_same_counters(self, serial, pooled):
+        assert diff_counters(
+            serial.registry.counters(), pooled.registry.counters()
+        ) == []
 
     def test_memo_accounting_matches_serial(self):
         array = ArrayParams.from_bytes(GB)
         serial_ranking, serial = observed_counters(
             lambda: self.build(None).rank_by_latency(array)
         )
-        sharded_ranking, sharded = observed_counters(
-            lambda: self.build(ParallelPlan(jobs=2)).rank_by_latency(array)
+        pooled_ranking, pooled = observed_counters(
+            lambda: self.build(2).rank_by_latency(array)
         )
-        assert sharded_ranking == serial_ranking
-        problems = diff_counters(
-            serial.registry.counters(),
-            sharded.registry.counters(),
-            ignore_prefixes=IGNORED,
-        )
-        assert problems == []
+        assert pooled_ranking == serial_ranking
+        self.assert_same_counters(serial, pooled)
 
     def test_bounded_latency_memo_matches_serial(self, monkeypatch):
-        """Evictions fall at the same lookups serially and pooled."""
+        """Evictions fall at the same lookups in both sessions, and the
+        oldest slice goes first."""
         monkeypatch.setattr("repro.core.optimizer.LATENCY_CACHE_SLICES", 2)
         arrays = [ArrayParams.from_bytes(n * GB) for n in (1, 2, 4, 1, 8, 2)]
 
-        def sweep(plan):
-            bonsai = self.build(plan)
+        def sweep(jobs):
+            bonsai = self.build(jobs)
             latency = [bonsai.rank_by_latency(array) for array in arrays]
             return latency + [bonsai.rank_by_throughput(array) for array in arrays[:2]]
 
         serial_rankings, serial = observed_counters(lambda: sweep(None))
-        sharded_rankings, sharded = observed_counters(
-            lambda: sweep(ParallelPlan(jobs=2))
-        )
-        assert sharded_rankings == serial_rankings
-        assert diff_counters(
-            serial.registry.counters(),
-            sharded.registry.counters(),
-            ignore_prefixes=IGNORED,
-        ) == []
+        pooled_rankings, pooled = observed_counters(lambda: sweep(2))
+        assert pooled_rankings == serial_rankings
+        self.assert_same_counters(serial, pooled)
         # With two slices kept, the repeated sizes were evicted first.
         assert serial.registry.counter_value("optimizer.memo_hits", cache="latency") == 0
 
@@ -140,27 +128,23 @@ class TestOptimizerSweepMerge:
         serial_ranking, serial = observed_counters(
             lambda: self.build(None).rank_by_throughput(array)
         )
-        sharded_ranking, sharded = observed_counters(
-            lambda: self.build(ParallelPlan(jobs=2)).rank_by_throughput(array)
+        pooled_ranking, pooled = observed_counters(
+            lambda: self.build(2).rank_by_throughput(array)
         )
-        assert sharded_ranking == serial_ranking
-        assert diff_counters(
-            serial.registry.counters(),
-            sharded.registry.counters(),
-            ignore_prefixes=IGNORED,
-        ) == []
+        assert pooled_ranking == serial_ranking
+        self.assert_same_counters(serial, pooled)
 
 
 class TestWorkerSpans:
     def test_worker_spans_land_in_parent_sink_linked(self, hardware):
         rng = np.random.default_rng(13)
-        data = rng.integers(0, 1 << 30, size=5000)
+        data = rng.integers(0, 1 << 30, size=1200)
         config = AmtConfig(p=8, leaves=16, lambda_unroll=4)
         _, live = observed_counters(
             lambda: UnrolledSorter(
                 config=config, hardware=hardware,
                 parallel=ParallelPlan(jobs=2),
-            ).sort(data)
+            ).simulate(data)
         )
         spans = live.sink.spans()
         worker_spans = [s for s in spans if s["proc"] != "main"]

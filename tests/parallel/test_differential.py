@@ -2,10 +2,13 @@
 
 The acceptance contract of the execution layer — for every surface that
 takes a ``jobs`` setting (session sorts in both modes, unrolled trees in
-both modes, optimizer rankings), every setting must reproduce the
-plan-less results exactly: sorted bytes, modeled seconds, cycle counts,
-traffic and ranking order.  Each surface is exercised across at least
-three jobs settings and eight workload seeds.
+both modes), every setting must reproduce the plan-less results
+exactly: sorted bytes, modeled seconds, cycle counts and traffic.  Each
+surface is exercised across at least three jobs settings and eight
+workload seeds.  Only work that pays for a pool round trip reaches one:
+model-mode sorts and optimizer rankings run in the parent at every
+setting, and the optimizer's memo must rank a warm instance exactly
+like a cold one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.engine.unrolled import UnrolledSorter
 from repro.obs.runtime import activated, live_observation
 from repro.parallel import ParallelPlan
 from repro.records.valsort import content_digest
-from repro.serve.session import SortJob, SortSession
+from repro.serve.session import OptimizeJob, SortJob, SortSession
 from repro.units import GB
 
 SEEDS = tuple(range(8))
@@ -43,6 +46,15 @@ JOBS_SETTINGS = (
 @pytest.fixture(scope="module")
 def hardware():
     return presets.aws_f1_measured().hardware
+
+
+def pool_maps(fn):
+    """Run ``fn`` under a live observation; return its result and the
+    number of maps it dispatched to a process pool."""
+    live = live_observation()
+    with activated(live):
+        result = fn()
+    return result, live.registry.counter_value("parallel.maps", mode="pool")
 
 
 def outcomes_identical(left, right) -> bool:
@@ -82,10 +94,8 @@ class TestAmtSorterModel:
         """One in-place row sort per stage: a pooled session does no
         pool work for a model-mode sort."""
         job = SortJob(records=50_000)
-        live = live_observation()
-        with activated(live):
-            pooled = SortSession(jobs=2).run_sort(job)
-        assert live.registry.counter_value("parallel.maps", mode="pool") == 0
+        pooled, maps = pool_maps(lambda: SortSession(jobs=2).run_sort(job))
+        assert maps == 0
         assert pooled["digest"] == SortSession().run_sort(job)["digest"]
 
 
@@ -102,6 +112,8 @@ class TestUnrolledModel:
     @pytest.mark.parametrize("partitioning", ["range", "address"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_model_sort_matches_serial(self, hardware, partitioning, seed):
+        """The λ partitions sort in a serial loop at every jobs setting:
+        same outcome, and no map ever reaches the pool."""
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 1 << 30, size=5000)
         config = AmtConfig(p=8, leaves=16, lambda_unroll=4)
@@ -109,18 +121,19 @@ class TestUnrolledModel:
             config=config, hardware=hardware, partitioning=partitioning
         ).sort(data)
         for plan in JOBS_SETTINGS:
-            parallel = UnrolledSorter(
+            parallel, maps = pool_maps(lambda: UnrolledSorter(
                 config=config,
                 hardware=hardware,
                 partitioning=partitioning,
                 parallel=plan,
-            ).sort(data)
+            ).sort(data))
+            assert maps == 0, plan
             assert outcomes_identical(serial, parallel)
             assert parallel.detail == serial.detail
 
     def test_duplicate_heavy_partitions_match(self, hardware):
-        # Heavy duplication can empty interior range partitions; the
-        # sharded path must reproduce that case too.
+        # Heavy duplication can empty interior range partitions; a
+        # plan-carrying sorter must reproduce that case too.
         rng = np.random.default_rng(0)
         data = rng.integers(0, 4, size=3000)
         config = AmtConfig(p=8, leaves=16, lambda_unroll=4)
@@ -170,7 +183,7 @@ class TestOptimizerRanking:
     @pytest.fixture(scope="class")
     def space(self):
         platform = presets.aws_f1()
-        def build(plan):
+        def build():
             return Bonsai(
                 hardware=platform.hardware,
                 arch=MergerArchParams(),
@@ -179,39 +192,56 @@ class TestOptimizerRanking:
                 leaves_max=128,
                 unroll_max=4,
                 pipe_max=4,
-                parallel=plan,
             )
         return build
 
+    @pytest.fixture(scope="class")
+    def warm(self, space):
+        """One optimizer whose memo already holds every slice below."""
+        bonsai = space()
+        for size_gb in (1, 4, 16):
+            array = ArrayParams.from_bytes(size_gb * GB)
+            bonsai.rank_by_latency(array)
+            bonsai.rank_by_throughput(array)
+        return bonsai
+
     @pytest.mark.parametrize("size_gb", [1, 4, 16])
-    def test_latency_ranking_identical(self, space, size_gb):
+    def test_latency_ranking_identical(self, space, warm, size_gb):
         array = ArrayParams.from_bytes(size_gb * GB)
-        serial = space(None).rank_by_latency(array)
-        assert serial, "bounded space must stay non-empty"
-        for plan in JOBS_SETTINGS:
-            assert space(plan).rank_by_latency(array) == serial
+        cold = space().rank_by_latency(array)
+        assert cold, "bounded space must stay non-empty"
+        assert warm.rank_by_latency(array) == cold
 
     @pytest.mark.parametrize("size_gb", [1, 4])
-    def test_throughput_ranking_identical(self, space, size_gb):
+    def test_throughput_ranking_identical(self, space, warm, size_gb):
         array = ArrayParams.from_bytes(size_gb * GB)
-        serial = space(None).rank_by_throughput(array)
-        for plan in JOBS_SETTINGS:
-            assert space(plan).rank_by_throughput(array) == serial
+        assert warm.rank_by_throughput(array) == space().rank_by_throughput(array)
 
-    def test_parallel_prefetch_keeps_caches_coherent(self, space):
-        """After a parallel ranking, the parent's caches answer the
-        serial loop: a second ranking runs pool-free yet identical."""
+    def test_second_ranking_is_all_memo_hits(self, space):
+        """A repeated ranking is answered from the memo alone and
+        equals a fresh optimizer's."""
         array = ArrayParams.from_bytes(GB)
-        bonsai = space(ParallelPlan(jobs=4))
+        bonsai = space()
         first = bonsai.rank_by_latency(array)
-        cached_keys = set(bonsai._latency_cache)
-        second = bonsai.rank_by_latency(array)
-        assert first == second
-        assert set(bonsai._latency_cache) == cached_keys  # all hits
-        serial = space(None)
-        assert serial.rank_by_latency(array) == first
-        for key, value in bonsai._latency_cache.items():
-            assert serial._latency_cache[key] == value
+        cached = dict(bonsai._latency_cache)
+        live = live_observation()
+        with activated(live):
+            second = bonsai.rank_by_latency(array)
+        assert first == second == space().rank_by_latency(array)
+        assert bonsai._latency_cache == cached
+        registry = live.registry
+        assert registry.counter_value("optimizer.memo_misses", cache="latency") == 0
+        assert registry.counter_value(
+            "optimizer.memo_hits", cache="latency"
+        ) == len(first)
+
+    @pytest.mark.parametrize("objective", ["latency", "throughput"])
+    def test_session_optimize_never_dispatches_to_the_pool(self, objective):
+        job = OptimizeJob(size_bytes=GB, objective=objective)
+        pooled, maps = pool_maps(lambda: SortSession(jobs=2).run_optimize(job))
+        assert maps == 0
+        assert pooled["rows"]
+        assert pooled == SortSession().run_optimize(job)
 
 
 class TestFullRangeKeys:

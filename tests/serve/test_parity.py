@@ -52,7 +52,7 @@ class TestSimulatePayloadParity:
         params = SortJob(records=3000, seed=9, mode="simulate").params()
         serial = execute_payload(SortSession(None), "sort", params)
         pooled = execute_payload(SortSession(2), "sort", params)
-        worker = worker_serve_job(("sort", params, None))
+        worker = worker_serve_job(("sort", params))
         assert serial[0] == "ok"
         assert serial == pooled == worker
 

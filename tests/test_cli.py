@@ -67,6 +67,23 @@ class TestOptimize:
         main(["optimize", "--leaves-cap", "64", "--top", "1"])
         assert "AMT(32, 64)" in capsys.readouterr().out
 
+    def test_empty_ranking_is_a_clean_error(self, capsys):
+        """No pipeline holds 16 GB on aws-f1 under Eq. 5: the command
+        fails like ``throughput_optimal`` instead of printing no rows."""
+        assert main(["optimize", "--objective", "throughput"]) == 2
+        captured = capsys.readouterr()
+        assert "#" not in captured.out
+        assert captured.err == (
+            "error: no pipelined AMT configuration can sort arrays of "
+            "16,000,000,000 bytes within resources and Eq. 5\n"
+        )
+
+    def test_jobs_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optimize", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
 
 class TestSort:
     def test_model_mode(self, capsys):
