@@ -5,10 +5,8 @@ work, best of a few repetitions, and each test first asserts that the
 two legs produced identical results.  The floors are half the
 full-size targets, so host noise cannot flake them:
 
-* each fast simulator engine against the naive stepper, on
-  bandwidth-bound shapes and compute-bound ones (where the tick fast
-  path must hold parity): the timestamp engine ``simulate_merge``
-  runs by default, and the quiescence tick loop it falls back to;
+* the timestamp engine ``simulate_merge`` runs by default against the
+  naive stepper, on bandwidth-bound shapes and compute-bound ones;
 * a memoized ``Bonsai`` optimizer against cache-cold instances;
 * four workers against one, for the λ_unrl unrolled simulation and the
   4-node cluster sort, and a two-worker session's model-mode sort
@@ -16,7 +14,7 @@ full-size targets, so host noise cannot flake them:
 * the disabled observability path against a 2% budget.
 
 The cycle counts these shapes land on are pinned by
-``tests/hw/test_fastpath.py``; absolute timings of every layer live in
+``tests/hw/test_timestamp.py``; absolute timings of every layer live in
 the ledger (``benchmarks/ledger``).
 """
 
@@ -36,7 +34,6 @@ from repro.core.parameters import ArrayParams, MergerArchParams
 from repro.distributed.executor import ClusterExecutor
 from repro.engine.sorter import AmtSorter
 from repro.engine.unrolled import UnrolledSorter
-from repro.hw import timestamp
 from repro.hw.tree import simulate_merge
 from repro.obs.runtime import DISABLED, activated, live_observation
 from repro.parallel import ParallelPlan, available_cpus
@@ -118,7 +115,7 @@ class Shape:
 
 SHAPES = (
     # Bandwidth-bound: HDD-class (2% of demand) and SSD-class (5%)
-    # sources, where the fast path sleeps through the stalls.
+    # sources, where the stepper ticks through long stalls.
     Shape("micro_hdd_read_starved", p=16, leaves=4, target_speedup=5.0,
           read_factor=0.02, write_factor=1.0, batch_bytes=4096),
     Shape("micro_hdd_deep_tree", p=16, leaves=8, target_speedup=5.0,
@@ -129,7 +126,7 @@ SHAPES = (
           n_records=12000, read_factor=0.02, batch_bytes=4096),
     Shape("e2e_ssd_sort", p=16, leaves=4, target_speedup=2.0,
           n_records=12000, read_factor=0.05, batch_bytes=4096),
-    # Compute-bound: nothing to sleep through, so the claim is parity.
+    # Compute-bound: the stepper does useful work on most ticks.
     Shape("micro_balanced", p=8, leaves=16, target_speedup=1.0,
           n_runs=16, run_length=4000, read_factor=0.3, write_factor=0.3),
     Shape("micro_unconstrained", p=8, leaves=16, target_speedup=1.0,
@@ -142,25 +139,68 @@ SHAPES = (
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=[shape.name for shape in SHAPES])
-def test_fast_engine_speedup_floor(shape, monkeypatch):
-    """The timestamp engine and the tick fast path (forced by a zero
-    sweep cap) each clear the shape's floor over the naive stepper."""
+def test_fast_engine_speedup_floor(shape):
+    """The timestamp engine clears the shape's floor over the naive
+    stepper."""
     naive_seconds, naive = best_of(lambda: shape.simulate("naive"))
     fast_seconds, fast = best_of(lambda: shape.simulate("fast"))
-    monkeypatch.setattr(timestamp, "SWEEP_CAP", 0)
-    tick_seconds, tick = best_of(lambda: shape.simulate("fast"))
     assert fast == naive, f"{shape.name}: engines diverged"
-    assert tick == naive, f"{shape.name}: tick fast path diverged"
-    assert {stats.fallback for stats in tick[1]} == {"no_fixpoint"}
+    assert all(stats.sweeps > 0 for stats in fast[1])
     if shape.n_records is not None:
         assert len(fast[1]) >= 2  # genuinely multi-stage
     floor = shape.target_speedup / 2
-    for leg, seconds in (("timestamp", fast_seconds), ("tick", tick_seconds)):
-        speedup = naive_seconds / seconds
-        assert speedup >= floor, (
-            f"{shape.name}: {leg} {speedup:.2f}x under floor {floor:.2f}x "
-            f"({naive_seconds:.3f}s naive, {seconds:.3f}s {leg})"
+    speedup = naive_seconds / fast_seconds
+    assert speedup >= floor, (
+        f"{shape.name}: {speedup:.2f}x under floor {floor:.2f}x "
+        f"({naive_seconds:.3f}s naive, {fast_seconds:.3f}s timestamp)"
+    )
+
+
+#: Per-merger ``(active, prime, flush, stall_input, stall_output, idle,
+#: runs_completed)`` of :func:`test_many_sweep_stage`, root first, taken
+#: from the tick fast path that used to run this stage.
+MANY_SWEEP_MERGERS = (
+    (3200, 1, 1, 3214, 0, 70, 1),
+    (3200, 1, 1, 2421, 796, 67, 1), (3200, 1, 1, 1711, 1497, 76, 1),
+    (1600, 1, 1, 2362, 2481, 41, 1), (1600, 1, 1, 2515, 2309, 60, 1),
+    (1600, 1, 1, 1344, 3491, 49, 1), (1600, 1, 1, 2342, 2477, 65, 1),
+    (800, 1, 1, 3629, 1993, 62, 1), (800, 1, 1, 2408, 3204, 72, 1),
+    (800, 1, 1, 2705, 2896, 83, 1), (800, 1, 1, 3342, 2241, 101, 1),
+    (800, 1, 1, 2260, 3344, 80, 1), (800, 1, 1, 2916, 2690, 78, 1),
+    (800, 1, 1, 2566, 3015, 103, 1), (800, 1, 1, 2163, 3439, 82, 1),
+)
+
+
+def test_many_sweep_stage():
+    """The smallest stage found that needs more than 200 sweeps, the cap
+    past which a stage used to leave the timestamp engine: 16 runs of
+    400 keys on AMT(2, 16), 2-record read batches at 90% of demand.  It
+    runs on the timestamp engine and lands on the tick fast path's
+    literals."""
+    rng = np.random.default_rng(1)
+    runs = [np.sort(rng.integers(0, 1 << 30, 400, dtype=np.uint64)) for _ in range(16)]
+    live = live_observation()
+    with activated(live):
+        out, stats = simulate_merge(
+            2, 16, runs, read_bytes_per_cycle=0.9 * 2 * RECORD_BYTES, batch_bytes=8,
         )
+    engines = [s["attrs"]["engine"] for s in live.sink.spans() if s["name"] == "hw.merge_stage"]
+    assert engines == ["timestamp"]
+    assert stats.sweeps > 200
+    assert (stats.cycles, stats.records_in, stats.records_out) == (6486, 6400, 6400)
+    assert (stats.bytes_read, stats.bytes_written, stats.output_runs) == (25600, 25600, 1)
+    loader = stats.loader_stats
+    assert (
+        loader.batches_issued, loader.bytes_loaded, loader.runs_fed,
+        loader.cycles_bandwidth_limited, loader.cycles_idle,
+    ) == (3200, 25600, 16, 6400, 86)
+    assert tuple(
+        (m.active_cycles, m.prime_cycles, m.flush_cycles, m.stall_input,
+         m.stall_output, m.idle_cycles, m.runs_completed)
+        for m in stats.merger_stats
+    ) == MANY_SWEEP_MERGERS
+    assert len(out) == 1 and out[0].dtype == np.uint64
+    assert content_digest(out[0]) == "ae836a1cbf7f5bd0"
 
 
 def test_optimizer_memoization_speeds_up():

@@ -24,7 +24,7 @@ from repro.core.configuration import AmtConfig
 from repro.core.parameters import ArrayParams, MergerArchParams
 from repro.core.scalability import ScalabilityModel
 from repro.core.ssd_planner import SsdSortPlan
-from repro.errors import BonsaiError, NoFeasibleConfigError
+from repro.errors import BonsaiError, ConfigurationError, NoFeasibleConfigError
 from repro.records.workloads import WorkloadSpec, generate
 from repro.units import GB, KB, MB, TB, format_bytes, format_seconds
 
@@ -244,6 +244,11 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     from repro.records.valsort import validate_sort
 
     obs = observation()
+    if args.jobs is not None and args.cluster_nodes is None:
+        raise ConfigurationError(
+            "--jobs shards the nodes of a cluster sort; add --cluster-nodes N "
+            "(a single tree's sort runs in one process)"
+        )
 
     if args.cluster_nodes is not None:
         from repro.distributed.executor import ClusterExecutor
@@ -294,7 +299,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
     from repro.serve import SortJob, SortSession
 
-    session = SortSession(jobs=args.jobs)
+    session = SortSession()
     payload = session.run_sort(SortJob(
         records=args.records,
         workload=args.workload,

@@ -1,4 +1,4 @@
-"""Synchronous clock scheduler.
+"""Synchronous clock scheduler: the naive stepper.
 
 All components expose ``tick(cycle)`` and communicate exclusively through
 FIFOs.  Components are ticked in *root-to-leaf* order each cycle, so an
@@ -7,34 +7,22 @@ cycle ``c + 1`` — the standard one-register-per-stage pipeline discipline.
 The resulting pipeline fill latency matches the datapath depth, and
 steady-state throughput is one tuple per component per cycle.
 
-Two tick engines drive the same component graph:
-
-* the **naive stepper** ticks every component on every cycle;
-* the **event-driven fast path** (:mod:`repro.hw.fastpath`) puts
-  provably-stalled components to sleep, wakes them on FIFO traffic or
-  self-scheduled timers, and bulk-applies the skipped cycles' stall and
-  idle accounting on wake; when the whole graph sleeps, the clock jumps
-  straight to the next timer.  The two engines are cycle-exact
-  equivalents — same final cycle count, same statistics, same data —
-  which the differential suite in ``tests/hw/test_fastpath.py``
-  verifies across randomized shapes.
-
-A merge stage (:func:`repro.hw.tree.simulate_merge`) with
-``engine="fast"`` does not tick at all: the timestamp engine
-(:mod:`repro.hw.timestamp`) solves the stage's event times as a fixed
-point.  Only the stages it cannot represent exactly come here, to the
-fast path; ``engine="naive"`` always comes here, to the stepper.  The
-unrolled and pipelined sorters run every stage through
-``simulate_merge``, so they follow the same rule.
+:class:`Simulation` ticks every component on every cycle.  It is the
+oracle the timestamp engine (:mod:`repro.hw.timestamp`) is checked
+against: a merge stage (:func:`repro.hw.tree.simulate_merge`) with
+``engine="fast"`` does not tick at all, but solves the stage's event
+times as a fixed point; ``engine="naive"`` comes here.  The unrolled and
+pipelined sorters run every stage through ``simulate_merge``, so they
+follow the same rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Protocol
 
 from repro.errors import SimulationError
-from repro.hw import fastpath
+from repro.hw.fifo import Fifo
 
 #: Default ``run_until`` cycle budget, shared by every stage driver
 #: (:func:`repro.hw.tree.simulate_merge` threads it through unchanged).
@@ -60,19 +48,10 @@ class Simulation:
     components:
         Tick order; producers of a FIFO should appear *after* its
         consumer for one-cycle-per-stage semantics.
-    fast_forward:
-        When true (the default) and every component implements the
-        quiescence protocol of :mod:`repro.hw.fastpath`, ``run_until``
-        uses the event-driven scheduler, which skips provably-stalled
-        component ticks instead of executing them.  Cycle counts and
-        statistics are identical either way; set false to force the
-        naive stepper (e.g. when comparing the engines or stepping
-        through a bug).
     """
 
     components: list = field(default_factory=list)
     cycle: int = 0
-    fast_forward: bool = True
 
     def add(self, component: Component) -> None:
         """Append a component at the end of the tick order."""
@@ -95,27 +74,79 @@ class Simulation:
             When ``max_cycles`` elapse first — almost always a deadlock
             in the component graph (a FIFO sized too small, or a
             terminal that never arrived).  The error message carries a
-            stall snapshot: every FIFO's occupancy and high-water mark
-            plus each merger's run state.
+            stall snapshot (:func:`format_stall_report`).
         """
         start = self.cycle
         limit = start + max_cycles
-        components = self.components
-        if self.fast_forward and fastpath.supports_fast_forward(components):
-            try:
-                self.cycle = fastpath.run_event_driven(
-                    components, start, done, limit, max_cycles
-                )
-            except SimulationError:
-                self.cycle = limit
-                raise
-            return self.cycle - start
         while not done():
             if self.cycle >= limit:
                 raise SimulationError(
                     f"simulation did not complete within {max_cycles} cycles; "
                     "likely deadlock or missing terminal\n"
-                    + fastpath.format_stall_report(components, self.cycle)
+                    + format_stall_report(self.components, self.cycle)
                 )
             self.step()
         return self.cycle - start
+
+
+def _component_fifos(component: object) -> list[Fifo]:
+    """FIFOs referenced by a component's dataclass fields (one level)."""
+    if not is_dataclass(component):
+        return []
+    out: list[Fifo] = []
+    for spec in fields(component):
+        value = getattr(component, spec.name, None)
+        if isinstance(value, Fifo):
+            out.append(value)
+        elif isinstance(value, list):
+            out.extend(item for item in value if isinstance(item, Fifo))
+    return out
+
+
+def format_stall_report(components: list, cycle: int) -> str:
+    """Human-readable snapshot of why the simulation is not progressing.
+
+    Lists every FIFO a component holds (occupancy/capacity/high-water
+    mark) and each merger's run state (done flags, feedback register),
+    so a ``max_cycles`` timeout is diagnosable without re-running under
+    a trace recorder.
+    """
+    fifos: dict[int, Fifo] = {}
+    merger_lines: list[str] = []
+    other_lines: list[str] = []
+    for component in components:
+        for fifo in _component_fifos(component):
+            fifos[id(fifo)] = fifo
+        if hasattr(component, "_done_a") and hasattr(component, "_feedback"):
+            merger_lines.append(
+                f"    {getattr(component, 'name', type(component).__name__)}: "
+                f"done_a={component._done_a} done_b={component._done_b} "
+                f"feedback={'held' if component._feedback is not None else 'empty'} "
+                f"run_in_progress={component.run_in_progress}"
+            )
+        elif hasattr(component, "_inflight_cycles_left"):
+            exhausted = sum(1 for feed in component.feeds if feed.exhausted)
+            other_lines.append(
+                f"    loader: inflight_cycles_left={component._inflight_cycles_left} "
+                f"parked_leaves={sorted(component._parked)} "
+                f"feeds_exhausted={exhausted}/{len(component.feeds)}"
+            )
+        elif hasattr(component, "expected_runs"):
+            other_lines.append(
+                f"    writer: runs={len(component.runs)}/{component.expected_runs} "
+                f"credit={component._credit:.1f}"
+            )
+    lines = [f"stall snapshot at cycle {cycle}:"]
+    if fifos:
+        lines.append("  fifos (occupancy/capacity, high-water):")
+        for fifo in sorted(fifos.values(), key=lambda f: f.name):
+            lines.append(
+                f"    {fifo.name}: {len(fifo)}/{fifo.capacity} hw={fifo.high_water}"
+            )
+    if merger_lines:
+        lines.append("  mergers:")
+        lines.extend(sorted(merger_lines))
+    if other_lines:
+        lines.append("  endpoints:")
+        lines.extend(other_lines)
+    return "\n".join(lines)

@@ -85,45 +85,3 @@ class Coupler:
         output.push(held + tuple(item))
         self._held = None
         self.emitted_tuples += 1
-
-    # ------------------------------------------------------------------
-    # quiescence protocol (repro.hw.fastpath)
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, cycle: int) -> int | None:
-        """``cycle`` when this tick would move an item, else ``None``.
-
-        The coupler is purely reactive: with a full output or an empty
-        input its tick is a complete no-op (it counts nothing), so it
-        stays quiescent until a neighbour pushes or pops.
-        """
-        if self.output.is_full or self.input.is_empty:
-            return None
-        return cycle
-
-    def stall_tag(self) -> str | None:
-        """Stalled coupler ticks perform no bookkeeping at all."""
-        return None
-
-    def apply_stall(self, tag: str | None, n_cycles: int) -> None:
-        """Skipped coupler stalls have nothing to account."""
-
-    def skip_cycles(self, n_cycles: int) -> None:
-        """Immediate form of :meth:`apply_stall` (see fastpath docs)."""
-        self.apply_stall(self.stall_tag(), n_cycles)
-
-    def wake_fifos_now(self) -> list[Fifo]:
-        """Dynamic wake set: only the blocking port needs watching.
-
-        The coupler acts as soon as the output has space *and* the
-        input has data, so only the currently violated condition(s) can
-        re-enable it: a full output can only be unblocked by a
-        downstream pop, an empty input only by an upstream push.  The
-        non-blocking port is frozen from the coupler's perspective (it
-        is that FIFO's only producer/consumer on the relevant side).
-        """
-        fifos = []
-        if self.output.is_full:
-            fifos.append(self.output)
-        if self.input.is_empty:
-            fifos.append(self.input)
-        return fifos

@@ -36,12 +36,6 @@ class Fifo:
         Label used in statistics and error messages.
     """
 
-    #: Class-wide monotonic count of push/pop operations across *all*
-    #: FIFOs.  The event-driven scheduler snapshots it around a tick to
-    #: learn, with two integer loads, whether the tick moved any data at
-    #: all — only then does it scan per-FIFO counters to see which.
-    total_ops = 0
-
     capacity: int
     name: str = "fifo"
     _items: deque = field(default_factory=deque, repr=False)
@@ -83,8 +77,6 @@ class Fifo:
             raise SimulationError(f"push into full FIFO {self.name!r}")
         items.append(item)
         self.pushes += 1
-        # bonsai-lint: disable=proc-global-write -- per-process scheduling counter; the fastpath reads it only within one process and no result depends on it
-        Fifo.total_ops += 1
         if len(items) > self.high_water:
             self.high_water = len(items)
 
@@ -103,7 +95,6 @@ class Fifo:
             )
         items.extend(batch)
         self.pushes += len(batch)
-        Fifo.total_ops += len(batch)
         if len(items) > self.high_water:
             self.high_water = len(items)
 
@@ -127,8 +118,6 @@ class Fifo:
         if not self._items:
             raise SimulationError(f"pop from empty FIFO {self.name!r}")
         self.pops += 1
-        # bonsai-lint: disable=proc-global-write -- per-process scheduling counter; the fastpath reads it only within one process and no result depends on it
-        Fifo.total_ops += 1
         return self._items.popleft()
 
     def pop_many(self, count: int) -> list:
@@ -146,13 +135,11 @@ class Fifo:
         popleft = items.popleft
         out = [popleft() for _ in range(count)]
         self.pops += count
-        Fifo.total_ops += count
         return out
 
     def drain(self) -> list:
         """Remove and return all items (used when tearing a stage down)."""
         out = list(self._items)
         self.pops += len(out)
-        Fifo.total_ops += len(out)
         self._items.clear()
         return out

@@ -158,84 +158,6 @@ class DataLoader:
             self._deliver()
 
     # ------------------------------------------------------------------
-    # quiescence protocol (repro.hw.fastpath)
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, cycle: int) -> int | None:
-        """Next cycle this loader does real work, or ``None`` if starved.
-
-        The only time-based event the loader owns is the in-flight batch
-        timer: a transfer with ``t`` bandwidth-cycles left delivers on
-        the tick ``t - 1`` cycles from now.  Everything else — skid
-        buffers draining, a new batch issuing — depends on FIFO space
-        and fires immediately or not at all under frozen FIFOs.
-        """
-        if self._parked:
-            for index in self._parked:
-                if self.feeds[index].fifo.has_space:
-                    return cycle
-        if self._inflight_feed is not None:
-            remaining = self._inflight_cycles_left
-            return cycle if remaining <= 1 else cycle + remaining - 1
-        if self._find_feed() is not None:
-            return cycle
-        return None
-
-    def stall_tag(self) -> str:
-        """What the loader's skipped ticks account as right now.
-
-        Valid while the leaf FIFOs are frozen: a transfer stays in
-        flight (only the loader's own tick delivers it), and an idle
-        loader stays idle (a feed only becomes startable when a leaf
-        FIFO frees space, which wakes the loader).
-        """
-        return "bandwidth" if self._inflight_feed is not None else "idle"
-
-    def apply_stall(self, tag: str, n_cycles: int) -> None:
-        """Bulk-apply ``n_cycles`` quiescent ticks: advance the batch
-        timer (bandwidth-limited cycles) or count idle cycles."""
-        if tag == "bandwidth":
-            self._inflight_cycles_left -= n_cycles
-            self.stats.cycles_bandwidth_limited += n_cycles
-        else:
-            self.stats.cycles_idle += n_cycles
-
-    def skip_cycles(self, n_cycles: int) -> None:
-        """Immediate form of :meth:`apply_stall` (see fastpath docs)."""
-        self.apply_stall(self.stall_tag(), n_cycles)
-
-    def wake_fifos(self) -> list[Fifo]:
-        """FIFOs whose traffic affects this loader (fastpath wiring).
-
-        The leaf FIFOs are reached through feed records rather than
-        direct fields, so the default dataclass-field scan cannot see
-        them.
-        """
-        return [feed.fifo for feed in self.feeds]
-
-    def wake_fifos_now(self) -> list[Fifo]:
-        """FIFOs whose traffic can change this loader's *current* answers.
-
-        Mid-transfer with nothing parked the loader is timer-only: feed
-        FIFOs are not consulted until the batch delivers, so leaf
-        traffic cannot affect ``next_event_cycle``/``stall_tag`` and the
-        set is empty.  Parked leaves are always watched (a pop frees
-        skid-buffer space); when no transfer is in flight, every
-        non-exhausted, non-parked feed is watched because
-        ``_find_feed`` scans their free space.  Everything this method
-        reads (``_parked``, ``_inflight_feed``, ``exhausted``) is
-        mutated only by the loader's own tick, so the set stays valid
-        for the whole sleep.
-        """
-        parked = self._parked
-        fifos = [self.feeds[index].fifo for index in parked]
-        if self._inflight_feed is None:
-            for index, feed in enumerate(self.feeds):
-                if feed.exhausted or index in parked:
-                    continue
-                fifos.append(feed.fifo)
-        return fifos
-
-    # ------------------------------------------------------------------
     def _find_feed(self) -> int | None:
         """Round-robin scan for a leaf with pending data and buffer space.
 
@@ -463,71 +385,3 @@ class OutputWriter:
                 current.extend(head)
                 self.bytes_written += len(head) * record_bytes
         self._current = current
-
-    # ------------------------------------------------------------------
-    # quiescence protocol (repro.hw.fastpath)
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, cycle: int) -> int | None:
-        """Next cycle a pop becomes affordable, or ``None`` if starved.
-
-        With the source frozen, the only self-scheduled event is the
-        bandwidth-credit refill reaching the head tuple's cost.  The
-        refill is iterated with the exact per-tick float arithmetic
-        (``min(credit + rate, 4 * rate)``) so the predicted pop cycle
-        matches the naive stepper bit for bit; the loop saturates within
-        four iterations because the credit cap is four ticks' worth.
-        """
-        source = self.source
-        if source.is_empty:
-            return None
-        head = source.peek()
-        if is_terminal(head):
-            return cycle
-        rate = self.write_bytes_per_cycle
-        cap = 4 * rate
-        cost = len(head) * self.record_bytes
-        credit = self._credit
-        waited = 0
-        while True:
-            credit = min(credit + rate, cap)
-            if credit >= cost:
-                return cycle + waited
-            if credit >= cap:
-                return None  # head costs more than the cap: stuck for good
-            waited += 1
-
-    def stall_tag(self) -> str:
-        """Writer stalls always account the same way: credit accrual."""
-        return "accrue"
-
-    def apply_stall(self, tag: str, n_cycles: int) -> None:
-        """Bulk-apply ``n_cycles`` of credit refill (no pops possible).
-
-        Iterates the exact per-tick float arithmetic rather than closing
-        the form, so the credit register lands on the bit pattern the
-        naive stepper would produce; the loop saturates at the cap
-        within four iterations regardless of ``n_cycles``.
-        """
-        rate = self.write_bytes_per_cycle
-        cap = 4 * rate
-        credit = self._credit
-        for _ in range(n_cycles):
-            if credit >= cap:
-                break
-            credit = min(credit + rate, cap)
-        self._credit = credit
-
-    def skip_cycles(self, n_cycles: int) -> None:
-        """Immediate form of :meth:`apply_stall` (see fastpath docs)."""
-        self.apply_stall(self.stall_tag(), n_cycles)
-
-    def wake_fifos_now(self) -> list[Fifo]:
-        """Dynamic wake set: the source only matters while it is empty.
-
-        A non-empty source pins the head tuple in place (the writer is
-        its only consumer), so upstream pushes cannot change
-        ``next_event_cycle``'s answer — the writer is waiting purely on
-        its credit-refill timer (or is stuck for good) and sleeps
-        through root traffic instead of being re-woken by every push.
-        """
-        return [self.source] if self.source.is_empty else []

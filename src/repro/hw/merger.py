@@ -161,72 +161,6 @@ class KMerger:
         stats.active_cycles += 1
 
     # ------------------------------------------------------------------
-    # quiescence protocol (repro.hw.fastpath)
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, cycle: int) -> int | None:
-        """``cycle`` when this tick would move data, else ``None``.
-
-        Mirrors ``tick``'s branch order exactly: a full output port or
-        an un-servable input pattern is a pure counter tick, and stays
-        one for as long as the surrounding FIFOs are frozen — the
-        merger schedules no time-based events of its own.
-        """
-        if self.output.is_full:
-            return None
-        if not self._done_a and not self.input_a.is_empty and is_terminal(self.input_a.peek()):
-            return cycle
-        if not self._done_b and not self.input_b.is_empty and is_terminal(self.input_b.peek()):
-            return cycle
-        if self._done_a and self._done_b:
-            return cycle
-        if self._select_port() is None:
-            return None
-        return cycle
-
-    def stall_tag(self) -> str:
-        """Which counter this merger's stalled ticks increment right now.
-
-        Valid for as long as the surrounding FIFOs are frozen: the output
-        port's fullness can only change through a consumer pop (which
-        wakes the merger) and ``run_in_progress`` only through the
-        merger's own tick.
-        """
-        if self.output.is_full:
-            return "stall_output" if self.run_in_progress else "idle_cycles"
-        return "stall_input" if self.run_in_progress else "idle_cycles"
-
-    def apply_stall(self, tag: str, n_cycles: int) -> None:
-        """Bulk-apply ``n_cycles`` stalled ticks for a captured tag."""
-        stats = self.stats
-        setattr(stats, tag, getattr(stats, tag) + n_cycles)
-
-    def skip_cycles(self, n_cycles: int) -> None:
-        """Immediate form of :meth:`apply_stall` (see fastpath docs)."""
-        self.apply_stall(self.stall_tag(), n_cycles)
-
-    def wake_fifos_now(self) -> list[Fifo]:
-        """Dynamic wake set: only the ports that block this merger.
-
-        With the output full, nothing but a downstream pop can re-enable
-        the datapath (input pushes leave ``next_event_cycle`` at None
-        and the stall tag at stall_output).  With output space, the
-        merger is starved on its *empty* live ports: a non-empty port's
-        head is pinned (the merger is its only consumer) and this
-        merger's own pushes are the only way its output fills, so
-        neither needs watching.  A starved merger therefore sleeps
-        straight through its output being drained downstream — the wake
-        thrash that used to keep compute-bound shapes at naive speed.
-        """
-        if self.output.is_full:
-            return [self.output]
-        fifos = []
-        if not self._done_a and self.input_a.is_empty:
-            fifos.append(self.input_a)
-        if not self._done_b and self.input_b.is_empty:
-            fifos.append(self.input_b)
-        return fifos
-
-    # ------------------------------------------------------------------
     def _select_port(self) -> Fifo | None:
         """Choose the port to consume from, or None to stall.
 

@@ -70,11 +70,9 @@ class StageStats:
     output_runs: int = 0
     merger_stats: list[MergerStats] = field(default_factory=list)
     loader_stats: LoaderStats = field(default_factory=LoaderStats)
-    #: Gauss-Seidel sweeps of the timestamp engine (0: the tick loop ran).
+    #: Gauss-Seidel sweeps of the timestamp engine (0: the stepper ran).
     #: Engine bookkeeping, so it takes no part in comparing two stages.
     sweeps: int = field(default=0, compare=False)
-    #: Why an ``engine="fast"`` stage ran the tick loop, if it did.
-    fallback: str | None = field(default=None, compare=False)
 
     def seconds_at(self, frequency_hz: float) -> float:
         """Wall-clock stage time at a given clock frequency."""
@@ -91,8 +89,7 @@ class StageStats:
         series would explode the snapshot for wide trees); the loader's
         bandwidth-limited cycles land as their own counter because §V-A
         is exactly about keeping that number high.  ``sim.engine_sweeps``
-        and ``sim.engine_fallbacks`` (labelled by reason) say how the
-        stage was computed.
+        counts the timestamp engine's sweeps.
         """
         obs.count("sim.stages")
         obs.count("sim.cycles", self.cycles)
@@ -113,8 +110,6 @@ class StageStats:
             self.loader_stats.cycles_bandwidth_limited,
         )
         obs.count("sim.engine_sweeps", self.sweeps)
-        if self.fallback is not None:
-            obs.count("sim.engine_fallbacks", reason=self.fallback)
 
     @property
     def records_per_cycle(self) -> float:

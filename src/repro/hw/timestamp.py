@@ -31,9 +31,17 @@ sweep changes no array.  Every dependency cycle in the stage crosses a
 +1 edge (a slot cannot free in the cycle it fills), so each time is
 determined by strictly earlier events and the fixed point is unique: by
 induction over (cycle, tick position) it is the tick loop's trajectory.
-The engine only ever returns such a verified fixed point; every regime
-it cannot represent exactly returns a fallback reason instead, and the
-caller runs the tick loop (see :data:`FALLBACK_REASONS`).
+The sweeps have no cap, and they need not rise monotonically: the
+loader's round robin serves the first feed with room, so a later pop on
+one leaf can let another leaf's batch go out earlier.  They end all the
+same.  After each sweep there is a cycle ``T`` below which every time is
+exact and above which every time is at least ``min(its fixed-point
+value, T)``; exact times below ``T`` decide every action up to ``T``,
+so ``T`` rises at least once every few sweeps (a slot freed in the cycle
+it is seen travels one level against the sweep order per sweep) until
+it passes the stage's last cycle.  The engine only ever returns a
+verified fixed point.  It needs only the keys' order, taken as their
+dense ranks, so keys outside ``[0, 2**64)`` solve like any others.
 """
 
 from __future__ import annotations
@@ -44,26 +52,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.hw.loader import batch_pieces, leaf_positions
 from repro.hw.probes import LoaderStats, MergerStats
 from repro.parallel.shm import as_uint64_keys
 
-#: Sweeps allowed before the stage is handed back to the tick loop.
-#: Measured stages settle in 4-40 sweeps.
-SWEEP_CAP = 200
-
 #: Largest cycle the int32 time arrays may hold.
 _TIME_LIMIT = 1 << 30
-
-#: Why a stage ran the tick loop instead, by ``StageStats.fallback`` tag.
-FALLBACK_REASONS = {
-    "unsorted": "an input run is not sorted (check_sorted_inputs=False)",
-    "key_range": "a key is not an integer in [0, 2**64)",
-    "writer_stuck": "the writer's credit cap (4x its rate) is below one root tuple",
-    "max_cycles": "the stage needs more than max_cycles cycles",
-    "no_fixpoint": f"no fixed point within {SWEEP_CAP} sweeps",
-}
 
 
 @dataclass
@@ -89,7 +84,7 @@ def key_array(runs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     The keys are uint64 when every one is an integer in ``[0, 2**64)``
     (the range :func:`repro.parallel.shm.as_uint64_keys` admits).  Any
     other keys keep their own dtype (object for Python sequences), which
-    :func:`first_unsorted` still orders, and the stage runs the tick loop.
+    :func:`first_unsorted` and the engine's dense ranks still order.
     """
     lengths = np.fromiter((len(run) for run in runs), dtype=np.int64, count=len(runs))
     if array_runs(runs):
@@ -649,33 +644,66 @@ def _output_runs(runs, keys: np.ndarray, lengths: np.ndarray, leaves: int) -> li
     ]
 
 
-def solve(tree, runs, keys: np.ndarray, lengths: np.ndarray, loader, writer, max_cycles: int):
-    """Solve one stage of ``runs`` (``keys``, ``lengths``: their
-    :func:`key_array`) on ``tree``; a :class:`Solution` or a fallback reason.
+def _shape(tree, lengths: np.ndarray) -> str:
+    """A stage's shape, for error messages."""
+    return (
+        f"AMT({tree.p}, {tree.leaves}) stage of {int(lengths.sum())} records "
+        f"in {lengths.size} runs"
+    )
 
-    ``loader`` and ``writer`` carry the stage's memory parameters (their
-    feeds and source are not read); ``tree``'s leaf FIFOs must already
-    have their stage capacity.
+
+def solve(tree, runs, keys: np.ndarray, lengths: np.ndarray, loader, writer, max_cycles: int):
+    """Solve one stage of ``runs`` on ``tree``; a :class:`Solution`.
+
+    ``keys`` and ``lengths`` are the runs' :func:`key_array`, with a
+    total order (the caller rejects NaN).  ``loader`` and ``writer`` carry
+    the stage's memory parameters (their feeds and source are not read);
+    ``tree``'s leaf FIFOs must already have their stage capacity.
+
+    Raises :class:`~repro.errors.SimulationError` when the stage cannot
+    finish within ``max_cycles``: its writer can never afford a root
+    tuple, or the fixed point's cycle count is over the budget.
     """
-    if 4 * writer.write_bytes_per_cycle < tree.p * loader.record_bytes:
-        return "writer_stuck"
+    cost = tree.p * loader.record_bytes
+    rate = writer.write_bytes_per_cycle
+    if keys.size and 4 * rate < cost:
+        raise SimulationError(
+            f"write budget {rate:g} bytes/cycle caps the writer's credit at "
+            f"{4 * rate:g} bytes, below one {cost}-byte root tuple: the "
+            f"{_shape(tree, lengths)} can never write a record"
+        )
     stage = _Stage(tree, keys, lengths, loader, writer)
-    # Every time of a stage is below its cycle count, and one sweep adds
-    # at most the loader's transfer cycles to the last: both checks keep
-    # the int32 arrays from wrapping.  A stage that trips them early
-    # still ends up exact, in the tick loop.
+    # A stage's cycle count is above its read transfers, so transfers over
+    # the budget settle it before any sweep.  One sweep adds at most the
+    # transfers to the latest time, so with them below 2**30 the check in
+    # the loop keeps the int32 arrays from wrapping.
     limit = min(max_cycles, _TIME_LIMIT)
-    if stage.loader_stats.cycles_bandwidth_limited > limit:
-        return "max_cycles"
-    for sweep in range(1, SWEEP_CAP + 1):
+    transfers = stage.loader_stats.cycles_bandwidth_limited
+    if transfers > limit:
+        raise SimulationError(
+            f"simulation did not complete within {limit} cycles: the "
+            f"{_shape(tree, lengths)} spends {transfers} cycles on read transfers"
+        )
+    # A time may pass ``max_cycles`` before the fixed point brings it
+    # back (the sweeps are not monotone), so only the fixed point's cycle
+    # count is held to the budget.
+    sweep = 0
+    while True:
+        sweep += 1
         changed = stage.sweep()
-        if max(int(stage.V.max()), int(stage.W.max())) >= limit:
-            return "max_cycles"
+        if max(int(stage.V.max()), int(stage.W.max())) >= _TIME_LIMIT:
+            raise SimulationError(
+                f"simulation did not complete within {_TIME_LIMIT} cycles, the "
+                f"timestamp engine's int32 range: the {_shape(tree, lengths)} needs more"
+            )
         if not changed:
             break
-    else:
-        return "no_fixpoint"
     cycles = int(stage.W[stage.root.hi - 1]) + 1
+    if cycles > max_cycles:
+        raise SimulationError(
+            f"simulation did not complete within {max_cycles} cycles: the "
+            f"{_shape(tree, lengths)} needs {cycles}"
+        )
     loader_stats = stage.loader_stats
     loader_stats.cycles_idle = cycles - loader_stats.cycles_bandwidth_limited
     merger_stats = stage.merger_stats(cycles)

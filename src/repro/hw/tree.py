@@ -13,12 +13,11 @@ cycle-level statistics.  This is the reproduction's stand-in for running
 the Verilog design on the FPGA.
 
 Which engine runs a stage: ``engine="fast"`` (the default) solves it
-with the timestamp engine (:mod:`repro.hw.timestamp`), and falls back
-to ticking the tree under the event-driven fast path
-(:mod:`repro.hw.fastpath`) for the regimes listed in
-:data:`repro.hw.timestamp.FALLBACK_REASONS`, recording the reason in
-``StageStats.fallback``; ``engine="naive"`` ticks every component every
-cycle.  All three give the same runs, cycles and statistics.
+with the timestamp engine (:mod:`repro.hw.timestamp`); ``engine="naive"``
+ticks every component every cycle (:class:`~repro.hw.clock.Simulation`),
+and so does a stage whose input runs are not sorted, which only
+``check_sorted_inputs=False`` lets through.  Both engines give the same
+runs, cycles and statistics.
 """
 
 from __future__ import annotations
@@ -200,11 +199,9 @@ def simulate_merge(
         default (:data:`repro.hw.clock.DEFAULT_MAX_CYCLES`) for every
         stage driver.
     engine:
-        ``"fast"`` (default) runs the timestamp engine, or the
-        quiescence fast-forward scheduler for a stage it cannot
-        represent; ``"naive"`` forces the per-cycle stepper.  All
-        produce identical outputs, cycle counts and statistics — see
-        ``docs/performance.md``.
+        ``"fast"`` (default) runs the timestamp engine; ``"naive"`` forces
+        the per-cycle stepper.  Both produce identical outputs, cycle
+        counts and statistics — see ``docs/performance.md``.
     auto_shrink:
         When a stage has fewer runs than leaves, merge through the
         equivalently-shaped shallower tree AMT(p, 2^ceil(log2(runs))).
@@ -221,8 +218,15 @@ def simulate_merge(
         The runs are uint64 arrays when ``runs`` are numpy arrays whose
         keys all lie in ``[0, 2**64)``, and lists otherwise: for list
         input (reusing its key objects), and for arrays holding other
-        keys (negative or float), which the tick loop merges as Python
-        scalars.
+        keys (negative or float), as Python scalars.
+
+    Raises
+    ------
+    ConfigurationError
+        For an unsorted run (unless ``check_sorted_inputs`` is false) and
+        for NaN keys, which have no merge order.
+    SimulationError
+        When the stage cannot finish within ``max_cycles``.
     """
     if engine not in ("fast", "naive"):
         raise ConfigurationError(
@@ -232,14 +236,17 @@ def simulate_merge(
     with obs.span("hw.merge_stage", p=p) as span:
         keys, lengths = timestamp.key_array(runs)
         uint64_keys = keys.dtype == np.uint64
-        fallback = None if uint64_keys else "key_range"
-        if (unsorted := timestamp.first_unsorted(keys, lengths)) is not None:
-            if check_sorted_inputs:
-                index, offset = unsorted
-                raise ConfigurationError(
-                    f"input run {index} is not sorted at value {runs[index][offset]!r}"
-                )
-            fallback = fallback or "unsorted"
+        if not uint64_keys and np.any(keys != keys):
+            raise ConfigurationError("NaN keys have no merge order")
+        unsorted = timestamp.first_unsorted(keys, lengths)
+        if unsorted is not None and check_sorted_inputs:
+            index, offset = unsorted
+            raise ConfigurationError(
+                f"input run {index} is not sorted at value {runs[index][offset]!r}"
+            )
+        arrays = timestamp.array_runs(runs)
+        if arrays and not uint64_keys:
+            runs = [run.tolist() for run in runs]
         if auto_shrink and len(runs) < leaves:
             shrunk = 1 << max(1, (max(2, len(runs)) - 1).bit_length())
             leaves = min(leaves, shrunk)
@@ -260,7 +267,7 @@ def simulate_merge(
         n_groups = max(1, math.ceil(len(runs) / leaves))
         span.set(leaves=leaves, groups=n_groups)
         # The timestamp engine reads only the loader's and writer's
-        # parameters; the tick loop below gives the loader its feeds.
+        # parameters; the stepper below gives the loader its feeds.
         loader = DataLoader(
             feeds=[],
             tuple_width=tree.leaf_width,
@@ -274,24 +281,19 @@ def simulate_merge(
             write_bytes_per_cycle=write_bytes_per_cycle,
             expected_runs=n_groups,
         )
-        solution = None
-        if engine == "fast" and fallback is None:
+        if engine == "fast" and unsorted is None:
             solution = timestamp.solve(tree, runs, keys, lengths, loader, writer, max_cycles)
-            if isinstance(solution, str):
-                fallback, solution = solution, None
-        if engine == "naive":
-            fallback = None
-        if solution is None:
-            arrays = timestamp.array_runs(runs)
-            if arrays:
+            span.set(engine="timestamp", sweeps=solution.sweeps)
+        else:
+            if arrays and uint64_keys:
                 runs = [run.tolist() for run in runs]
             loader.feeds = make_feeds(tree.leaf_fifos, runs, leaves)
-            sim = Simulation(fast_forward=engine == "fast")
+            sim = Simulation()
             sim.add(writer)
             for component in tree.components:
                 sim.add(component)
             sim.add(loader)
-            span.set(engine="tick", fallback=fallback)
+            span.set(engine="naive")
             cycles = sim.run_until(lambda: writer.done, max_cycles=max_cycles)
             solution = timestamp.Solution(
                 runs=[np.array(run, dtype=np.uint64) for run in writer.runs]
@@ -302,8 +304,6 @@ def simulate_merge(
                 bytes_written=writer.bytes_written,
                 sweeps=0,
             )
-        else:
-            span.set(engine="timestamp", sweeps=solution.sweeps)
         span.set(cycles=solution.cycles)
 
     records_in = sum(len(run) for run in runs)
@@ -318,7 +318,6 @@ def simulate_merge(
         merger_stats=solution.merger_stats,
         loader_stats=solution.loader_stats,
         sweeps=solution.sweeps,
-        fallback=fallback,
     )
     if records_out != records_in:
         raise SimulationError(

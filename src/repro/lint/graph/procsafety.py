@@ -55,7 +55,6 @@ SIMULATOR_DRIVERS: tuple[str, ...] = (
     "repro.hw.clock.Simulation.run",
     "repro.hw.clock.Simulation.step",
     "repro.hw.clock.Simulation.run_until",
-    "repro.hw.fastpath.run_event_driven",
 )
 
 #: class-member annotations (matched on the last dotted component) that
@@ -78,9 +77,7 @@ RELEASE_FUNCTION = "repro.parallel.shm.release"
 
 #: component methods the simulator dispatches to dynamically, which a
 #: static call graph cannot follow
-COMPONENT_ROOT_METHODS: tuple[str, ...] = (
-    "tick", "next_event_cycle", "stall_tag", "apply_stall",
-)
+COMPONENT_ROOT_METHODS: tuple[str, ...] = ("tick",)
 
 
 def _component_roots(index: ProjectIndex) -> set[str]:

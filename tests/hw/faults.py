@@ -1,4 +1,5 @@
-"""Fault injection and in-stream checking for the cycle simulator.
+"""Fault injection and in-stream checking for the cycle simulator: the
+components ``test_faults.py`` wires into a stage it ticks itself.
 
 §V-A describes the paper's own robustness experiment: "we did not have
 any input buffer become empty (unless we were pausing the data loader in

@@ -108,12 +108,15 @@ class TestConcurrency:
 class TestStalledUnit:
     def test_write_budget_below_quarter_root_tuple_raises_fast(self):
         """A unit writing 4 B/cycle cannot drain AMT(8, 4)'s 32-byte root
-        tuples (the writer's credit caps at 4x its rate); the stage's
-        stall diagnosis surfaces instead of a long tick to the budget."""
+        tuples (the writer's credit caps at 4x its rate); the stage says
+        so at once instead of ticking to the budget."""
         sim = UnrolledSimulation(p=8, leaves=4, lambda_unroll=4,
                                  total_bytes_per_cycle=16.0)
-        with pytest.raises(SimulationError, match="unrolled phase did not "
-                           "finish within 5000000 cycles: .*likely deadlock"):
+        with pytest.raises(SimulationError, match=(
+            "unrolled phase did not finish within 5000000 cycles: write budget "
+            "4 bytes/cycle caps the writer's credit at 16 bytes, below one "
+            "32-byte root tuple"
+        )):
             sim.run(make_array(2_000, seed=9))
 
 

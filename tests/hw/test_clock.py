@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.hw.clock import Simulation
+from repro.hw.clock import Simulation, format_stall_report
+from repro.hw.fifo import Fifo
 
 
 class Counter:
@@ -59,3 +62,22 @@ class TestSimulation:
     def test_run_until_immediate(self):
         sim = Simulation()
         assert sim.run_until(lambda: True) == 0
+
+
+class TestStallReport:
+    def test_report_lists_fifos_and_endpoints(self):
+        """The snapshot names every FIFO with occupancy and high-water."""
+        fifo = Fifo(4, name="amt.root")
+        fifo.push((1,))
+        fifo.push((2,))
+
+        @dataclass
+        class Probe:
+            output: Fifo = field(default_factory=lambda: fifo)
+
+            def tick(self, cycle):  # pragma: no cover - never ticked
+                pass
+
+        report = format_stall_report([Probe(output=fifo)], cycle=123)
+        assert "stall snapshot at cycle 123" in report
+        assert "amt.root: 2/4 hw=2" in report

@@ -8,11 +8,11 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.hw.clock import Simulation
-from repro.hw.faults import FaultInjector, PausingLoader, SortednessMonitor
 from repro.hw.fifo import Fifo
 from repro.hw.loader import DataLoader, OutputWriter, make_feeds
 from repro.hw.terminal import TERMINAL
 from repro.hw.tree import AmtTree
+from tests.hw.faults import FaultInjector, PausingLoader, SortednessMonitor
 
 
 def build_stage(runs, p=4, leaves=8, pause=None, inject_at=None):

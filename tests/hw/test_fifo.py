@@ -103,24 +103,6 @@ class TestBulkOperations:
         with pytest.raises(SimulationError):
             fifo.peek_many(-1)
 
-    def test_total_ops_counts_all_movement(self):
-        """The class-wide movement counter the fast path snapshots."""
-        before = Fifo.total_ops
-        fifo = Fifo(capacity=8)
-        fifo.push(1)
-        fifo.push_many([2, 3])
-        fifo.pop()
-        fifo.pop_many(2)
-        fifo.push(4)
-        fifo.drain()
-        assert Fifo.total_ops - before == 8
-        # Peeks are not movement.
-        fifo.push(5)
-        mid = Fifo.total_ops
-        fifo.peek()
-        fifo.peek_many(1)
-        assert Fifo.total_ops == mid
-
 
 class TestStatistics:
     def test_counters(self):

@@ -251,27 +251,6 @@ class TestStallClassification:
         assert merger.stats.stall_input == 1
         assert merger.stats.idle_cycles == 0
 
-    def test_bulk_skip_matches_repeated_ticks(self):
-        """apply_stall(tag, n) == n naive stall ticks, counter for counter."""
-        bulk, input_a, input_b, _out = self._merger()
-        naive = KMerger(k=1, input_a=input_a, input_b=input_b, output=Fifo(8))
-        assert bulk.stall_tag() == "idle_cycles"
-        bulk.apply_stall(bulk.stall_tag(), 5)
-        for _ in range(5):
-            naive.tick()
-        assert bulk.stats.idle_cycles == naive.stats.idle_cycles == 5
-        bulk.skip_cycles(2)
-        assert bulk.stats.idle_cycles == 7
-
-    def test_next_event_cycle_mirrors_tick(self):
-        merger, input_a, input_b, output = self._merger(output_capacity=1)
-        assert merger.next_event_cycle(10) is None  # nothing to do
-        input_a.push((1,))
-        input_b.push((2,))
-        assert merger.next_event_cycle(10) == 10  # can select and prime
-        output.push((0,))
-        assert merger.next_event_cycle(10) is None  # blocked on output
-
 
 class TestStatistics:
     def test_priming_and_flush_counted(self):

@@ -61,12 +61,12 @@ MUTATIONS: tuple[tuple[str, str, str, dict[str, str]], ...] = (
      'raise ValueError(f"unknown mode',
      {"error-taxonomy": "engine/sorter.py", "exn-escape": "cli.py"}),
     ("hw/loader.py",
-     "self._inflight_cycles_left -= n_cycles",
-     "self._inflight_cycles_left -= n_cycles + self.batch_bytes",
+     "size_bytes = max(records, 1) * self.record_bytes",
+     "size_bytes = max(records, 1) + self.record_bytes",
      {"unit-flow-mix": "hw/loader.py"}),
     ("hw/loader.py",
-     "self.apply_stall(self.stall_tag(), n_cycles)",
-     "self.apply_stall(self.stall_tag(), self.batch_bytes)",
+     "self.batch_records, self.tuple_width,",
+     "self.batch_bytes, self.tuple_width,",
      {"unit-flow-call": "hw/loader.py"}),
     ("parallel/workers.py",
      "import numpy as np\n",

@@ -95,16 +95,30 @@ class TestSort:
         out = capsys.readouterr().out
         assert "mode=simulate" in out and "verified=OK" in out
 
-    def test_simulate_output_independent_of_jobs(self, capsys):
+    def test_simulate_output_independent_of_jobs(self, tmp_path, capsys):
+        """``--jobs`` shards cluster nodes; their simulated sort writes
+        the same bytes at every setting."""
         outputs = []
         for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
+            target = tmp_path / f"out{len(outputs)}.bin"
             assert main([
                 "sort", "--records", "3000", "--mode", "simulate",
-                "--print-digest", *jobs,
+                "--cluster-nodes", "2", "--output", str(target), *jobs,
             ]) == 0
-            outputs.append(capsys.readouterr().out)
+            assert "verified=OK" in capsys.readouterr().out
+            outputs.append(target.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
-        assert "digest=" in outputs[0]
+
+    def test_jobs_without_cluster_nodes_is_rejected(self, capsys):
+        """A single tree's sort never uses the pool, so ``--jobs`` alone
+        is a usage error instead of a silent no-op."""
+        assert main(["sort", "--records", "3000", "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --jobs shards the nodes of a cluster sort; add "
+            "--cluster-nodes N (a single tree's sort runs in one process)\n"
+        )
 
     def test_workload_choice(self, capsys):
         assert main(["sort", "--records", "2000", "--workload", "reverse"]) == 0
