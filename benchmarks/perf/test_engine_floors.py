@@ -11,7 +11,9 @@ full-size targets, so host noise cannot flake them:
 * four workers against one, for the λ_unrl unrolled simulation and the
   4-node cluster sort, and a two-worker session's model-mode sort
   against a serial one (multicore hosts only);
-* the disabled observability path against a 2% budget.
+* the disabled observability path against a 2% budget;
+* the model-mode sort and ``validate_sort`` against numpy's default
+  sort of the same keys, the floor a host-side pass chases.
 
 The cycle counts these shapes land on are pinned by
 ``tests/hw/test_timestamp.py``; absolute timings of every layer live in
@@ -37,7 +39,8 @@ from repro.engine.unrolled import UnrolledSorter
 from repro.hw.tree import simulate_merge
 from repro.obs.runtime import DISABLED, activated, live_observation
 from repro.parallel import ParallelPlan, available_cpus
-from repro.records.valsort import content_digest
+from repro.records.valsort import _checksum, content_digest, validate_sort
+from repro.records.workloads import uniform_random
 from repro.serve.session import SortJob, SortSession
 from repro.units import GB
 
@@ -289,6 +292,42 @@ def test_cluster_keeps_pace_with_one_tree():
     ).execute(data)
     assert report.digest == content_digest(single_out.data)
     assert single_seconds / report.elapsed_seconds >= 0.5
+
+
+#: Keys of the ``np.sort`` floors: the ledger's ``oneshot_sort`` size.
+FLOOR_RECORDS = 1_000_000
+
+
+def test_model_sort_within_twice_np_sort():
+    """A model-mode sort of 1M uint32 keys costs at most 2x numpy's
+    default sort: one copy and one sort, the stages counted, not run."""
+    data = uniform_random(FLOOR_RECORDS, seed=1)
+    assert data.dtype == np.uint32
+    sorter = AmtSorter(
+        config=AmtConfig(p=8, leaves=16),
+        hardware=presets.aws_f1().hardware,
+        presort_run=PRESORT_RUN,
+    )
+    sort_seconds, outcome = best_of(lambda: sorter.sort(data), reps=5)
+    floor_seconds, expected = best_of(lambda: np.sort(data), reps=5)
+    assert np.array_equal(outcome.data, expected)
+    assert outcome.stages == 4
+    assert sort_seconds <= 2 * floor_seconds, (
+        f"model sort {sort_seconds * 1e3:.1f}ms vs np.sort {floor_seconds * 1e3:.1f}ms"
+    )
+
+
+def test_validate_sort_within_three_times_np_sort():
+    """``validate_sort`` of 1M uint32 keys costs at most 3x numpy's
+    default sort: a checksum pass over the input and one fused pass over
+    the output."""
+    data = uniform_random(FLOOR_RECORDS, seed=1)
+    floor_seconds, output = best_of(lambda: np.sort(data), reps=5)
+    validate_seconds, summary = best_of(lambda: validate_sort(data, output), reps=5)
+    assert summary.records == data.size and summary.checksum == _checksum(data)
+    assert validate_seconds <= 3 * floor_seconds, (
+        f"validate_sort {validate_seconds * 1e3:.1f}ms vs np.sort {floor_seconds * 1e3:.1f}ms"
+    )
 
 
 class TestObservabilityOverhead:

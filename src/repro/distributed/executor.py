@@ -15,12 +15,14 @@
 3. **local sort** — one worker per receiver gathers its shards,
    concatenates, and sorts through a single-tree
    :class:`~repro.engine.sorter.AmtSorter` into the output block;
-4. **merge** — the parent concatenates the nodes' sorted partitions
-   (range partitioning makes that globally sorted by construction).
+4. **merge** — the parent copies the output block, where the nodes'
+   sorted partitions lie end to end in receiver order (range
+   partitioning makes that globally sorted by construction).
 
 Every run then verifies the output bit-exactly against a serial oracle
-``np.sort`` — the verification is outside the timed window, so the
-measured figure covers exactly the four phases above.  The report pairs
+``np.sort`` of the kind :func:`~repro.engine.stage.sort_kind` picks (the
+stable sort's bytes) — the verification is outside the timed window, so
+the measured figure covers exactly the four phases above.  The report pairs
 the measured Table I figure of merit (``elapsed x nodes / GB``) with
 the analytical model's prediction at the *measured* partition skew, so
 the measured-vs-modeled delta is one number.
@@ -51,6 +53,7 @@ from repro.distributed.exchange import (
     sample_splitters,
 )
 from repro.distributed.node import SortingNode
+from repro.engine.stage import sort_kind
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.runtime import observation
 from repro.parallel.plan import ParallelPlan
@@ -277,11 +280,12 @@ class ClusterExecutor:
                     )
                 sorts_done = time.perf_counter()
                 with obs.span("cluster.merge", nodes=self.nodes):
-                    partitions = [
-                        view_array(out_desc, receiver, out_block).copy()
-                        for receiver in range(self.nodes)
-                    ]
-                    output = np.concatenate(partitions)
+                    # ``alloc_arrays`` lays the partitions end to end in
+                    # receiver order: one copy of the block concatenates
+                    # them.
+                    output = np.ndarray(
+                        (out_desc.total,), dtype=np.uint64, buffer=out_block.buf
+                    ).copy()
                 merge_done = time.perf_counter()
                 recovered = bool(view_array(flag_desc, 0, flag_block)[0])
             finally:
@@ -294,7 +298,7 @@ class ClusterExecutor:
             # Verification sits outside the timed window (the oracle
             # sort would otherwise dominate the measured figure) but
             # inside the dispatch span: a divergent run never reports.
-            oracle = np.sort(keys, kind="stable")
+            oracle = np.sort(keys, kind=sort_kind(keys.dtype))
             if output.size != oracle.size or not np.array_equal(output, oracle):
                 raise SimulationError(
                     f"executed cluster sort diverged from the serial oracle "

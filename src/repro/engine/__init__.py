@@ -2,10 +2,12 @@
 
 Executes the merge-sort procedure of Fig. 2 end to end:
 
-* :mod:`repro.engine.stage` — one merge stage, functionally (one numpy
-  sort per merge group, bit-identical to a stable merge) or
-  cycle-simulated (via :mod:`repro.hw`).
-* :mod:`repro.engine.sorter` — the recursive-stage DRAM sorter (§IV-A).
+* :mod:`repro.engine.stage` — the sort-kind rule, and one merge stage
+  for callers that keep their runs (one numpy sort per merge group,
+  bit-identical to a stable merge).
+* :mod:`repro.engine.sorter` — the recursive-stage DRAM sorter (§IV-A):
+  one sort of the input in model mode, stages through the cycle
+  simulator (:mod:`repro.hw`) in simulate mode.
 * :mod:`repro.engine.unrolled` — unrolled execution: range-partitioned
   (§III-A2) and address-range with AMT idling (§IV-B).
 * :mod:`repro.engine.pipelined` — pipelined execution (§III-A3).

@@ -1,9 +1,10 @@
 """Key/value sorting: payloads follow their keys through the merge.
 
 The AMT moves whole records — key and value together (§II: "any key and
-value width up to 512 bits").  The functional engine models that by
-carrying a payload array through the same merge dataflow as the keys,
-using permutation-producing merges.  Merges are stable: records with
+value width up to 512 bits").  The functional engine models that with
+the permutation the merge dataflow applies: stable merges of stably
+sorted runs give the stable sort of the whole input, so the payload is
+taken in the order of one stable ``argsort`` of the keys.  Records with
 equal keys keep their input order (the hardware merger's port-A
 preference gives the same guarantee).
 """
@@ -18,28 +19,7 @@ from repro.core.configuration import AmtConfig
 from repro.core.parameters import HardwareParams, MergerArchParams
 from repro.engine.results import SortOutcome
 from repro.engine.sorter import AmtSorter
-from repro.engine.stage import merge_two_sorted_with_perm
 from repro.errors import ConfigurationError
-
-
-@dataclass
-class _Run:
-    """A sorted run with its payload riding along."""
-
-    keys: np.ndarray
-    payload: np.ndarray
-
-
-def _merge_runs(left: _Run, right: _Run) -> _Run:
-    merged_keys, left_pos, right_pos = merge_two_sorted_with_perm(
-        left.keys, right.keys
-    )
-    payload = np.empty(
-        left.payload.size + right.payload.size, dtype=left.payload.dtype
-    )
-    payload[left_pos] = left.payload
-    payload[right_pos] = right.payload
-    return _Run(keys=merged_keys, payload=payload)
 
 
 @dataclass
@@ -74,42 +54,11 @@ class KeyValueSorter:
             raise ConfigurationError(
                 f"keys and payload must align: {keys.shape} vs {payload.shape}"
             )
-        if keys.size == 0:
-            outcome = self._timing_sorter.sort(keys)
-            return outcome, payload.copy()
-
-        # Split into presorted runs (stable within each run).
-        runs: list[_Run] = []
-        for start in range(0, keys.size, self.presort_run):
-            chunk_keys = keys[start : start + self.presort_run]
-            chunk_payload = payload[start : start + self.presort_run]
-            order = np.argsort(chunk_keys, kind="stable")
-            runs.append(
-                _Run(keys=chunk_keys[order].copy(), payload=chunk_payload[order].copy())
-            )
-        # Merge stages with the configured fan-in.
-        while len(runs) > 1:
-            merged: list[_Run] = []
-            for start in range(0, len(runs), self.config.leaves):
-                group = runs[start : start + self.config.leaves]
-                while len(group) > 1:
-                    next_group = []
-                    for index in range(0, len(group) - 1, 2):
-                        next_group.append(_merge_runs(group[index], group[index + 1]))
-                    if len(group) % 2:
-                        next_group.append(group[-1])
-                    group = next_group
-                merged.append(group[0])
-            runs = merged
-
-        outcome = self._timing_sorter.sort(keys)  # modeled timing + stages
-        result = runs[0]
-        if not np.array_equal(outcome.data, result.keys):
-            raise ConfigurationError(
-                "payload path diverged from key path; this is a bug"
-            )
+        # The sorter's keys are the stable sort's bytes (``sort_kind``),
+        # so they line up with the payload taken in stable-argsort order.
+        outcome = self._timing_sorter.sort(keys)
         final = SortOutcome(
-            data=result.keys,
+            data=outcome.data,
             seconds=outcome.seconds,
             stages=outcome.stages,
             record_bytes=self.arch.record_bytes,
@@ -117,4 +66,4 @@ class KeyValueSorter:
             traffic=outcome.traffic,
             detail={"payload_bytes": int(payload.dtype.itemsize)},
         )
-        return final, result.payload
+        return final, payload.take(np.argsort(keys, kind="stable"))

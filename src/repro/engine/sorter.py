@@ -3,16 +3,15 @@
 Runs merge stages until the input is one sorted run.  Two execution
 modes:
 
-* ``"model"`` — the data moves through the functional merge.  The input
-  is copied once into one buffer whose runs lie end to end: the
-  presorter sorts its rows of ``presort_run`` records, and stage ``k``
-  sorts its rows of ``presort_run * leaves**k`` records in place (the
-  ragged tail on its own), which is exactly the grouping of
-  :func:`~repro.engine.stage.merge_stage`.  Each row sort is a merge of
-  the row's runs with ties kept in run order (see
-  :func:`~repro.engine.stage.sort_kind`).  Each stage's time comes from
-  the performance model (``N r / min(p f r, beta)``).  Scales to
-  millions of records.
+* ``"model"`` — the data path is one sort.  Stable merges of stably
+  sorted runs give the stable sort of the whole input, and only the
+  final buffer is returned, so the input is copied once and sorted
+  once, of the kind :func:`~repro.engine.stage.sort_kind` picks (the
+  stable sort's bytes).  The stages are still counted as the tree runs
+  them: stage ``k`` merges runs of ``presort_run * leaves**k`` records
+  until one is left, each with its ``sorter.stage`` span, traffic and
+  counters, and its time from the performance model
+  (``N r / min(p f r, beta)``).  Scales to millions of records.
 * ``"simulate"`` — every stage runs in the cycle-level simulator,
   including loader batching, FIFO stalls and terminal flushing; the
   stage time is the simulated cycle count over the clock frequency.
@@ -28,7 +27,7 @@ import numpy as np
 from repro.core.configuration import AmtConfig
 from repro.core.parameters import HardwareParams, MergerArchParams
 from repro.engine.results import SortOutcome
-from repro.engine.stage import sort_rows, split_into_runs
+from repro.engine.stage import sort_kind, split_into_runs
 from repro.errors import ConfigurationError
 from repro.hw.tree import simulate_merge
 from repro.memory.traffic import TrafficMeter
@@ -84,7 +83,8 @@ class AmtSorter:
         """Sort an array of keys; returns data plus timing and traffic.
 
         ``input_presorted=True`` treats the input as already split into
-        sorted runs of ``presort_run`` records (skips the presorter).
+        sorted runs of ``presort_run`` records: simulate mode skips the
+        presorter.  Model mode sorts the whole input either way.
         """
         data = np.asarray(data)
         if data.size == 0:
@@ -104,8 +104,7 @@ class AmtSorter:
                 runs = split_into_runs(data, run, presorted=input_presorted)
             else:
                 buffer = np.array(data)
-                if not input_presorted:
-                    sort_rows(buffer, run)
+                buffer.sort(kind=sort_kind(buffer.dtype))
             traffic = TrafficMeter()
             seconds = 0.0
             stages = 0
@@ -120,8 +119,8 @@ class AmtSorter:
                             cycles=round(stage_seconds * self.arch.frequency_hz)
                         )
                     else:
-                        sort_rows(buffer, run)
                         stage_seconds = records * record_bytes / self.stage_rate
+                    stage_span.set(model_seconds=stage_seconds)
                 stages += 1
                 seconds += stage_seconds
                 traffic.record_read("dram", records * record_bytes)

@@ -4,9 +4,11 @@ Phase one forms DRAM-scale sorted runs through the throughput-optimal
 pipeline; the FPGA is reprogrammed; phase two merges the runs through the
 latency-optimal wide tree in as few SSD round trips as possible.
 
-The engine executes the data path functionally (chunk sorts + wide
-merges) and takes timing from :class:`~repro.core.ssd_planner.SsdSortPlan`
-so the Table V breakdown and the examples share one source of truth.
+The engine executes the data path functionally and takes timing from
+:class:`~repro.core.ssd_planner.SsdSortPlan` so the Table V breakdown
+and the examples share one source of truth.  The chunk sorts and wide
+merges give one sort of the array, so the engine sorts it once and
+counts the phases' runs and stages.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from repro.core.parameters import ArrayParams
 from repro.core.ssd_planner import SsdSortPlan
 from repro.engine.results import SortOutcome
-from repro.engine.stage import merge_stage, split_into_runs
+from repro.engine.stage import sort_kind
 from repro.errors import ConfigurationError
 from repro.memory.traffic import TrafficMeter
 from repro.obs.runtime import observation
@@ -68,23 +70,27 @@ class SsdSorter:
         total_bytes = data.size * self.fmt.width_bytes
         obs = observation()
 
+        # The two phases' stable merges of stably sorted runs are one
+        # sort of the array; the phases below count runs and stages.
+        output = np.array(data)
+        n_runs = -(-data.size // self.scale_run_records)
+
         # --- phase one: form sorted runs (pipelined, I/O saturating) ---
         with obs.span("ssd.phase_one", records=int(data.size)):
-            runs = split_into_runs(data, self.scale_run_records)
+            output.sort(kind=sort_kind(output.dtype))
             traffic.record_read("ssd", total_bytes)
             traffic.record_write("ssd", total_bytes)
-            obs.count("engine.ssd_runs_formed", len(runs))
+            obs.count("engine.ssd_runs_formed", n_runs)
             obs.count("engine.bytes_read", total_bytes, device="ssd")
             obs.count("engine.bytes_written", total_bytes, device="ssd")
 
         # --- phase two: wide merges, one SSD round trip per stage ------
         leaves = self.plan.phase_two_config.leaves
         phase_two_stages = 0
-        while len(runs) > 1:
-            with obs.span(
-                "ssd.phase_two", stage=phase_two_stages, runs=len(runs)
-            ):
-                runs = merge_stage(runs, leaves)
+        runs = n_runs
+        while runs > 1:
+            with obs.span("ssd.phase_two", stage=phase_two_stages, runs=runs):
+                runs = -(-runs // leaves)
             phase_two_stages += 1
             traffic.record_read("ssd", total_bytes)
             traffic.record_write("ssd", total_bytes)
@@ -93,11 +99,10 @@ class SsdSorter:
             obs.count("engine.bytes_written", total_bytes, device="ssd")
 
         # --- timing at true scale --------------------------------------
-        n_runs = max(1, -(-data.size // self.scale_run_records))
         true_bytes = self.plan.run_bytes * n_runs
         breakdown = self.plan.plan(ArrayParams.from_bytes(true_bytes, self.fmt))
         return SortOutcome(
-            data=runs[0],
+            data=output,
             seconds=breakdown.total_seconds,
             stages=phase_two_stages + 1,
             record_bytes=self.fmt.width_bytes,
@@ -105,7 +110,7 @@ class SsdSorter:
             traffic=traffic,
             detail={
                 "breakdown": breakdown,
-                "scaled_runs": max(1, -(-data.size // self.scale_run_records)),
+                "scaled_runs": n_runs,
                 "true_bytes_modeled": true_bytes,
                 "phase_two_stages_executed": phase_two_stages,
             },

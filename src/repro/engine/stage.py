@@ -2,17 +2,18 @@
 
 The engine's "model" mode moves the actual data while timing comes from
 the performance model; ``simulate`` mode delegates to the cycle-level
-simulator instead.  Model mode merges each group of ``leaves`` sorted
-runs by sorting the group's concatenation: the runs sit in group order,
-so a stable sort is exactly the k-way merge in which the lower-indexed
-run wins ties, bit-identical to the binary tournament of two-way merges
-it replaced.  Equal integer (and bool) keys are the same bytes, so for
-those dtypes any sort returns the stable sort's bytes and numpy's
-default sort, the fastest, is used; every other dtype keeps the
-stable sort (:func:`sort_kind`).  The model-mode
-:class:`~repro.engine.sorter.AmtSorter` keeps no run list at all: its
-runs lie end to end in one buffer, so a stage is one :func:`sort_rows`
-call over rows as long as a merge group.
+simulator instead.  A model-mode sorter returns only its final buffer,
+and stable merges of stably sorted runs give the stable sort of the
+whole input, so every model-mode sorter sorts its input once
+(:func:`sort_kind`) and counts its stages from the model.  The merges
+here serve the callers that keep their runs: :func:`merge_stage` merges
+each group of ``leaves`` sorted runs by sorting the group's
+concatenation, and since the runs sit in group order, a stable sort is
+exactly the k-way merge in which the lower-indexed run wins ties.
+Equal integer (and bool) keys are the same bytes, so for those dtypes
+any sort returns the stable sort's bytes and numpy's default sort, the
+fastest, is used; every other dtype keeps the stable sort
+(:func:`sort_kind`).
 
 All merges are stable with respect to key order; within equal keys the
 left (lower-indexed-run) elements come first, matching the hardware
@@ -28,27 +29,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
-def merge_two_sorted_with_perm(
-    left: np.ndarray, right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable two-way merge returning output positions for both inputs.
-
-    Returns ``(merged, left_positions, right_positions)`` where
-    ``merged[left_positions[i]] == left[i]``.  Each element's position
-    is its index plus ``searchsorted`` into the other run: left elements
-    shift right by the count of *strictly smaller* right elements, so
-    ties keep left first — a genuine two-way merge, no re-sorting.
-    """
-    left = np.asarray(left)
-    right = np.asarray(right)
-    merged = np.empty(left.size + right.size, dtype=np.result_type(left, right))
-    left_positions = np.arange(left.size) + np.searchsorted(right, left, side="left")
-    right_positions = np.arange(right.size) + np.searchsorted(left, right, side="right")
-    merged[left_positions] = left
-    merged[right_positions] = right
-    return merged, left_positions, right_positions
-
-
 def sort_kind(dtype: np.dtype) -> str | None:
     """The numpy sort kind whose output is the stable sort's, bit for bit.
 
@@ -58,19 +38,6 @@ def sort_kind(dtype: np.dtype) -> str | None:
     ±0.0 and NaN payloads, records), so they sort with ``"stable"``.
     """
     return None if np.dtype(dtype).kind in "iub" else "stable"
-
-
-def sort_rows(buffer: np.ndarray, row: int) -> None:
-    """Sort a 1-D contiguous ``buffer`` in place, ``row`` records at a time.
-
-    The full rows sort as the rows of one matrix, the ragged tail on its
-    own, under :func:`sort_kind`.  With ``row`` the length of a merge
-    group this is one merge stage over runs laid end to end.
-    """
-    kind = sort_kind(buffer.dtype)
-    full = buffer.size - buffer.size % row
-    buffer[:full].reshape(-1, row).sort(axis=1, kind=kind)
-    buffer[full:].sort(kind=kind)
 
 
 def merge_runs_numpy(runs: list[np.ndarray]) -> np.ndarray:
@@ -128,17 +95,20 @@ def split_into_runs(data: np.ndarray, run_length: int, presorted: bool = False) 
     """Slice an array into runs of ``run_length`` records, sorting each.
 
     The presorter's job (§VI-C): with ``presorted=True`` the slices are
-    assumed sorted already and only split.  The input is copied once and
-    sorted by :func:`sort_rows`.  The runs are disjoint slices of that
+    assumed sorted already and only split.  The input is copied once;
+    its full runs sort as the rows of one matrix, the ragged tail on its
+    own, under :func:`sort_kind`.  The runs are disjoint slices of that
     copy, so writing into one changes neither its neighbours nor the
     input.
     """
     if run_length < 1:
         raise ConfigurationError(f"run length must be >= 1, got {run_length}")
     out = np.array(data)
-    if not presorted:
-        sort_rows(out, run_length)
     full = out.size - out.size % run_length
+    if not presorted:
+        kind = sort_kind(out.dtype)
+        out[:full].reshape(-1, run_length).sort(axis=1, kind=kind)
+        out[full:].sort(kind=kind)
     return list(out[:full].reshape(-1, run_length)) + (
         [out[full:]] if full < out.size else []
     )

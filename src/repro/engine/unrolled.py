@@ -24,7 +24,7 @@ from repro.core.configuration import AmtConfig
 from repro.core.parameters import HardwareParams, MergerArchParams
 from repro.engine.results import SortOutcome
 from repro.engine.sorter import AmtSorter
-from repro.engine.stage import merge_runs_numpy
+from repro.engine.stage import sort_kind
 from repro.errors import ConfigurationError
 from repro.memory.traffic import TrafficMeter
 from repro.obs.runtime import observation
@@ -196,8 +196,12 @@ class UnrolledSorter:
             traffic.merge(outcome.traffic)
         # Final merges with idling AMTs: ranges shrink by `leaves` per
         # stage; each stage re-streams all data at the active AMTs'
-        # aggregate rate.
-        runs = [outcome.data for outcome in outcomes]
+        # aggregate rate.  Their stable merges of the sorted ranges are
+        # one sort of the ranges laid end to end.
+        output = np.concatenate([outcome.data for outcome in outcomes])
+        if len(outcomes) > 1:
+            output.sort(kind=sort_kind(output.dtype))
+        runs = len(outcomes)
         per_amt_rate = min(
             self.arch.amt_throughput_bytes(self.config.p),
             self.hardware.beta_dram / lam,
@@ -205,26 +209,19 @@ class UnrolledSorter:
         total_bytes = data.size * self.arch.record_bytes
         extra_stages = 0
         obs = observation()
-        while len(runs) > 1:
-            with obs.span(
-                "unrolled.final_merge", stage=extra_stages, runs=len(runs)
-            ):
-                groups = max(1, -(-len(runs) // self.config.leaves))
-                next_runs = []
-                for start in range(0, len(runs), self.config.leaves):
-                    next_runs.append(
-                        merge_runs_numpy(runs[start : start + self.config.leaves])
-                    )
+        while runs > 1:
+            with obs.span("unrolled.final_merge", stage=extra_stages, runs=runs):
+                groups = -(-runs // self.config.leaves)
             seconds += total_bytes / (groups * per_amt_rate)
             traffic.record_read("dram", total_bytes)
             traffic.record_write("dram", total_bytes)
             obs.count("engine.final_merge_records", int(data.size))
             obs.count("engine.bytes_read", total_bytes)
             obs.count("engine.bytes_written", total_bytes)
-            runs = next_runs
+            runs = groups
             extra_stages += 1
         return SortOutcome(
-            data=runs[0],
+            data=output,
             seconds=seconds,
             stages=stages + extra_stages,
             record_bytes=self.arch.record_bytes,

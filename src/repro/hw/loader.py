@@ -375,10 +375,11 @@ class OutputWriter:
                 self.runs.append(current)
                 current = []
                 continue
-            if SENTINEL_KEY in head:
-                # Pad sentinels appear only in a run's final tuples;
-                # the common path extends in place without filtering.
-                kept = [key for key in head if key != SENTINEL_KEY]
+            if head[-1] is SENTINEL_KEY:
+                # Pad sentinels appear only in a run's final tuples, and
+                # a root tuple is sorted, so they trail it; the common
+                # path extends in place without filtering.
+                kept = [key for key in head if key is not SENTINEL_KEY]
                 current.extend(kept)
                 self.bytes_written += len(kept) * record_bytes
             else:

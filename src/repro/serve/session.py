@@ -258,6 +258,8 @@ class SortSession:
         outcome = sorter.sort(data)
         with obs.span("sort.validate", records=len(data)):
             summary = validate_sort(data, outcome.data)
+        with obs.span("sort.digest", records=len(data)):
+            digest = content_digest(outcome.data)
         if job.output:
             with obs.span("sort.write", path=job.output):
                 write_records(job.output, outcome.data)
@@ -273,7 +275,7 @@ class SortSession:
             "ms_per_gb": outcome.latency_ms_per_gb,
             "duplicates": summary.duplicates,
             "checksum": summary.checksum,
-            "digest": content_digest(outcome.data),
+            "digest": digest,
         }
         if job.output:
             payload["output"] = job.output

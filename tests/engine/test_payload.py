@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import presets
 from repro.core.configuration import AmtConfig
-from repro.engine.payload import KeyValueSorter, merge_two_sorted_with_perm
+from repro.engine.payload import KeyValueSorter
 from repro.errors import ConfigurationError
 from repro.records.workloads import duplicate_heavy, uniform_random
 
@@ -21,29 +21,45 @@ def sorter():
     )
 
 
+def merge_with_positions(sorter, left, right):
+    """Two sorted runs through the key/value path, laid end to end.
+
+    Returns the merged keys and each input record's output position, so
+    ``merged[left_positions[i]] == left[i]``.
+    """
+    keys = np.concatenate([left, right])
+    outcome, order = sorter.sort(keys, np.arange(keys.size))
+    positions = np.empty(keys.size, dtype=np.int64)
+    positions[order] = np.arange(keys.size)
+    return outcome.data, positions[: left.size], positions[left.size :]
+
+
 class TestPermMerge:
-    def test_positions_place_keys(self):
+    """The key/value path over two sorted runs is a two-way merge whose
+    payload permutation places every record."""
+
+    def test_positions_place_keys(self, sorter):
         left = np.array([1, 4, 7], dtype=np.uint32)
         right = np.array([2, 4, 9], dtype=np.uint32)
-        merged, left_pos, right_pos = merge_two_sorted_with_perm(left, right)
+        merged, left_pos, right_pos = merge_with_positions(sorter, left, right)
         assert merged.tolist() == [1, 2, 4, 4, 7, 9]
         assert merged[left_pos].tolist() == left.tolist()
         assert merged[right_pos].tolist() == right.tolist()
 
-    def test_ties_left_first(self):
+    def test_ties_left_first(self, sorter):
         left = np.array([5], dtype=np.uint32)
         right = np.array([5], dtype=np.uint32)
-        _, left_pos, right_pos = merge_two_sorted_with_perm(left, right)
+        _, left_pos, right_pos = merge_with_positions(sorter, left, right)
         assert left_pos[0] < right_pos[0]
 
     @given(
         st.lists(st.integers(0, 30), max_size=20).map(sorted),
         st.lists(st.integers(0, 30), max_size=20).map(sorted),
     )
-    @settings(max_examples=60)
-    def test_property(self, left, right):
-        merged, left_pos, right_pos = merge_two_sorted_with_perm(
-            np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, sorter, left, right):
+        merged, left_pos, right_pos = merge_with_positions(
+            sorter, np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
         )
         assert merged.tolist() == sorted(left + right)
         assert sorted(list(left_pos) + list(right_pos)) == list(
@@ -68,6 +84,22 @@ class TestKeyValueSorter:
         for key in np.unique(outcome.data):
             block = sorted_payload[outcome.data == key]
             assert np.all(np.diff(block.astype(np.int64)) > 0)
+
+    def test_equal_keys_keep_payload_order(self, sorter):
+        # Four distinct keys over many presort runs and merge stages:
+        # every equal-key block keeps its payload in input order, which
+        # is the stable argsort's permutation.
+        keys = np.random.default_rng(4).integers(0, 4, 3_000).astype(np.uint32)
+        payload = np.arange(3_000, dtype=np.uint64)[::-1].copy()
+        outcome, sorted_payload = sorter.sort(keys, payload)
+        assert outcome.stages >= 2
+        assert np.array_equal(sorted_payload, payload[np.argsort(keys, kind="stable")])
+        for key in range(4):
+            block = sorted_payload[outcome.data == key]
+            assert np.all(np.diff(block.astype(np.int64)) < 0)
+        same = np.full(100, 7, dtype=np.uint32)
+        _, untouched = sorter.sort(same, payload[:100])
+        assert np.array_equal(untouched, payload[:100])
 
     def test_empty(self, sorter):
         outcome, payload = sorter.sort(

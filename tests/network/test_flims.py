@@ -2,11 +2,11 @@
 
 * the k-merger's bound 2k half-merge kernel against ``sorted()`` and
   ``np.sort`` of the 2k inputs, at every paper merger width;
-* the model-mode merge (:func:`repro.engine.stage.merge_runs_numpy` and
-  ``merge_stage``: one stable sort per group) and the ``searchsorted``
-  position merge ``merge_two_sorted_with_perm`` that the key/value path
-  uses, against a scalar two-pointer merge, on ragged, duplicate-heavy,
-  empty-side and full-range ``uint64`` runs;
+* the merges that keep their runs (:func:`repro.engine.stage.merge_runs_numpy`
+  and ``merge_stage``: one stable sort per group) and the key/value
+  path's permutation (:class:`repro.engine.payload.KeyValueSorter`: one
+  stable ``argsort``), against a scalar two-pointer merge, on ragged,
+  duplicate-heavy, empty-side and full-range ``uint64`` runs;
 * ``simulate_merge``'s fast engine (the timestamp engine) against the
   naive stepper.
 
@@ -21,7 +21,10 @@ import random
 import numpy as np
 import pytest
 
-from repro.engine.stage import merge_runs_numpy, merge_stage, merge_two_sorted_with_perm
+from repro.core import presets
+from repro.core.configuration import AmtConfig
+from repro.engine.payload import KeyValueSorter
+from repro.engine.stage import merge_runs_numpy, merge_stage
 from repro.hw.fifo import Fifo
 from repro.hw.merger import KMerger
 from repro.hw.tree import simulate_merge
@@ -132,6 +135,18 @@ def _ragged_run(rng: np.random.Generator, key_space: str) -> np.ndarray:
     return np.sort(rng.integers(0, 50, size=size).astype(np.uint64))
 
 
+def key_value_merge(left: np.ndarray, right: np.ndarray):
+    """Two sorted runs laid end to end through the key/value path.
+
+    Returns the merged keys and the output positions of the left and
+    right records, in their input order.
+    """
+    keys = np.concatenate([left, right])
+    sorter = KeyValueSorter(config=AmtConfig(p=2, leaves=2), hardware=presets.aws_f1().hardware)
+    outcome, order = sorter.sort(keys, np.arange(keys.size))
+    return outcome.data, np.flatnonzero(order < left.size), np.flatnonzero(order >= left.size)
+
+
 class TestArrayKernel:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_backends_bit_identical_on_ragged_runs(self, seed):
@@ -144,12 +159,12 @@ class TestArrayKernel:
             expected = two_pointer_merge(left.tolist(), right.tolist())
             assert merged.dtype == np.uint64
             assert merged.tolist() == expected
-            assert np.array_equal(merge_two_sorted_with_perm(left, right)[0], merged)
+            assert np.array_equal(key_value_merge(left, right)[0], merged)
 
     def test_stability_keeps_left_first(self):
         left = np.asarray([5, 5, 7, 2**64 - 1], dtype=np.uint64)
         right = np.asarray([5, 6, 7, 2**64 - 1], dtype=np.uint64)
-        merged, left_pos, right_pos = merge_two_sorted_with_perm(left, right)
+        merged, left_pos, right_pos = key_value_merge(left, right)
         # Every tied left record lands before its right counterparts.
         assert left_pos.tolist() == [0, 1, 4, 6]
         assert right_pos.tolist() == [2, 3, 5, 7]
@@ -174,3 +189,27 @@ class TestSimulatorBackendIdentity:
         assert fast[1].sweeps > 0
         assert fast == naive
         assert fast[0] == [sorted(record for run in runs for record in run)]
+
+
+class TestNaiveStepperKeyRange:
+    """The stepper's pad sentinel equals no key and sorts above them all,
+    so it merges Python-int keys from the whole range the engine accepts,
+    negative and at or past ``2**64`` included."""
+
+    def test_keys_at_the_old_sentinel(self):
+        runs = [[-5, 2**64], [2**64 - 1, 2**64, 2**64 + 1], [2**65], [2**70, 2**71]]
+        out, _ = simulate_merge(2, 4, runs, engine="naive")
+        assert out == [sorted(key for run in runs for key in run)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_wide_int_runs_match_sorted(self, seed):
+        rng = random.Random(seed)
+        p, leaves = rng.choice((2, 4, 8)), rng.choice((2, 4))
+        runs = [
+            sorted(rng.randrange(-(2**70), 2**70) for _ in range(rng.randrange(1, 40)))
+            for _ in range(rng.randrange(1, 2 * leaves + 1))
+        ]
+        naive = simulate_merge(p, leaves, runs, engine="naive")
+        groups = [runs[start : start + leaves] for start in range(0, len(runs), leaves)]
+        assert naive[0] == [sorted(key for run in group for key in run) for group in groups]
+        assert simulate_merge(p, leaves, runs, engine="fast") == naive

@@ -54,7 +54,7 @@ class TestCliSession:
         )
         names = {s["name"] for s in spans}
         assert {"sort.load", "sorter.sort", "sorter.stage",
-                "sort.validate"} <= names
+                "sort.validate", "sort.digest"} <= names
         # The trace is self-contained: the metrics snapshot rides along.
         assert any(e.get("kind") == "metrics" for e in events)
 

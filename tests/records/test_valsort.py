@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import WorkloadError
 from repro.records.valsort import (
     _CHECKSUM_CHUNK,
+    _Checksum,
     _checksum,
     content_digest,
     summarize,
@@ -88,6 +89,13 @@ class TestValidateSort:
         with pytest.raises(WorkloadError, match="checksum"):
             validate_sort(data, tampered)
 
+    def test_accepts_unsorted_input(self):
+        # Only the input's count and checksum are read, never its order.
+        data = uniform_random(1_000, seed=6)
+        assert not summarize(data).is_sorted
+        summary = validate_sort(data, np.sort(data))
+        assert summary.records == 1_000 and summary.checksum == _checksum(data)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_property_any_real_sort_validates(self, seed):
@@ -160,3 +168,59 @@ class TestChecksumAndDigestOracle:
     ], ids=["list", "strided-view", "uint16", "empty"])
     def test_digest_matches_per_key_form(self, keys):
         assert content_digest(keys) == reference_digest(keys)
+
+
+class TestChunkBoundaries:
+    """Neighbouring chunks overlap by one key in the fused output pass."""
+
+    def test_violation_straddling_a_chunk_boundary(self):
+        keys = np.arange(2 * _CHECKSUM_CHUNK, dtype=np.uint32)
+        boundary = slice(_CHECKSUM_CHUNK - 1, _CHECKSUM_CHUNK + 1)
+        keys[boundary] = keys[boundary][::-1].copy()
+        summary = summarize(keys)
+        assert not summary.is_sorted
+        assert summary.first_violation == _CHECKSUM_CHUNK
+        with pytest.raises(WorkloadError, match=f"first violation at record {_CHECKSUM_CHUNK}"):
+            validate_sort(np.sort(keys), keys)
+
+    def test_duplicate_pair_straddling_a_chunk_boundary(self):
+        keys = np.arange(2 * _CHECKSUM_CHUNK, dtype=np.uint64)
+        keys[_CHECKSUM_CHUNK] = keys[_CHECKSUM_CHUNK - 1]
+        summary = summarize(keys)
+        assert summary.is_sorted and summary.duplicates == 1
+        assert validate_sort(keys[::-1], keys) == summary
+
+    def test_first_violation_is_the_earliest_across_chunks(self):
+        keys = np.arange(3 * _CHECKSUM_CHUNK, dtype=np.uint32)
+        keys[_CHECKSUM_CHUNK + 5] = 0
+        keys[2 * _CHECKSUM_CHUNK + 5] = 0
+        assert summarize(keys).first_violation == _CHECKSUM_CHUNK + 5
+
+
+class TestNarrowChecksum:
+    """Unsigned and bool keys of 32 bits or fewer skip the high-half
+    products; signed keys wrap to 64-bit values and keep them."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.bool_])
+    def test_top_of_range_matches_python_ints(self, dtype):
+        top = True if dtype is np.bool_ else np.iinfo(dtype).max
+        # A full chunk and then some of the largest key: the chunk's sums
+        # of squares would wrap a uint64 many times over.
+        keys = np.full(_CHECKSUM_CHUNK + 3, top, dtype=dtype)
+        keys[::7] = 0
+        assert _Checksum(keys.dtype, keys.size).narrow
+        assert _checksum(keys) == reference_checksum(keys)
+        assert summarize(np.sort(keys)).checksum == reference_checksum(keys)
+
+    def test_uint32_max_is_the_widest_narrow_key(self):
+        keys = np.array([2**32 - 1, 2**32 - 2, 1], dtype=np.uint32)
+        assert _checksum(keys) == reference_checksum(keys)
+        assert not _Checksum(np.dtype(np.uint64), 1).narrow
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32])
+    def test_negative_signed_keys_take_the_wide_path(self, dtype):
+        info = np.iinfo(dtype)
+        keys = np.array([info.min, -1, 0, 1, info.max], dtype=dtype)
+        assert not _Checksum(keys.dtype, keys.size).narrow
+        assert _checksum(keys) == reference_checksum(keys)
+        assert _checksum(keys) == _checksum(keys.astype(np.int64))
