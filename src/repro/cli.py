@@ -293,6 +293,8 @@ def _cmd_sort(args: argparse.Namespace) -> int:
               f"merge={report.merge_seconds:.3f}s  "
               f"verified=OK ({summary.duplicates:,} duplicate keys)"
               + ("  straggler=recovered" if report.straggler_recovered else ""))
+        if args.print_digest:
+            print(f"digest={report.digest}")
         if args.output:
             print(f"wrote {args.output}")
         return 0

@@ -50,6 +50,40 @@ def dotted_call_name(func: ast.AST) -> str | None:
     return None
 
 
+def attribute_chain(node: ast.AST) -> tuple[str, list[str]] | None:
+    """``(root_name, [attr, ...])`` for a plain-name attribute chain."""
+    dotted = dotted_call_name(node)
+    if dotted is None or "." not in dotted:
+        return None
+    root, *attrs = dotted.split(".")
+    return root, attrs
+
+
+def call_target(func: ast.AST, is_method: bool) -> tuple:
+    """Syntactic target of a call, resolved later by the symbol table.
+
+    ``("name", f)``, ``("dotted", "a.b.c")``, ``("self", m)``,
+    ``("selfattr", field, m)``, ``("new", "Cls", m)`` for a method called
+    on a constructor call (``Cls(...).m()``), or ``("opaque",)``.
+    """
+    if isinstance(func, ast.Name):
+        return ("name", func.id)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Call):
+        klass = dotted_call_name(func.value.func)
+        return ("opaque",) if klass is None else ("new", klass, func.attr)
+    chain = attribute_chain(func)
+    if chain is None:
+        return ("opaque",)
+    root, attrs = chain
+    if root == "self" and is_method:
+        if len(attrs) == 1:
+            return ("self", attrs[0])
+        if len(attrs) == 2:
+            return ("selfattr", attrs[0], attrs[1])
+        return ("opaque",)
+    return ("dotted", ".".join([root] + attrs))
+
+
 def assignment_targets(node: ast.AST) -> list[ast.expr]:
     """Flattened assignment targets of Assign/AugAssign/AnnAssign."""
     if isinstance(node, ast.Assign):

@@ -54,16 +54,15 @@ Every finding, local or interprocedural, goes through one filter path:
 * inline ``# bonsai-lint: disable=<rule> -- why`` suppressions, audited
   in the same run: a directive that silenced nothing is a
   ``useless-suppression`` warning, and one without a reason is an
-  ``unjustified-suppression`` warning;
-* ``--changed-only`` (full-tree analysis, diff-scoped reporting) for
-  pre-commit loops.
+  ``unjustified-suppression`` warning.
 
-A content-hash summary cache (``--cache-dir``) keyed on the summary
-version *and* the rule-set hash lets warm runs re-extract zero
-unchanged files, local findings included; ``--statistics`` prints run
-counters, and ``--format sarif``/``--sarif-file`` emit one SARIF 2.1.0
-log with stable ``partialFingerprints`` and provenance
-``relatedLocations``.
+A content-hash summary cache (``--cache-dir``) keyed on each file's
+module name and source plus a fingerprint of the analyzer's own code
+lets warm runs re-extract zero unchanged files, local findings
+included, and misses wholesale after any analyzer edit.
+``--statistics`` prints run counters, and ``--format sarif``/
+``--sarif-file`` emit one SARIF 2.1.0 log with stable
+``partialFingerprints`` and provenance ``relatedLocations``.
 
 Run via ``bonsai check [paths...]``.  Every rule is pinned by a seeded
 mutation of shipped code in ``tests/lint/test_self_clean.py``.
@@ -72,17 +71,15 @@ mutation of shipped code in ``tests/lint/test_self_clean.py``.
 from __future__ import annotations
 
 from repro.lint.graph.analyzer import CheckResult, analyze
-from repro.lint.graph.rules import CHECK_RULES, ruleset_hash
-from repro.lint.graph.summary import SUMMARY_VERSION, FileSummary, extract_summary
+from repro.lint.graph.rules import CHECK_RULES
+from repro.lint.graph.summary import FileSummary, extract_summary
 from repro.lint.graph.symbols import ProjectIndex
 
 __all__ = [
     "CHECK_RULES",
-    "SUMMARY_VERSION",
     "CheckResult",
     "FileSummary",
     "ProjectIndex",
     "analyze",
     "extract_summary",
-    "ruleset_hash",
 ]

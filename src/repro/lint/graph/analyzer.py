@@ -226,16 +226,8 @@ def analyze(
     cache_dir: str | Path | None = None,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    restrict: Iterable[str | Path] | None = None,
 ) -> CheckResult:
-    """Run the whole-program analyses over ``paths``.
-
-    ``restrict`` limits *reporting* (not analysis) to findings located
-    in the given files — the call graph is still built from every file
-    in ``paths``, so interprocedural facts stay sound, but only the
-    changed files' findings surface.  This is what ``--changed-only``
-    uses for fast pre-commit iteration.
-    """
+    """Run the whole-program analyses over ``paths``."""
     started = time.perf_counter()
     active = resolve_rule_selection(select, ignore)
     cache = SummaryCache(cache_dir)
@@ -271,12 +263,6 @@ def analyze(
             path, file_suppressions.directives, active_set,
         ))
     kept.extend(collected.parse_errors)
-
-    if restrict is not None:
-        allowed = {Path(p).resolve() for p in restrict}
-        kept = [
-            d for d in kept if Path(d.path).resolve() in allowed
-        ]
 
     return CheckResult(
         diagnostics=tuple(sorted(kept)),

@@ -8,18 +8,15 @@ files, and an edit invalidates exactly the entries whose content
 changed — the call-graph SCCs touching them are recomputed from the
 freshly assembled index, which is the cheap part.
 
-Entries are keyed ``sha256(source) + module name + SUMMARY_VERSION +
-rule-set hash``.  The module name is part of the key because a summary
+Entries are keyed ``sha256(module name + source)`` plus the analyzer
+fingerprint: the sha256 of every ``repro/lint/**/*.py`` file, computed
+once per run.  The module name is part of the key because a summary
 depends on it: relative imports resolve against it, and the local rules
-scope themselves by it.  Analyzer upgrades — a bumped summary version
-*or* an added/changed rule — miss the cache wholesale.
-Content hash alone would be wrong: a warm cache from before a new pass
-landed would silently skip the facts that pass needs.  The cache is
-advisory: any read/decode error falls back to re-extraction.
-
-The version and rule table are read through their modules on every
-call (not imported as values) so tests can monkeypatch a bump and
-assert the forced re-extraction.
+scope themselves by it.  The fingerprint covers everything else a
+summary depends on — the extraction code, the local rules and the rule
+table — so any edit to the analyzer misses the cache wholesale, with no
+version to bump by hand.  The cache is advisory: any read/decode error
+falls back to re-extraction.
 """
 
 from __future__ import annotations
@@ -29,19 +26,19 @@ import json
 from pathlib import Path
 
 from repro.lint.context import module_name
-from repro.lint.graph import rules as _rules
-from repro.lint.graph import summary as _summary
 from repro.lint.graph.summary import FileSummary
 
+#: the analyzer package whose sources every cache key depends on
+ANALYZER_ROOT = Path(__file__).resolve().parents[1]
 
-def content_key(source: str, module: str | None) -> str:
-    """Cache key of one module's contents under the current analyzer."""
-    digest = hashlib.sha256(
-        f"{module}\x00{source}".encode("utf-8")
-    ).hexdigest()
-    return (
-        f"{digest}-v{_summary.SUMMARY_VERSION}-r{_rules.ruleset_hash()}"
-    )
+
+def analyzer_fingerprint() -> str:
+    """sha256 over the path and bytes of every analyzer source file."""
+    digest = hashlib.sha256()
+    for path in sorted(ANALYZER_ROOT.rglob("*.py")):
+        digest.update(f"{path.relative_to(ANALYZER_ROOT).as_posix()}\x00".encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 class SummaryCache:
@@ -49,39 +46,33 @@ class SummaryCache:
 
     def __init__(self, directory: str | Path | None) -> None:
         self.directory = Path(directory) if directory is not None else None
-        self.hits = 0
-        self.misses = 0
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
+            self.fingerprint = analyzer_fingerprint()[:16]
 
-    @property
-    def enabled(self) -> bool:
-        return self.directory is not None
+    def _entry(self, source: str, module: str | None) -> Path | None:
+        if self.directory is None:
+            return None
+        digest = hashlib.sha256(f"{module}\x00{source}".encode("utf-8")).hexdigest()
+        return self.directory / f"{digest}-{self.fingerprint}.json"
 
     def load(self, path: str, source: str) -> FileSummary | None:
         """Cached summary for ``source``, or ``None`` on a miss."""
-        if self.directory is None:
+        entry = self._entry(source, module_name(Path(path)))
+        if entry is None:
             return None
-        entry = self.directory / f"{content_key(source, module_name(Path(path)))}.json"
         try:
-            data = json.loads(entry.read_text(encoding="utf-8"))
-            summary = (
-                FileSummary.from_json(path, data)
-                if data.get("version") == _summary.SUMMARY_VERSION else None
+            return FileSummary.from_json(
+                path, json.loads(entry.read_text(encoding="utf-8"))
             )
         except (OSError, ValueError, KeyError, TypeError):
-            summary = None
-        if summary is None:
-            self.misses += 1
             return None
-        self.hits += 1
-        return summary
 
     def store(self, source: str, summary: FileSummary) -> None:
         """Persist one freshly extracted summary (best effort)."""
-        if self.directory is None:
+        entry = self._entry(source, summary.module)
+        if entry is None:
             return
-        entry = self.directory / f"{content_key(source, summary.module)}.json"
         try:
             entry.write_text(
                 json.dumps(summary.to_json(), sort_keys=True),

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import ast
 
+from repro.lint.astutil import call_target, dotted_call_name
 from repro.lint.rules.determinism import (
     _NOW_FNS,
     _NUMPY_LEGACY_FNS,
@@ -78,28 +79,13 @@ def _merge(*atom_lists: list) -> list:
     return out
 
 
-def _attribute_chain(node: ast.AST) -> tuple[str, list[str]] | None:
-    attrs: list[str] = []
-    while isinstance(node, ast.Attribute):
-        attrs.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name) and attrs:
-        return node.id, attrs[::-1]
-    return None
-
-
 def _exception_name(node: ast.AST | None) -> str | None:
     """Syntactic dotted name of a raised/caught exception type."""
     if node is None:
         return None
     if isinstance(node, ast.Call):
         node = node.func
-    chain = _attribute_chain(node)
-    if chain is not None:
-        return ".".join([chain[0]] + chain[1])
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
+    return dotted_call_name(node)
 
 
 def _set_valued(node: ast.AST) -> bool:
@@ -231,7 +217,7 @@ class _FlowExtractor:
 
     # -- calls ---------------------------------------------------------
     def _call(self, node: ast.Call) -> list:
-        target = self._target_ref(node.func)
+        target = call_target(node.func, self.is_method)
         if (
             target[0] == "name"
             and target[1] in LAUNDER_BUILTINS
@@ -271,21 +257,6 @@ class _FlowExtractor:
                 record["recv"] = recv
         self.calls.append(record)
         return [["call", call_id]]
-
-    def _target_ref(self, func: ast.AST) -> tuple:
-        if isinstance(func, ast.Name):
-            return ("name", func.id)
-        chain = _attribute_chain(func)
-        if chain is None:
-            return ("opaque",)
-        root, attrs = chain
-        if root == "self" and self.is_method:
-            if len(attrs) == 1:
-                return ("self", attrs[0])
-            if len(attrs) == 2:
-                return ("selfattr", attrs[0], attrs[1])
-            return ("opaque",)
-        return ("dotted", ".".join([root] + attrs))
 
     def _source_kind(
         self, node: ast.Call, target: tuple

@@ -48,11 +48,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="comma-separated rules to skip; repeatable",
     )
     parser.add_argument(
-        "--changed-only", action="store_true",
-        help="report only findings in files changed vs git HEAD "
-        "(the full tree is still analysed for call-graph soundness)",
-    )
-    parser.add_argument(
         "--statistics", action="store_true",
         help="print per-rule finding counts, cache counters and wall "
         "time after the findings",
@@ -180,20 +175,12 @@ def run_from_args(args: argparse.Namespace) -> int:
             print(f"{name:18} [{rule.severity.value:7}] {rule.description}")
         return 0
     paths = args.paths or [p for p in DEFAULT_PATHS if Path(p).is_dir()]
-    options = {
-        "cache_dir": args.cache_dir,
-        "select": _split_rules(args.select),
-        "ignore": _split_rules(args.ignore),
-    }
-    if args.changed_only:
-        from repro.lint.gitchanges import changed_files
-
-        options["restrict"] = changed_files()
-        if not options["restrict"]:
-            print("0 changed file(s) to check")
-            return 0
-
-    result = analyze(paths, **options)
+    result = analyze(
+        paths,
+        cache_dir=args.cache_dir,
+        select=_split_rules(args.select),
+        ignore=_split_rules(args.ignore),
+    )
     statistics = args.statistics
     if args.sarif_file:
         Path(args.sarif_file).write_text(

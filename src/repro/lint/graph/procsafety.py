@@ -18,7 +18,9 @@ dynamically) and reports:
 ``proc-unpicklable``
     a worker-reachable function's parameter annotation resolves to a
     class holding known-unpicklable members (thread locks, open file
-    handles, shared-memory blocks, tracers).
+    handles, shared-memory blocks, tracers), or a value it unpacks from
+    a parameter (a worker's ``task: tuple``) feeds a call parameter or
+    dataclass field declared as such a class.
 ``proc-shm-lifetime``
     shared-memory lifetime bugs, on either side of the fork: an owning
     allocation (``SharedMemory(create=...)`` or the project allocators
@@ -203,8 +205,12 @@ def _unpicklable_findings(
         if fn is None or summary is None:
             continue
         short = fq[len("repro."):] if fq.startswith("repro.") else fq
-        for param, annotation in sorted(fn.param_annotations.items()):
-            resolved = index.resolve_class_name(summary.module, annotation)
+        typed = [
+            (f"takes {param}: {annotation}", summary.module, annotation)
+            for param, annotation in sorted(fn.param_annotations.items())
+        ] + _unpacked_types(index, fq, fn)
+        for how, module, annotation in typed:
+            resolved = index.resolve_class_name(module, annotation)
             if resolved is None or resolved not in tainted:
                 continue
             field_name, member = tainted[resolved]
@@ -212,14 +218,66 @@ def _unpicklable_findings(
                 path=index.paths[fq], line=fn.line, column=fn.col,
                 rule="proc-unpicklable",
                 message=(
-                    f"worker-reachable {short}() takes {param}: "
-                    f"{annotation}, whose member '{field_name}' "
-                    f"({member}) cannot be pickled into a pool "
-                    "process; pass a picklable descriptor and "
+                    f"worker-reachable {short}() {how}, whose member "
+                    f"'{field_name}' ({member}) cannot be pickled into a "
+                    "pool process; pass a picklable descriptor and "
                     "rebuild the object inside the worker"
                 ),
                 severity=Severity.ERROR,
             ))
+    return out
+
+
+def _declared_parameters(
+    index: ProjectIndex, fq: str, target: tuple
+) -> tuple[str | None, list[str], dict[str, str | None]] | None:
+    """``(module, params, annotations)`` a call's arguments bind to.
+
+    A function's (or ``__init__``'s) parameters; for a class whose
+    constructor takes no parameters of its own (a dataclass), its fields.
+    """
+    callee = index.resolve_call(fq, target)
+    fn = index.functions.get(callee) if callee is not None else None
+    if fn is not None and fn.params:
+        return index.file_of[callee].module, fn.params, fn.param_annotations
+    if target[0] not in ("name", "dotted"):
+        return None
+    klass = index.class_in_scope(fq, target[1])
+    if klass is None:
+        return None
+    fields = index.classes[klass].fields
+    return klass.rsplit(".", 1)[0], list(fields), fields
+
+
+def _unpacked_types(
+    index: ProjectIndex, fq: str, fn
+) -> list[tuple[str, str | None, str]]:
+    """``(how, module, annotation)`` for each unpacked name a call types.
+
+    A name unpacked from a parameter (a worker's ``task: tuple``) has no
+    annotation of its own; the parameter or field it is passed to
+    declares its type.
+    """
+    out: list[tuple[str, str | None, str]] = []
+    for call in fn.calls:
+        passed = list(enumerate(call["arg_names"]))
+        passed += sorted(call["kwarg_names"].items())
+        passed = [(slot, name) for slot, name in passed if name in fn.unpacked]
+        declared = (
+            _declared_parameters(index, fq, call["target"]) if passed else None
+        )
+        if declared is None:
+            continue
+        module, params, annotations = declared
+        for slot, name in passed:
+            if isinstance(slot, int):
+                slot = params[slot] if slot < len(params) else None
+            annotation = annotations.get(slot)
+            if annotation is not None:
+                out.append((
+                    f"unpacks {name} from a parameter and passes it as "
+                    f"{slot}: {annotation}", module, annotation,
+                ))
     return out
 
 
@@ -274,7 +332,7 @@ def _shm_lifetime_findings(index: ProjectIndex) -> list[Diagnostic]:
                     released = True
                     break
                 if (
-                    block in other.get("arg_names", [])
+                    block in other["arg_names"]
                     and index.resolve_call(fq, other_target)
                     == RELEASE_FUNCTION
                 ):
@@ -309,7 +367,7 @@ def _shm_lifetime_findings(index: ProjectIndex) -> list[Diagnostic]:
                     target[0] == "dotted"
                     and target[1].startswith(f"{block}.")
                     and target[1] not in (f"{block}.close", f"{block}.unlink")
-                ) or block in call.get("arg_names", []):
+                ) or block in call["arg_names"]:
                     out.append(Diagnostic(
                         path=index.paths[fq], line=call["line"],
                         column=call["col"], rule="proc-shm-lifetime",

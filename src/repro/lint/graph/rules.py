@@ -1,16 +1,11 @@
 """The ``bonsai check`` rule table.
 
-Kept in a leaf module (no analyzer imports) so both the package
-``__init__`` and the summary cache can read it: the cache keys every
-entry on a hash of this table, which is what makes *adding a pass*
-invalidate warm summaries instead of silently reusing extractions that
-predate the facts the new pass needs.
+Kept in a leaf module (no analyzer imports) so the package
+``__init__``, the analyzer and the reporters can all read it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import NamedTuple
 
 from repro.lint.diagnostics import Severity
@@ -115,8 +110,3 @@ CHECK_RULES: dict[str, CheckRule] = {
     ),
 }
 
-
-def ruleset_hash() -> str:
-    """Short stable hash of the rule table (part of the cache key)."""
-    canonical = json.dumps(sorted(CHECK_RULES.items()), default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:8]

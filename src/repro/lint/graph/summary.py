@@ -32,13 +32,10 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.lint.astutil import attribute_chain, call_target, dotted_call_name
 from repro.lint.context import module_name
 from repro.lint.rules import run_local_rules
 from repro.lint.suppressions import Directive, Suppressions
-
-#: bump on any change to the summary shape or extraction logic; a bumped
-#: version invalidates every cache entry
-SUMMARY_VERSION = 6
 
 # --- unit families ---------------------------------------------------------
 
@@ -123,7 +120,8 @@ class FunctionSummary:
     param_annotations: dict[str, str] = field(default_factory=dict)
     #: abstract values of every ``return`` expression
     returns: list[AbsVal] = field(default_factory=list)
-    #: call sites: {"id", "line", "col", "target", "args", "kwargs"}
+    #: call sites: {"id", "line", "col", "target", "args", "kwargs",
+    #: "arg_names", "kwarg_names", "binds"}
     calls: list[dict] = field(default_factory=list)
     #: additive/comparison sites: {"line", "col", "op", "left", "right"}
     mixes: list[dict] = field(default_factory=list)
@@ -136,6 +134,9 @@ class FunctionSummary:
     #: names that appear inside ``return`` expressions (ownership of a
     #: resource bound to one of these escapes to the caller)
     returned_names: list[str] = field(default_factory=list)
+    #: names bound by unpacking a parameter (``a, b = task``): values
+    #: whose type only the calls they feed reveal
+    unpacked: list[str] = field(default_factory=list)
     #: determinism-taint and exception-flow facts (see
     #: :mod:`repro.lint.graph.flowfacts` for the shape)
     flow: dict = field(default_factory=dict)
@@ -151,6 +152,7 @@ class FunctionSummary:
             "effects": self.effects, "peer_accesses": self.peer_accesses,
             "local_imports": self.local_imports,
             "returned_names": self.returned_names,
+            "unpacked": self.unpacked,
             "flow": self.flow,
             "class_name": self.class_name,
         }
@@ -161,15 +163,16 @@ class FunctionSummary:
             name=data["name"], line=data["line"], col=data["col"],
             params=list(data["params"]),
             param_seeds=dict(data["param_seeds"]),
-            param_annotations=dict(data.get("param_annotations", {})),
+            param_annotations=dict(data["param_annotations"]),
             returns=[tuple(v) for v in data["returns"]],
             calls=[_retuple_call(c) for c in data["calls"]],
             mixes=[_retuple_mix(m) for m in data["mixes"]],
             effects=list(data["effects"]),
             peer_accesses=list(data["peer_accesses"]),
-            local_imports=dict(data.get("local_imports", {})),
-            returned_names=list(data.get("returned_names", [])),
-            flow=_retuple_flow(data.get("flow", {})),
+            local_imports=dict(data["local_imports"]),
+            returned_names=list(data["returned_names"]),
+            unpacked=list(data["unpacked"]),
+            flow=_retuple_flow(data["flow"]),
             class_name=data["class_name"],
         )
         return fn
@@ -180,8 +183,6 @@ def _retuple_call(call: dict) -> dict:
     call["target"] = tuple(call["target"])
     call["args"] = [tuple(v) for v in call["args"]]
     call["kwargs"] = {k: tuple(v) for k, v in call["kwargs"].items()}
-    call.setdefault("arg_names", [])
-    call.setdefault("binds", None)
     return call
 
 
@@ -271,7 +272,6 @@ class FileSummary:
 
     def to_json(self) -> dict:
         return {
-            "version": SUMMARY_VERSION,
             "module": self.module,
             "imports": self.imports,
             "functions": {k: f.to_json() for k, f in self.functions.items()},
@@ -297,10 +297,10 @@ class FileSummary:
                 k: ClassSummary.from_json(c) for k, c in data["classes"].items()
             },
             constant_families=dict(data["constant_families"]),
-            module_calls=list(data.get("module_calls", [])),
+            module_calls=list(data["module_calls"]),
             directives=list(data["directives"]),
             local_findings=list(data["local_findings"]),
-            module_globals=list(data.get("module_globals", [])),
+            module_globals=list(data["module_globals"]),
         )
 
 
@@ -329,17 +329,6 @@ def _annotation_name(node: ast.AST | None) -> str | None:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(parts[::-1])
-    return None
-
-
-def _attribute_chain(node: ast.AST) -> tuple[str, list[str]] | None:
-    """``(root_name, [attr, ...])`` for a plain-name attribute chain."""
-    attrs: list[str] = []
-    while isinstance(node, ast.Attribute):
-        attrs.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name) and attrs:
-        return node.id, attrs[::-1]
     return None
 
 
@@ -389,7 +378,7 @@ class _FunctionExtractor:
                 return ("fam", UNIT_CONSTANT_FAMILIES[node.id])
             return UNKNOWN
         if isinstance(node, ast.Attribute):
-            chain = _attribute_chain(node)
+            chain = attribute_chain(node)
             if (
                 chain is not None
                 and chain[0] == "self"
@@ -444,6 +433,8 @@ class _FunctionExtractor:
 
     def _eval_call(self, node: ast.Call) -> AbsVal:
         target = self._target_ref(node.func)
+        if target[0] == "new":
+            self.eval(node.func.value)  # the constructor call itself
         args = [self.eval(a) for a in node.args if not isinstance(a, ast.Starred)]
         kwargs = {
             kw.arg: self.eval(kw.value)
@@ -470,6 +461,11 @@ class _FunctionExtractor:
                 for a in node.args
                 if not isinstance(a, ast.Starred)
             ],
+            "kwarg_names": {
+                kw.arg: kw.value.id
+                for kw in node.keywords
+                if kw.arg is not None and isinstance(kw.value, ast.Name)
+            },
             "binds": None,
         })
         return ("ret", call_id)
@@ -485,20 +481,15 @@ class _FunctionExtractor:
 
     # -- call targets and effects -------------------------------------
     def _target_ref(self, func: ast.AST) -> tuple:
-        if isinstance(func, ast.Name):
-            return ("name", func.id)
-        chain = _attribute_chain(func)
-        if chain is None:
-            return ("opaque",)
-        root, attrs = chain
-        if root == "self" and self.is_method:
-            if len(attrs) == 1:
-                return ("self", attrs[0])
-            self._record_peer(func, attrs, kind="call")
-            if len(attrs) == 2:
-                return ("selfattr", attrs[0], attrs[1])
-            return ("opaque",)
-        return ("dotted", ".".join([root] + attrs))
+        chain = attribute_chain(func)
+        if (
+            chain is not None
+            and chain[0] == "self"
+            and self.is_method
+            and len(chain[1]) >= 2
+        ):
+            self._record_peer(func, chain[1], kind="call")
+        return call_target(func, self.is_method)
 
     def _record_peer(self, node: ast.AST, attrs: list[str], kind: str) -> None:
         if attrs[0] == "stats":
@@ -569,6 +560,17 @@ class _FunctionExtractor:
                         self.out.returned_names.append(node.id)
             return
         if isinstance(stmt, ast.Assign):
+            if (
+                isinstance(stmt.value, ast.Name)
+                and stmt.value.id in self.out.params
+            ):
+                self.out.unpacked.extend(
+                    node.id
+                    for target in stmt.targets
+                    if isinstance(target, (ast.Tuple, ast.List))
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name)
+                )
             value = self.eval(stmt.value)
             if value[0] == "ret" and len(stmt.targets) == 1:
                 self._record_binding(stmt.targets[0], value[1])
@@ -671,7 +673,7 @@ class _FunctionExtractor:
             ):
                 self._effect("mutate-global", f"{node.id}[...]", line)
             return
-        chain = _attribute_chain(target)
+        chain = attribute_chain(target)
         if chain is None:
             return
         root, attrs = chain
@@ -720,22 +722,12 @@ def extract_summary(path: str, source: str, tree: ast.Module) -> FileSummary:
     return out
 
 
-def _module_call_name(node: ast.Call) -> str:
-    """Syntactic callee label of a module-level call, for diagnostics."""
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    chain = _attribute_chain(node.func)
-    if chain is not None:
-        return ".".join([chain[0]] + chain[1])
-    return "<expression>"
-
-
 def _record_module_calls(out: FileSummary, value: ast.AST) -> None:
     """Record every call a module-level statement executes at import."""
     for node in ast.walk(value):
         if isinstance(node, ast.Call):
             out.module_calls.append({
-                "name": _module_call_name(node),
+                "name": dotted_call_name(node.func) or "<expression>",
                 "line": node.lineno,
                 "col": node.col_offset,
             })
@@ -812,7 +804,7 @@ def _harvest_init_fields(out: ClassSummary, init: ast.FunctionDef) -> None:
         elif isinstance(node, ast.AnnAssign):
             targets = [(node.target, None)]
         for target, value in targets:
-            chain = _attribute_chain(target)
+            chain = attribute_chain(target)
             if chain is None or chain[0] != "self" or len(chain[1]) != 1:
                 continue
             name = chain[1][0]

@@ -209,6 +209,9 @@ class ProjectIndex:
                 if class_fq is not None:
                     return self.method_fq(class_fq, parts[1])
             return resolved
+        if kind == "new":
+            class_fq = self.class_in_scope(caller_fq, target[1])
+            return None if class_fq is None else self.method_fq(class_fq, target[2])
         if kind == "self":
             class_fq = self._owner_class(caller_fq)
             if class_fq is None:
@@ -224,6 +227,24 @@ class ProjectIndex:
             return self.method_fq(field_fq, target[2])
         return None
 
+    def class_in_scope(self, caller_fq: str, name: str) -> str | None:
+        """Summarised class a (dotted) name denotes inside ``caller_fq``.
+
+        Function-body imports shadow the module's own bindings.
+        """
+        caller = self.functions.get(caller_fq)
+        root, _, rest = name.partition(".")
+        if caller is not None and root in caller.local_imports:
+            candidate = self._follow_reexport(
+                ".".join(filter(None, [caller.local_imports[root], rest]))
+            )
+            if candidate in self.classes:
+                return candidate
+        summary = self.file_of.get(caller_fq)
+        return self.resolve_class_name(
+            summary.module if summary is not None else None, name
+        )
+
     def _bound_class(self, caller_fq: str, name: str) -> str | None:
         """Class whose constructor's result ``name`` is bound to, if any.
 
@@ -233,24 +254,13 @@ class ProjectIndex:
         are invoked exactly this way from the worker entry points.
         """
         caller = self.functions.get(caller_fq)
-        summary = self.file_of.get(caller_fq)
         if caller is None:
             return None
-        module = summary.module if summary is not None else None
         for call in caller.calls:
-            if call.get("binds") != name:
-                continue
-            target = call["target"]
-            if target[0] != "name":
-                continue
-            resolved = self.resolve_class_name(module, target[1])
-            if resolved is None and target[1] in caller.local_imports:
-                candidate = self._follow_reexport(
-                    caller.local_imports[target[1]]
-                )
-                resolved = candidate if candidate in self.classes else None
-            if resolved is not None:
-                return resolved
+            if call["binds"] == name and call["target"][0] == "name":
+                resolved = self.class_in_scope(caller_fq, call["target"][1])
+                if resolved is not None:
+                    return resolved
         return None
 
     def _owner_class(self, method_fq: str) -> str | None:

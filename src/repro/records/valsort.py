@@ -26,6 +26,9 @@ _CHECKSUM_MODULUS = (1 << 61) - 1  # Mersenne prime: cheap modular sum
 #: Keys per chunk: bounds the chunk buffers and keeps each chunk's sums
 #: of 32-bit halves below 2**50.
 _CHECKSUM_CHUNK = 1 << 18
+#: Keys per widened slice :func:`content_digest` hashes: its one reused
+#: uint64 buffer stays cache-sized.
+_DIGEST_CHUNK = 1 << 16
 _HALF_BITS = np.uint64(32)
 _LOW_HALF = np.uint64(0xFFFFFFFF)
 _WORD = 1 << 64
@@ -165,13 +168,28 @@ def content_digest(keys: np.ndarray) -> str:
 
     The canonical "same output bytes" fingerprint used by the benchmark
     identity gates and the serve result cache: two runs agree iff their
-    digests are string-equal.  Keys are widened to ``uint64`` first so
-    the digest is independent of the array's inbound dtype; the hash
-    reads the widened array's contiguous buffer directly.
+    digests are string-equal.  The hash covers the keys widened to
+    ``uint64`` (negative ints wrap), in C order, so it is independent of
+    the array's inbound dtype and layout.  A contiguous ``uint64`` array
+    is hashed in place; any other is widened slice by slice through one
+    reused buffer, so no full-size widened copy is made.
     """
     import hashlib
 
-    return hashlib.sha256(np.ascontiguousarray(keys, dtype=np.uint64)).hexdigest()[:16]
+    if not isinstance(keys, np.ndarray):
+        keys = np.asarray(keys, dtype=np.uint64)
+    keys = keys.reshape(-1)
+    digest = hashlib.sha256()
+    if keys.dtype == np.uint64 and keys.flags.c_contiguous:
+        digest.update(keys)
+    else:
+        buffer = np.empty(min(keys.size, _DIGEST_CHUNK), dtype=np.uint64)
+        for start in range(0, keys.size, _DIGEST_CHUNK):
+            chunk = keys[start:start + _DIGEST_CHUNK]
+            widened = buffer[:chunk.size]
+            np.copyto(widened, chunk, casting="unsafe")
+            digest.update(widened)
+    return digest.hexdigest()[:16]
 
 
 def validate_sort(input_keys: np.ndarray, output_keys: np.ndarray) -> SortSummary:

@@ -10,11 +10,7 @@ import pytest
 
 from repro.core import presets
 from repro.core.configuration import AmtConfig
-from repro.distributed.executor import (
-    ClusterExecutor,
-    StragglerSpec,
-    _output_digest,
-)
+from repro.distributed.executor import ClusterExecutor, StragglerSpec
 from repro.engine.sorter import AmtSorter
 from repro.errors import ConfigurationError
 from repro.obs.runtime import activated, live_observation
@@ -31,7 +27,7 @@ def data() -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def oracle_digest(data) -> str:
-    return _output_digest(np.sort(data, kind="stable"))
+    return content_digest(np.sort(data, kind="stable"))
 
 
 class TestSerialExecution:
@@ -106,7 +102,7 @@ class TestSkewedWorkload:
     def test_zipf_nearly_sorted_still_bit_exact(self):
         skewed = np.asarray(skewed_nearly_sorted(20_000, seed=1), dtype=np.uint64)
         report = ClusterExecutor(nodes=4).execute(skewed)
-        assert report.digest == _output_digest(np.sort(skewed, kind="stable"))
+        assert report.digest == content_digest(np.sort(skewed, kind="stable"))
         # The oversampled sketch keeps even an adversarial histogram
         # within a modest skew; the report carries the measured number.
         assert 1.0 <= report.measured_skew < 4.0

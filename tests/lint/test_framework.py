@@ -251,17 +251,16 @@ class TestDirectiveFindings:
         assert suppressed == 1
         assert [d.rule for d in kept] == [UNJUSTIFIED_SUPPRESSION_RULE]
 
-    def test_changed_only_reports_stale_directives_in_changed_files(
-        self, tmp_path
-    ):
+    def test_stale_directive_is_reported_in_its_own_file(self, tmp_path):
         stale = tmp_path / "repro" / "stale.py"
         stale.parent.mkdir()
         stale.write_text("x = 1  # bonsai-lint: disable=unit-mix -- old\n")
         other = tmp_path / "repro" / "other.py"
         other.write_text("y = 2\n")
-        assert analyze([tmp_path], restrict=[other]).diagnostics == ()
-        hit = analyze([tmp_path], restrict=[stale])
-        assert [d.rule for d in hit.diagnostics] == [USELESS_SUPPRESSION_RULE]
+        hit = analyze([tmp_path])
+        assert [(d.rule, d.path) for d in hit.diagnostics] == [
+            (USELESS_SUPPRESSION_RULE, str(stale))
+        ]
 
 
 class TestRunner:

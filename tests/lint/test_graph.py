@@ -7,12 +7,18 @@ call hop, which is exactly the gap the graph analyses close.
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.lint.diagnostics import Severity
-from repro.lint.graph import SUMMARY_VERSION, analyze
+from repro.lint.graph import analyze
 from repro.lint.graph.analyzer import PARSE_ERROR_RULE
 
 
@@ -518,53 +524,100 @@ class TestSummaryCache:
         assert warm.reanalyzed == 1
 
     def test_version_bump_invalidates_entries(self, check_tree, tmp_path):
+        # an entry written under another analyzer fingerprint is never read
         cache_dir = tmp_path / "cache"
         check_tree(self.FILES, cache_dir=cache_dir)
-        for entry in cache_dir.glob("*.json"):
-            entry.rename(entry.with_name(
-                entry.name.replace(
-                    f"-v{SUMMARY_VERSION}", f"-v{SUMMARY_VERSION + 1}"
-                )
-            ))
+        entries = sorted(cache_dir.glob("*.json"))
+        assert entries
+        for entry in entries:
+            digest, _, _ = entry.stem.rpartition("-")
+            entry.rename(entry.with_name(f"{digest}-{'0' * 16}.json"))
         warm = check_tree(self.FILES, cache_dir=cache_dir)
         assert warm.from_cache == 0
 
-    def test_analyzer_version_bump_forces_full_reextraction(
-        self, check_tree, tmp_path, monkeypatch
-    ):
-        from repro.lint.graph import summary as summary_mod
+    def _edited_analyzer_misses(
+        self, check_tree, tmp_path, monkeypatch, relpath: str, edit: str
+    ) -> None:
+        """Edit ``relpath`` in a copy of the analyzer; every entry must miss."""
+        from repro.lint.graph import cache as cache_mod
 
+        analyzer = tmp_path / "analyzer"
+        shutil.copytree(
+            cache_mod.ANALYZER_ROOT, analyzer,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        monkeypatch.setattr(cache_mod, "ANALYZER_ROOT", analyzer)
         cache_dir = tmp_path / "cache"
         cold = check_tree(self.FILES, cache_dir=cache_dir)
-        # the cache reads the version through the module on every call,
-        # so a bumped analyzer misses every warm entry wholesale
-        monkeypatch.setattr(
-            summary_mod, "SUMMARY_VERSION", SUMMARY_VERSION + 1
-        )
-        bumped = check_tree(self.FILES, cache_dir=cache_dir)
-        assert bumped.from_cache == 0
-        assert bumped.reanalyzed == bumped.files_scanned
-        assert [d.render() for d in bumped.diagnostics] == [
-            d.render() for d in cold.diagnostics
-        ]
-
-    def test_rule_set_change_forces_full_reextraction(
-        self, check_tree, tmp_path, monkeypatch
-    ):
-        from repro.lint.graph import rules as rules_mod
-
-        cache_dir = tmp_path / "cache"
-        cold = check_tree(self.FILES, cache_dir=cache_dir)
-        before = rules_mod.ruleset_hash()
-        # a new pass needs facts the cached summaries may predate; the
-        # rule-set hash in the key turns that into a wholesale miss
-        monkeypatch.setitem(
-            rules_mod.CHECK_RULES, "hot-new-pass", "a freshly landed rule"
-        )
-        assert rules_mod.ruleset_hash() != before
+        assert check_tree(self.FILES, cache_dir=cache_dir).reanalyzed == 0
+        with (analyzer / relpath).open("a", encoding="utf-8") as handle:
+            handle.write(edit)
         changed = check_tree(self.FILES, cache_dir=cache_dir)
         assert changed.from_cache == 0
         assert changed.reanalyzed == changed.files_scanned
         assert [d.render() for d in changed.diagnostics] == [
             d.render() for d in cold.diagnostics
         ]
+
+    def test_analyzer_version_bump_forces_full_reextraction(
+        self, check_tree, tmp_path, monkeypatch
+    ):
+        # an edit to the extraction code misses every warm entry wholesale
+        self._edited_analyzer_misses(
+            check_tree, tmp_path, monkeypatch,
+            "graph/summary.py", "\n# extraction changed\n",
+        )
+
+    def test_rule_set_change_forces_full_reextraction(
+        self, check_tree, tmp_path, monkeypatch
+    ):
+        # a new pass needs facts the cached summaries may predate; the
+        # rule table is fingerprinted, so adding one is a wholesale miss
+        self._edited_analyzer_misses(
+            check_tree, tmp_path, monkeypatch, "graph/rules.py",
+            '\nCHECK_RULES["hot-new-pass"] = CHECK_RULES["unit-mix"]\n',
+        )
+
+    def test_analyzer_edit_misses_the_warm_cache(self, tmp_path):
+        # the key covers the analyzer's own sources, so editing a rule in
+        # a copy of the analyzer re-extracts every file of a warm cache
+        analyzer = tmp_path / "analyzer"
+        shutil.copytree(
+            Path(__file__).resolve().parents[2] / "src" / "repro",
+            analyzer / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        tree = tmp_path / "tree" / "src" / "repro"
+        (tree / "hw").mkdir(parents=True)
+        (tree / "__init__.py").write_text('"""pkg."""\n', encoding="utf-8")
+        (tree / "hw" / "__init__.py").write_text('"""hw."""\n', encoding="utf-8")
+        (tree / "hw" / "comp.py").write_text(textwrap.dedent("""
+            class Comp:
+                def tick(self):
+                    self.stats.idle_cycles += 1
+        """), encoding="utf-8")
+
+        def check() -> dict:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "check", str(tree.parent),
+                 "--cache-dir", str(tmp_path / "cache"), "--format", "json"],
+                env={**os.environ, "PYTHONPATH": str(analyzer)},
+                cwd=tmp_path, capture_output=True, text=True, check=False,
+            )
+            assert completed.returncode in (0, 1), completed.stderr
+            return json.loads(completed.stdout)
+
+        cold = check()
+        assert cold["diagnostics"] == []
+        warm = check()
+        assert (warm["reanalyzed"], warm["from_cache"]) == (0, 3)
+        rule = analyzer / "repro" / "lint" / "rules" / "clock_discipline.py"
+        source = rule.read_text(encoding="utf-8")
+        assert 'OWN_STATE = {"stats"}' in source
+        rule.write_text(
+            source.replace('OWN_STATE = {"stats"}', "OWN_STATE = set()"),
+            encoding="utf-8",
+        )
+        edited = check()
+        assert edited["reanalyzed"] == 3
+        assert [d["rule"] for d in edited["diagnostics"]] == ["clock-discipline"]

@@ -115,9 +115,9 @@ def test_syntax_error_degrades_to_parse_error(tmp_path):
     assert parse[0].path.endswith("broken.py")
 
 
-def test_restrict_filters_reporting_not_analysis(tmp_path):
-    # restrict= keeps the full call graph (the finding's evidence lives
-    # in helper.py) but only reports findings inside the changed set
+def test_cross_file_finding_lands_at_the_consumer(tmp_path):
+    # the evidence lives in helper.py; the finding belongs to the
+    # deterministic-zone function that consumes it
     root = _write(tmp_path, {
         "src/repro/__init__.py": '"""pkg."""\n',
         "src/repro/helper.py": """
@@ -135,14 +135,7 @@ def test_restrict_filters_reporting_not_analysis(tmp_path):
                 return cycle + noise()
         """,
     })
-    engine = root / "repro" / "engine.py"
-    helper = root / "repro" / "helper.py"
-
     full = analyze([root], select=["det-unseeded-flow"])
-    assert [d.rule for d in full.diagnostics] == ["det-unseeded-flow"]
-
-    hit = analyze([root], select=["det-unseeded-flow"], restrict=[engine])
-    assert [d.rule for d in hit.diagnostics] == ["det-unseeded-flow"]
-
-    miss = analyze([root], select=["det-unseeded-flow"], restrict=[helper])
-    assert miss.diagnostics == ()
+    assert [(d.rule, d.path) for d in full.diagnostics] == [
+        ("det-unseeded-flow", str(root / "repro" / "engine.py"))
+    ]

@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 import json
+import textwrap
+
+import pytest
 
 from repro.lint.graph import analyze
-from repro.lint.graph.main import render_json, render_text
+from repro.lint.graph.main import (
+    render_json,
+    render_sarif_report,
+    render_statistics,
+    render_text,
+    statistics_properties,
+)
 
 TOP_LEVEL_KEYS = {
     "version", "files_scanned", "reanalyzed", "from_cache", "rules",
@@ -79,3 +88,46 @@ class TestTextReporter:
             "1 file(s) scanned (1 analyzed, 0 from cache) in "
         )
         assert "\n" not in text
+
+
+class TestStatistics:
+    @pytest.fixture
+    def result(self, tmp_path):
+        source = tmp_path / "src" / "repro"
+        source.mkdir(parents=True)
+        (source / "__init__.py").write_text('"""pkg."""\n', encoding="utf-8")
+        (source / "engine.py").write_text(
+            textwrap.dedent("""
+                import random
+
+
+                def helper():
+                    return random.random()
+
+
+                def advance(cycle):
+                    return cycle + helper()
+            """),
+            encoding="utf-8",
+        )
+        return analyze([tmp_path / "src"], select=["det-unseeded-flow"])
+
+    def test_render_statistics_lists_rule_counts(self, result):
+        text = render_statistics(result)
+        assert "statistics:" in text
+        assert "det-unseeded-flow" in text
+        assert "files scanned" in text
+        assert "wall time" in text
+
+    def test_properties_bag_mirrors_counters(self, result):
+        bag = statistics_properties(result)
+        assert bag["filesScanned"] == result.files_scanned
+        assert bag["ruleCounts"] == {"det-unseeded-flow": 1}
+        assert bag["elapsedSeconds"] >= 0
+
+    def test_sarif_carries_properties_only_when_asked(self, result):
+        with_stats = json.loads(render_sarif_report(result, statistics=True))
+        run = with_stats["runs"][0]
+        assert run["properties"]["ruleCounts"] == {"det-unseeded-flow": 1}
+        without = json.loads(render_sarif_report(result))
+        assert "properties" not in without["runs"][0]

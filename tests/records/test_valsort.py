@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import WorkloadError
 from repro.records.valsort import (
     _CHECKSUM_CHUNK,
+    _DIGEST_CHUNK,
     _Checksum,
     _checksum,
     content_digest,
@@ -168,6 +169,40 @@ class TestChecksumAndDigestOracle:
     ], ids=["list", "strided-view", "uint16", "empty"])
     def test_digest_matches_per_key_form(self, keys):
         assert content_digest(keys) == reference_digest(keys)
+
+
+def one_shot_digest(keys: np.ndarray) -> str:
+    """The digest of one full-size widened copy of the keys."""
+    widened = np.ascontiguousarray(keys, dtype=np.uint64)
+    return hashlib.sha256(widened.tobytes()).hexdigest()[:16]
+
+
+class TestDigestChunks:
+    """The chunked digest hashes the same bytes as one widened copy."""
+
+    @pytest.mark.parametrize("size", [
+        _DIGEST_CHUNK - 1, _DIGEST_CHUNK, _DIGEST_CHUNK + 1,
+        2 * _DIGEST_CHUNK + 3,
+    ])
+    @pytest.mark.parametrize("kind", [
+        "uint32", "bool", "negative-int64", "strided-uint64",
+        "strided-uint32", "uint64",
+    ])
+    def test_matches_one_shot_hash(self, kind, size):
+        rng = np.random.default_rng(size)
+        if kind == "uint32":
+            keys = rng.integers(0, 2**32, size=size, dtype=np.uint32)
+        elif kind == "bool":
+            keys = rng.integers(0, 2, size=size).astype(bool)
+        elif kind == "negative-int64":
+            keys = rng.integers(-(2**63), 2**63 - 1, size=size, dtype=np.int64)
+        elif kind == "uint64":
+            keys = rng.integers(0, 2**64 - 1, size=size, dtype=np.uint64)
+        else:
+            dtype = np.uint64 if kind == "strided-uint64" else np.uint32
+            keys = rng.integers(0, 2**32, size=3 * size, dtype=dtype)[::3]
+            assert not keys.flags.c_contiguous
+        assert content_digest(keys) == one_shot_digest(keys)
 
 
 class TestChunkBoundaries:

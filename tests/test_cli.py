@@ -164,6 +164,20 @@ class TestClusterSort:
         assert "wrote" in capsys.readouterr().out
         assert target.exists()
 
+    def test_print_digest_matches_the_single_tree_sort(self, capsys):
+        def digest(*extra: str) -> str:
+            assert main([
+                "sort", "--records", "20000", "--workload", "uniform",
+                "--seed", "0", "--print-digest", *extra,
+            ]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return next(
+                line.removeprefix("digest=")
+                for line in lines if line.startswith("digest=")
+            )
+
+        assert digest("--cluster-nodes", "4") == digest() == "73108a7d7a225836"
+
     def test_bad_node_count_clean_error(self, capsys):
         assert main(["sort", "--records", "100", "--cluster-nodes", "0"]) == 2
         assert "error:" in capsys.readouterr().err
