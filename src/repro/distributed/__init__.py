@@ -13,8 +13,8 @@ Bonsai cluster.
 * :mod:`repro.distributed.cluster` — the cluster: partition/exchange
   phase over the network plus parallel node-local sorts (analytical).
 * :mod:`repro.distributed.exchange` — the executed plan's deterministic
-  half: splitter sampling/refinement and the shared-memory all-to-all
-  shuttle layout.
+  half: splitter sampling/refinement, each node's pull of its key range
+  from the packed input, and the all-to-all counts matrix.
 * :mod:`repro.distributed.executor` — the measured counterpart: the
   same plan run as real processes over :mod:`repro.parallel`, verified
   bit-exactly against a serial oracle and reported next to the model.

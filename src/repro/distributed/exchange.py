@@ -1,4 +1,4 @@
-"""Measured range-partition exchange: splitters, owners, shuttle layout.
+"""Measured range-partition exchange: splitters, owners, the node pull.
 
 The executed cluster sort (see :mod:`repro.distributed.executor`) runs
 the classic GraySort plan with real processes.  This module holds the
@@ -12,11 +12,13 @@ pools:
 * **ownership** — ``searchsorted`` range partitioning: node ``i`` owns
   keys in ``[splitters[i-1], splitters[i])``, so concatenating the
   nodes' sorted partitions is globally sorted by construction;
-* **shuttle layout** — the all-to-all bookkeeping over one shared
-  uint64 block: each sender's slot holds its records grouped by
-  receiver, so every (sender, receiver) shard is one disjoint range of
-  the block and a receiver gathers its partition with ``nodes`` range
-  copies and zero pickled records.
+* **the node pull** — every node reads the sender chunks packed end to
+  end in one shared uint64 block and keeps the keys of its own range
+  (:func:`pull_partition`), so no sender regroups its chunk and no
+  record is pickled.  The keys a node counts below its range are the
+  offset of its sorted partition in the one output block, and its
+  per-sender counts form one column of the :class:`ShuffleLayout`
+  counts matrix, from which the executor reports the measured skew.
 
 The shared-memory blocks themselves are owned by the executor (one
 function allocates and releases them, per the ``proc-shm-lifetime``
@@ -27,6 +29,7 @@ descriptors exactly like the simulate-mode transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -105,25 +108,54 @@ def serial_partitions(
 ) -> list[np.ndarray]:
     """Oracle exchange: each node's partition, input order preserved.
 
-    The differential reference for the process-pool shuttle — the
-    executed exchange must deliver exactly these records to each node
-    (possibly permuted across senders, which the local sort erases).
+    The differential reference for :func:`pull_partition`: a node's
+    pull from the sender chunks must equal, sender by sender, exactly
+    these records.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     owners = partition_owners(keys, splitters)
     return [keys[owners == node] for node in range(nodes)]
 
 
+def pull_partition(
+    chunks: Sequence[np.ndarray], lo: int | None, hi: int | None
+) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """One node's pull: the keys in ``[lo, hi)`` from every sender chunk.
+
+    ``None`` leaves that end of the range open (the first and the last
+    node), which is :func:`partition_owners`' ``side="right"``
+    ownership.  Returns ``(keys, offset, counts)``: the owned keys in
+    sender order with each chunk's input order kept, the number of keys
+    below ``lo`` across all chunks (where this partition starts in the
+    globally sorted output), and the keys taken from each sender.
+
+    Every node scans all ``N`` keys, so the pull costs ``nodes x N``
+    compares in total.  That is the price of a host-side emulation that
+    hands each node its range without a separate exchange map; the
+    "Executed cluster sort" section of ``docs/performance.md`` weighs it.
+    """
+    shards: list[np.ndarray] = []
+    offset = 0
+    for chunk in chunks:
+        if lo is None:
+            mine = np.ones(chunk.size, dtype=bool)
+        else:
+            mine = chunk >= np.uint64(lo)
+            offset += int(chunk.size - np.count_nonzero(mine))
+        if hi is not None:
+            mine &= chunk < np.uint64(hi)
+        shards.append(chunk[mine])
+    counts = tuple(int(shard.size) for shard in shards)
+    return np.concatenate(shards), offset, counts
+
+
 @dataclass(frozen=True)
 class ShuffleLayout:
     """All-to-all bookkeeping: ``counts[sender][receiver]`` records.
 
-    After the exchange phase each sender's shuffle slot holds its chunk
-    grouped by receiver (a stable argsort by owner), so the matrix of
-    per-receiver counts fully determines where every (sender, receiver)
-    shard lives.  Everything here derives from that matrix; it is what
-    the executor needs to turn ``nodes`` scatter acknowledgements into
-    ``nodes`` gather task descriptions.
+    Each node's pull reports how many keys it took from each sender;
+    the executor assembles those columns into this matrix, from which
+    the partition lengths and the measured skew derive.
     """
 
     counts: tuple[tuple[int, ...], ...]
@@ -145,20 +177,6 @@ class ShuffleLayout:
     @property
     def total_records(self) -> int:
         return sum(sum(row) for row in self.counts)
-
-    def shard_range(self, sender: int, receiver: int) -> tuple[int, int]:
-        """Element range of the (sender, receiver) shard inside the
-        sender's shuffle slot."""
-        start = sum(self.counts[sender][:receiver])
-        return start, start + self.counts[sender][receiver]
-
-    def gather_ranges(self, receiver: int) -> list[tuple[int, int, int]]:
-        """``(sender_slot, start, stop)`` per sender — one receiver's
-        shards, in sender order (the stable-exchange contract)."""
-        return [
-            (sender,) + self.shard_range(sender, receiver)
-            for sender in range(self.nodes)
-        ]
 
     def partition_lengths(self) -> list[int]:
         """Records each receiver ends up holding."""

@@ -8,16 +8,23 @@
 
 1. **splitters** — a seeded oversampled key sketch yields the range
    boundaries (:func:`~repro.distributed.exchange.sample_splitters`);
-2. **exchange** — input chunks pack into one shared uint64 block; one
-   worker per sender range-partitions its chunk into a shuffle block
-   whose (sender, receiver) shards are disjoint ranges, through
-   :meth:`~repro.parallel.plan.ParallelPlan.map`;
-3. **local sort** — one worker per receiver gathers its shards,
-   concatenates, and sorts through a single-tree
-   :class:`~repro.engine.sorter.AmtSorter` into the output block;
+2. **exchange** — the parent packs the input chunks, one slot per
+   sender, into one shared uint64 block;
+3. **local sort** — one task per receiver, in one
+   :meth:`~repro.parallel.plan.ParallelPlan.map`, pulls the keys of its
+   range from every sender slot
+   (:func:`~repro.distributed.exchange.pull_partition`), sorts them
+   through a single-tree :class:`~repro.engine.sorter.AmtSorter`, and
+   writes them into one output block at the offset its pull counted
+   (the keys below its range);
 4. **merge** — the parent copies the output block, where the nodes'
    sorted partitions lie end to end in receiver order (range
    partitioning makes that globally sorted by construction).
+
+Each node scans all ``N`` input keys, which is ``nodes x N`` compares
+in total.  On one host that costs far less than the separate exchange
+map it replaces (a pool round trip plus a stable group-by-receiver
+argsort per sender): a cluster sort is one pool round trip.
 
 Every run then verifies the output bit-exactly against a serial oracle
 ``np.sort`` of the kind :func:`~repro.engine.stage.sort_kind` picks (the
@@ -28,7 +35,7 @@ the analytical model's prediction at the *measured* partition skew, so
 the measured-vs-modeled delta is one number.
 
 Straggler tolerance is the parallel layer's: a killed or stalled node
-sort degrades to a serial recompute in the parent
+task degrades to a serial recompute in the parent
 (:meth:`ParallelPlan.map`'s timeout/crash fallback), so the run still
 produces bit-exact output; the injected worker marks a shared flag slot
 first, which is how ``straggler_recovered`` is reported even with
@@ -63,10 +70,7 @@ from repro.parallel.shm import (
     release,
     view_array,
 )
-from repro.parallel.workers import (
-    worker_cluster_node_sort,
-    worker_exchange_partition,
-)
+from repro.parallel.workers import worker_cluster_node
 from repro.records.valsort import content_digest
 from repro.units import ms_per_gb
 
@@ -78,7 +82,7 @@ STRAGGLER_MODES = ("kill", "sleep")
 
 @dataclass(frozen=True)
 class StragglerSpec:
-    """Deliberate fault injection into one node's local sort."""
+    """Deliberate fault injection into one node's task."""
 
     node: int
     mode: str = "sleep"
@@ -152,15 +156,15 @@ class ClusterExecutor:
     Parameters
     ----------
     nodes:
-        Partition count — also the worker task count of both phases.
+        Partition count — also the worker task count of the node map.
     config / hardware / arch / presort_run / mode:
         Per-node :class:`AmtSorter` parameters (every node runs the
         same single-tree sorter the serial path would).
     plan:
         ``None`` or a serial plan runs everything in-process (same
-        results, no pool); a process plan runs each phase's tasks as
-        actual worker processes.  The local-sort phase derives a
-        one-task-per-chunk plan so a straggling node recomputes alone.
+        results, no pool); a process plan runs the node tasks as
+        actual worker processes, one task per chunk so a straggling
+        node recomputes alone.
     oversample / seed:
         Splitter sketch parameters (seeded: same data + seed = same
         splitters at every ``jobs`` setting).
@@ -169,7 +173,7 @@ class ClusterExecutor:
     straggler:
         Optional fault injection into one node's sort.
     task_timeout:
-        Per-task seconds for the local-sort phase (required for
+        Per-task seconds for the node tasks (required for
         ``sleep``-mode stragglers to actually trip the fallback);
         ``None`` inherits the plan's own timeout.
     """
@@ -220,7 +224,6 @@ class ClusterExecutor:
             None if self.straggler is None
             else (self.straggler.node, self.straggler.mode, self.straggler.seconds)
         )
-        out_block = flag_block = None
         started = time.perf_counter()
         with obs.span(
             "cluster.sort", nodes=self.nodes, records=int(keys.size),
@@ -231,63 +234,42 @@ class ClusterExecutor:
                     keys, self.nodes, self.oversample, self.seed
                 )
             split_done = time.perf_counter()
-            in_block, in_desc = pack_arrays(chunks)
-            shuffle_block, shuffle_desc = alloc_arrays(
-                [int(chunk.size) for chunk in chunks], np.uint64
-            )
+            with obs.span("cluster.exchange", nodes=self.nodes):
+                in_block, in_desc = pack_arrays(chunks)
+            exchange_done = time.perf_counter()
+            out_block = flag_block = None
             try:
-                with obs.span("cluster.exchange", nodes=self.nodes):
-                    exchange_tasks = [
-                        (
-                            in_desc, shuffle_desc, sender,
-                            tuple(int(s) for s in splitters),
-                        )
-                        for sender in range(self.nodes)
-                    ]
-                    count_rows = plan.map(
-                        worker_exchange_partition, exchange_tasks
-                    )
-                layout = ShuffleLayout(
-                    counts=tuple(tuple(row) for row in count_rows)
-                )
-                exchange_done = time.perf_counter()
-                out_block, out_desc = alloc_arrays(
-                    layout.partition_lengths(), np.uint64
-                )
+                out_block, out_desc = alloc_arrays([int(keys.size)], np.uint64)
                 flag_block, flag_desc = alloc_arrays([1], np.uint8)
                 # A fresh block is zero-filled on Linux, but the
                 # recovered-straggler flag must not rest on that.
                 view_array(flag_desc, 0, flag_block)[:] = 0
+                # Node r owns [bounds[r], bounds[r + 1]); None is open.
+                bounds = [None, *(int(s) for s in splitters), None]
                 with obs.span("cluster.local_sort", nodes=self.nodes):
-                    sort_tasks = [
+                    node_tasks = [
                         (
-                            shuffle_desc, out_desc, flag_desc, receiver,
-                            tuple(layout.gather_ranges(receiver)),
+                            in_desc, out_desc, flag_desc, receiver,
+                            bounds[receiver], bounds[receiver + 1],
                             self.config, self.hardware, self.arch,
                             self.presort_run, self.mode, straggler,
                         )
                         for receiver in range(self.nodes)
                     ]
-                    node_results = node_plan.map(
-                        worker_cluster_node_sort, sort_tasks
-                    )
+                    node_results = node_plan.map(worker_cluster_node, node_tasks)
                 sorts_done = time.perf_counter()
                 with obs.span("cluster.merge", nodes=self.nodes):
-                    # ``alloc_arrays`` lays the partitions end to end in
-                    # receiver order: one copy of the block concatenates
-                    # them.
-                    output = np.ndarray(
-                        (out_desc.total,), dtype=np.uint64, buffer=out_block.buf
-                    ).copy()
+                    output = view_array(out_desc, 0, out_block).copy()
                 merge_done = time.perf_counter()
                 recovered = bool(view_array(flag_desc, 0, flag_block)[0])
             finally:
                 release(in_block)
-                release(shuffle_block)
                 if out_block is not None:
                     release(out_block)
                 if flag_block is not None:
                     release(flag_block)
+            _, node_seconds, node_stages, columns = zip(*node_results)
+            layout = ShuffleLayout(counts=tuple(zip(*columns)))
             # Verification sits outside the timed window (the oracle
             # sort would otherwise dominate the measured figure) but
             # inside the dispatch span: a divergent run never reports.
@@ -304,7 +286,6 @@ class ClusterExecutor:
                 digest=digest,
             )
         elapsed = merge_done - started
-        by_node = {node: (seconds, stages) for node, seconds, stages in node_results}
         modeled = Cluster(
             node=self.node_model, nodes=self.nodes, skew_factor=layout.skew
         ).sort_report(total_bytes)
@@ -320,10 +301,8 @@ class ClusterExecutor:
             merge_seconds=merge_done - sorts_done,
             measured_skew=layout.skew,
             partition_records=tuple(layout.partition_lengths()),
-            node_model_seconds=tuple(
-                by_node[node][0] for node in range(self.nodes)
-            ),
-            node_stages=tuple(by_node[node][1] for node in range(self.nodes)),
+            node_model_seconds=node_seconds,
+            node_stages=node_stages,
             modeled=modeled,
             straggler_recovered=recovered,
             digest=digest,

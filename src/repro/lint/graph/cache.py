@@ -15,8 +15,11 @@ depends on it: relative imports resolve against it, and the local rules
 scope themselves by it.  The fingerprint covers everything else a
 summary depends on — the extraction code, the local rules and the rule
 table — so any edit to the analyzer misses the cache wholesale, with no
-version to bump by hand.  The cache is advisory: any read/decode error
-falls back to re-extraction.
+version to bump by hand.  Opening a cache directory deletes every
+entry written under another fingerprint, so analyzer edits do not pile
+up generations of dead summaries; entries left behind by source edits
+under the current fingerprint still accumulate.  The cache is advisory:
+any read/decode error falls back to re-extraction.
 """
 
 from __future__ import annotations
@@ -49,6 +52,17 @@ class SummaryCache:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self.fingerprint = analyzer_fingerprint()[:16]
+            self._prune()
+
+    def _prune(self) -> None:
+        """Delete the entries no run of this analyzer can ever read."""
+        for entry in self.directory.glob("*-*.json"):
+            if entry.stem.rpartition("-")[2] == self.fingerprint:
+                continue
+            try:
+                entry.unlink()
+            except OSError:  # bonsai-lint: disable=exn-swallow -- a read-only or concurrently pruned cache dir keeps its stale entries; they are never read, so the analysis result is unaffected
+                pass
 
     def _entry(self, source: str, module: str | None) -> Path | None:
         if self.directory is None:

@@ -4,8 +4,7 @@ The paper's performance story is built on *independent* units of work —
 λ_unrl trees over disjoint address ranges, the nodes of a cluster sort —
 and this package runs the ones that outweigh a pool round trip side by
 side on host cores without changing a single result: unrolled
-*simulation* units, cluster nodes and their exchange, and served job
-batches.  Model-mode unrolled partitions and optimizer rankings stay in
+*simulation* units, cluster nodes and served job batches.  Model-mode unrolled partitions and optimizer rankings stay in
 the parent, because their pool round trip costs more than the work.  A
 single tree's merge groups are never split apart: in simulate mode they
 share one simulated pipeline, and in model mode a whole stage is one

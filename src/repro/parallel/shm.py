@@ -1,19 +1,19 @@
 """Shared-memory transport for numpy record arrays.
 
 Process workers receive their tasks by pickling; for the unrolled
-partitions, the unrolled simulate units and the cluster exchange the
-tasks *are* large record arrays, and pickling them twice (parent ->
-worker, worker -> parent) would dominate the wall-clock the pool is
-supposed to save.  This module ships arrays through
-``multiprocessing.shared_memory`` instead:
+simulate units and the cluster nodes the tasks *are* large record
+arrays, and pickling them twice (parent -> worker, worker -> parent)
+would dominate the wall-clock the pool is supposed to save.  This
+module ships arrays through ``multiprocessing.shared_memory`` instead:
 
 * the parent packs every input array into one shared block and sends
   workers only a tiny :class:`ShmArrays` descriptor (block name, dtype,
   per-array lengths);
 * the parent pre-allocates one *output* block — every output has an
-  exactly known size (a sorted partition is as long as its input) — and
-  each worker writes its result into its own disjoint slice, returning
-  nothing but small metadata.
+  exactly known size (a sorted partition is as long as its input; a
+  cluster sort's nodes share one slot of ``N`` keys, each writing at
+  the offset its pull counted) — and each worker writes its result
+  into its own disjoint slice, returning nothing but small metadata.
 
 Workers attach read-only by convention: tasks partition both blocks, so
 no two workers ever touch the same output slice and no lock is needed.
@@ -142,7 +142,7 @@ def as_uint64_keys(keys) -> np.ndarray:
     list mixing keys on both sides of ``2**63``, so a list of Python
     ints takes the explicit uint64 cast instead, which raises on
     anything outside the range.  This is the one gate shared by the
-    unrolled simulate transport and the cluster exchange.
+    unrolled simulate transport and the cluster sort.
     """
     message = (
         "records ship through uint64 shared-memory blocks; keys must be "

@@ -14,11 +14,13 @@ processes.  Two invariants keep the pool deterministic and safe, and
 Entries return plain data (tuples of ints/floats, lists, small frozen
 dataclasses); large numpy arrays travel through
 :mod:`repro.parallel.shm` descriptors instead of pickles.
+
+A cluster sort has one entry, :func:`worker_cluster_node`: each node
+pulls its key range from the packed input and sorts it in the same
+task, so the whole sort costs one pool round trip.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.parallel.shm import ShmArrays, read_array, view_array, write_array
 
@@ -44,50 +46,25 @@ def worker_simulate_unit_shm(task: tuple) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# cluster exchange + per-node sorts (distributed/executor.py)
+# cluster nodes: pull + sort (distributed/executor.py)
 # ----------------------------------------------------------------------
-def worker_exchange_partition(task: tuple) -> tuple:
-    """Range-partition one sender's chunk into its shuffle slot.
+def worker_cluster_node(task: tuple) -> tuple:
+    """Pull one node's key range from the packed input and sort it.
 
-    ``task = (in_desc, shuffle_desc, sender, splitters)`` — read input
-    slot ``sender``, compute each record's owning node against the
-    splitter boundaries, and write the chunk back to shuffle slot
-    ``sender`` grouped by receiver (stable argsort, so a receiver's
-    shard preserves the sender's input order).  Returns the
-    per-receiver record counts; the parent assembles the counts matrix
-    into a :class:`~repro.distributed.exchange.ShuffleLayout`.
-    """
-    from multiprocessing import shared_memory
-
-    from repro.distributed.exchange import partition_owners
-    from repro.obs.runtime import observation
-
-    in_desc, shuffle_desc, sender, splitters = task
-    block = shared_memory.SharedMemory(name=in_desc.name)
-    try:
-        chunk = view_array(in_desc, sender, block).copy()
-    finally:
-        block.close()
-    owners = partition_owners(chunk, np.asarray(splitters, dtype=np.uint64))
-    order = np.argsort(owners, kind="stable")
-    write_array(shuffle_desc, sender, chunk[order])
-    counts = np.bincount(owners, minlength=len(splitters) + 1)
-    observation().count("cluster.exchange_records", int(chunk.size))
-    return tuple(int(count) for count in counts)
-
-
-def worker_cluster_node_sort(task: tuple) -> tuple:
-    """Gather one node's shards from the shuffle block and sort them.
-
-    ``task = (shuffle_desc, out_desc, flag_desc, receiver, ranges,
-    config, hardware, arch, presort_run, mode, straggler)`` — copy the
-    ``(sender_slot, start, stop)`` shard ranges out of the shuffle
-    block, concatenate them, sort through a single-tree
-    :class:`AmtSorter`, and write the sorted partition to output slot
-    ``receiver``.  Returns ``(receiver, model_seconds, stages)``.
+    ``task = (in_desc, out_desc, flag_desc, receiver, lo, hi, config,
+    hardware, arch, presort_run, mode, straggler)`` — node ``receiver``
+    owns the keys in ``[lo, hi)`` (``None`` leaves an end open).  It
+    takes them from every sender slot of the input block
+    (:func:`~repro.distributed.exchange.pull_partition`), sorts them
+    through a single-tree :class:`AmtSorter`, and writes the sorted
+    partition at ``[offset, offset + len)`` of the one output slot,
+    where ``offset`` counts the keys below ``lo``.  Returns
+    ``(receiver, model_seconds, stages, counts)``, ``counts`` holding
+    the keys taken from each sender; the parent assembles them into a
+    :class:`~repro.distributed.exchange.ShuffleLayout`.
 
     ``straggler`` (``None`` or ``(node, mode, seconds)``) injects a
-    fault into exactly one node's sort — ``"kill"`` SIGKILLs the worker
+    fault into exactly one node's task — ``"kill"`` SIGKILLs the worker
     process, ``"sleep"`` stalls it past the plan's task timeout — to
     exercise the parallel layer's serial-recompute fallback.  Injection
     is gated on actually being a pool child (``parent_process()``), so
@@ -97,11 +74,12 @@ def worker_cluster_node_sort(task: tuple) -> tuple:
     """
     from multiprocessing import parent_process, shared_memory
 
+    from repro.distributed.exchange import pull_partition
     from repro.engine.sorter import AmtSorter
     from repro.obs.runtime import observation
 
     (
-        shuffle_desc, out_desc, flag_desc, receiver, ranges,
+        in_desc, out_desc, flag_desc, receiver, lo, hi,
         config, hardware, arch, presort_run, mode, straggler,
     ) = task
     if (
@@ -126,39 +104,38 @@ def worker_cluster_node_sort(task: tuple) -> tuple:
                 import time
 
                 time.sleep(float(straggler[2]))
-    block = shared_memory.SharedMemory(name=shuffle_desc.name)
+    block = shared_memory.SharedMemory(name=in_desc.name)
     try:
-        shards = [
-            view_array(shuffle_desc, sender, block)[start:stop].copy()
-            for sender, start, stop in ranges
-        ]
+        # The slot views are temporaries: none may outlive close().
+        data, offset, counts = pull_partition(
+            [view_array(in_desc, s, block) for s in range(len(in_desc.lengths))],
+            lo, hi,
+        )
     finally:
         block.close()
-    data = (
-        np.concatenate(shards) if shards
-        else np.empty(0, dtype=np.uint64)
-    )
     sorter = AmtSorter(
         config=config, hardware=hardware, arch=arch,
         presort_run=presort_run, mode=mode,
     )
     outcome = sorter.sort(data)
-    write_array(out_desc, receiver, np.asarray(outcome.data, dtype=np.uint64))
+    out_block = shared_memory.SharedMemory(name=out_desc.name)
+    try:
+        view_array(out_desc, 0, out_block)[offset : offset + data.size] = outcome.data
+    finally:
+        out_block.close()
     observation().count("cluster.node_records", int(data.size))
-    return (receiver, float(outcome.seconds), int(outcome.stages))
+    return (receiver, float(outcome.seconds), int(outcome.stages), counts)
 
 
 #: Names re-exported for the ``worker-entry`` check's allow-list tests.
 WORKER_ENTRIES = (
     worker_simulate_unit_shm,
-    worker_exchange_partition,
-    worker_cluster_node_sort,
+    worker_cluster_node,
 )
 
 __all__ = [
     "ShmArrays",
     "WORKER_ENTRIES",
-    "worker_cluster_node_sort",
-    "worker_exchange_partition",
+    "worker_cluster_node",
     "worker_simulate_unit_shm",
 ]

@@ -1,4 +1,4 @@
-"""The exchange plan's deterministic half: splitters, owners, layout."""
+"""The exchange plan's deterministic half: splitters, owners, pull, layout."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from repro.distributed.exchange import (
     ShuffleLayout,
     partition_counts,
     partition_owners,
+    pull_partition,
     sample_splitters,
     serial_partitions,
 )
@@ -90,21 +91,58 @@ class TestPartitionOwners:
         assert np.array_equal(merged, np.sort(keys))
 
 
+def node_bounds(splitters: np.ndarray) -> list[int | None]:
+    """Node ``r`` owns ``[bounds[r], bounds[r + 1])``; ``None`` is open."""
+    return [None, *(int(s) for s in splitters), None]
+
+
+class TestPullPartition:
+    """Each node's pull against the serial oracle, sender by sender."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("nodes", [1, 3, 4])
+    def test_pull_equals_serial_partitions_per_sender(self, seed, nodes):
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, 1 << 12, size=3001, dtype=np.uint64)
+        chunks = np.array_split(keys, nodes)
+        splitters = sample_splitters(keys, nodes, seed=seed)
+        bounds = node_bounds(splitters)
+        oracle = [serial_partitions(chunk, splitters, nodes) for chunk in chunks]
+        offset = 0
+        for receiver in range(nodes):
+            pulled, start, counts = pull_partition(
+                chunks, bounds[receiver], bounds[receiver + 1]
+            )
+            expected = [parts[receiver] for parts in oracle]
+            assert pulled.dtype == np.uint64
+            assert np.array_equal(pulled, np.concatenate(expected))
+            assert counts == tuple(int(part.size) for part in expected)
+            assert start == offset
+            offset += int(pulled.size)
+        assert offset == keys.size
+
+    def test_tied_splitters_leave_an_empty_node(self):
+        chunks = [
+            np.asarray([7, 3, 7, 9], dtype=np.uint64),
+            np.asarray([7, 12, 1], dtype=np.uint64),
+        ]
+        splitters = np.asarray([7, 7, 10], dtype=np.uint64)
+        bounds = node_bounds(splitters)
+        pulls = [
+            pull_partition(chunks, bounds[r], bounds[r + 1]) for r in range(4)
+        ]
+        assert [list(keys) for keys, _, _ in pulls] == [
+            [3, 1], [], [7, 7, 9, 7], [12],
+        ]
+        assert [offset for _, offset, _ in pulls] == [0, 2, 2, 6]
+        assert [counts for _, _, counts in pulls] == [
+            (1, 1), (0, 0), (3, 1), (0, 1),
+        ]
+
+
 class TestShuffleLayout:
     def layout(self) -> ShuffleLayout:
         return ShuffleLayout(counts=((3, 1), (2, 4)))
-
-    def test_shard_ranges_tile_each_sender_slot(self):
-        layout = self.layout()
-        assert layout.shard_range(0, 0) == (0, 3)
-        assert layout.shard_range(0, 1) == (3, 4)
-        assert layout.shard_range(1, 0) == (0, 2)
-        assert layout.shard_range(1, 1) == (2, 6)
-
-    def test_gather_ranges_in_sender_order(self):
-        layout = self.layout()
-        assert layout.gather_ranges(0) == [(0, 0, 3), (1, 0, 2)]
-        assert layout.gather_ranges(1) == [(0, 3, 4), (1, 2, 6)]
 
     def test_partition_lengths_and_totals(self):
         layout = self.layout()

@@ -98,6 +98,45 @@ class TestPooledExecution:
         assert serial.measured_skew == pooled.measured_skew
 
 
+class TestOneRoundTrip:
+    def test_pooled_sort_makes_one_pool_map(self, data, oracle_digest):
+        live = live_observation()
+        with activated(live):
+            report = ClusterExecutor(
+                nodes=4, plan=ParallelPlan(jobs=2)
+            ).execute(data)
+        assert report.digest == oracle_digest
+        # Each node pulls its range and sorts it in the same task.
+        assert live.registry.counter_value("parallel.maps", mode="pool") == 1
+        assert live.registry.counter_value("parallel.maps", mode="serial") == 0
+
+
+class TestEmptyPartitions:
+    @pytest.fixture(scope="class")
+    def tied(self) -> np.ndarray:
+        # 80% of the mass on one key ties two splitters at 7, so node 0
+        # owns nothing.
+        rng = np.random.default_rng(3)
+        return np.where(
+            rng.random(20_000) < 0.8,
+            np.uint64(7),
+            rng.integers(0, 1 << 40, size=20_000, dtype=np.uint64),
+        )
+
+    def test_empty_node_at_every_jobs_setting(self, tied):
+        oracle = content_digest(np.sort(tied, kind="stable"))
+        serial = ClusterExecutor(nodes=4, seed=1).execute(tied)
+        pooled = ClusterExecutor(
+            nodes=4, seed=1, plan=ParallelPlan(jobs=2)
+        ).execute(tied)
+        assert serial.digest == pooled.digest == oracle
+        assert serial.partition_records == pooled.partition_records
+        assert serial.partition_records == (0, 16570, 73, 3357)
+        assert 0 in serial.partition_records
+        assert serial.measured_skew == pooled.measured_skew
+        assert serial.measured_skew == pytest.approx(3.314)
+
+
 class TestSkewedWorkload:
     def test_zipf_nearly_sorted_still_bit_exact(self):
         skewed = np.asarray(skewed_nearly_sorted(20_000, seed=1), dtype=np.uint64)

@@ -535,6 +535,22 @@ class TestSummaryCache:
         warm = check_tree(self.FILES, cache_dir=cache_dir)
         assert warm.from_cache == 0
 
+    def test_opening_prunes_entries_of_other_fingerprints(
+        self, check_tree, tmp_path
+    ):
+        cache_dir = tmp_path / "cache"
+        check_tree(self.FILES, cache_dir=cache_dir)
+        current = sorted(cache_dir.glob("*.json"))
+        assert current
+        digest, _, _ = current[0].stem.rpartition("-")
+        stale = cache_dir / f"{digest}-{'0' * 16}.json"
+        stale.write_bytes(current[0].read_bytes())
+        warm = check_tree(self.FILES, cache_dir=cache_dir)
+        assert not stale.exists()
+        assert sorted(cache_dir.glob("*.json")) == current
+        assert warm.reanalyzed == 0
+        assert warm.from_cache == warm.files_scanned
+
     def _edited_analyzer_misses(
         self, check_tree, tmp_path, monkeypatch, relpath: str, edit: str
     ) -> None:

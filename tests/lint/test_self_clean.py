@@ -76,8 +76,8 @@ MUTATIONS: tuple[tuple[str, str, str, dict[str, str]], ...] = (
      "self.batch_bytes, self.tuple_width,",
      {"unit-flow-call": "hw/loader.py"}),
     ("parallel/workers.py",
-     "import numpy as np\n",
-     "import numpy as np\n\nimport repro.engine.stage\n",
+     "from __future__ import annotations\n",
+     "from __future__ import annotations\n\nimport repro.engine.stage\n",
      {"worker-entry": "parallel/workers.py"}),
     ("parallel/workers.py",
      "    in_desc, out_desc, index, shape, max_cycles = task\n",
@@ -90,7 +90,7 @@ MUTATIONS: tuple[tuple[str, str, str, dict[str, str]], ...] = (
      "    lengths: tuple[int, ...]\n"
      "    block: shared_memory.SharedMemory | None = None\n",
      {"proc-unpicklable": "parallel/shm.py"}),
-    # reaches worker_cluster_node_sort only inside its task tuple
+    # reaches worker_cluster_node only inside its task tuple
     ("core/configuration.py",
      "    lambda_pipe: int = 1\n",
      "    lambda_pipe: int = 1\n    lock: threading.Lock | None = None\n",
