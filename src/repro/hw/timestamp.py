@@ -42,6 +42,21 @@ it is seen travels one level against the sweep order per sweep) until
 it passes the stage's last cycle.  The engine only ever returns a
 verified fixed point.  It needs only the keys' order, taken as their
 dense ranks, so keys outside ``[0, 2**64)`` solve like any others.
+
+A sweep is gathers, a running maximum and stores over buffers built
+once per stage.  Each level keeps its last action times (and, for
+mergers, its port terminals' retirements) in an int32 buffer; a solve
+gathers the new ones into a scratch buffer shared by all levels and
+compares the two once.  Every merger and coupler action pushes or pops
+exactly one item at its own time plus a constant, and every retirement
+is a pop, so the level's pushes and pops changed exactly when that
+compare fails: only then are they taken, through int32 index arrays,
+straight into the level's V and W slices.  A level reads only its input
+FIFOs' V and its output FIFOs' W (the loader only the leaves' W, the
+writer only the root's V), so a solve whose inputs have not changed
+since it last ran would rewrite what it wrote then, and the sweep skips
+it.  Skipping moves no iterate: every sweep ends with the arrays a full
+sweep would leave.
 """
 
 from __future__ import annotations
@@ -55,6 +70,7 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.hw.loader import batch_pieces, leaf_positions
 from repro.hw.probes import LoaderStats, MergerStats
+from repro.obs.runtime import observation
 from repro.parallel.shm import as_uint64_keys
 
 #: Largest cycle the int32 time arrays may hold.
@@ -124,7 +140,7 @@ def _segment_index(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     segment and its index within the segment (int32)."""
     segment = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
     local = np.arange(segment.size, dtype=np.int32)
-    local -= _exclusive(counts)[segment]
+    local -= np.take(_exclusive(counts), segment)
     return segment, local
 
 
@@ -134,7 +150,8 @@ class _Block:
 
     ``counts[x, g]`` is stream ``x``'s data tuples in group ``g``; each
     group ends in one terminal.  ``offsets[x, g]`` is the global index
-    of group ``g``'s first item.
+    of group ``g``'s first item.  ``v_step`` and ``w_step`` are the
+    sweep steps at which the block's V and W last changed.
     """
 
     lo: int
@@ -144,6 +161,8 @@ class _Block:
     capacity: int
     push_delay: int
     pop_delay: int
+    v_step: int = 0
+    w_step: int = 0
 
     @classmethod
     def layout(cls, base, counts, capacity, push_delay, pop_delay) -> "_Block":
@@ -163,31 +182,36 @@ class _Block:
         """Index into W of the slot each of ``items`` waits for: the
         item ``capacity`` places earlier in its FIFO, else ``dummy``."""
         earlier = items - self.capacity
-        return np.where(earlier >= self.offsets[streams, 0], earlier, dummy).astype(np.int32)
+        first = np.take(self.offsets[:, 0], streams)
+        return np.where(earlier >= first, earlier, dummy).astype(np.int32, copy=False)
 
 
 @dataclass
 class _Level:
     """One row of identical components (a tree level's mergers or its
-    couplers), solved by one batched pass per sweep."""
+    couplers), solved by one batched pass per sweep.
+
+    ``t`` holds the last solve's action times followed, for a merger
+    level, by each port terminal's retirement.
+    """
 
     #: V indices every action needs visible, W index of its output slot
     need_a: np.ndarray
     need_b: np.ndarray | None
     slot: np.ndarray
-    #: actions that push, in output item order
+    #: the pushing actions in output item order, and where each input
+    #: item's pop time sits in ``t``
     push: np.ndarray
+    pop: np.ndarray
     out: _Block
     inp: _Block
     #: per component: [start, stop) of its actions
     bounds: list[tuple[int, int]]
-    #: coupler: the actions that pop, in input item order
-    pop: np.ndarray | None = None
-    #: merger: where each input item's pop time comes from in
-    #: concat(action times, terminal retirements)
-    pop_src: np.ndarray | None = None
+    #: each component's last action: its latest time, and a push
+    ends: np.ndarray
     #: merger: per (port stream, group) terminal, its V index, the
-    #: action it follows (``first``: none) and the next action's slot
+    #: action it follows (``first``: the terminals with none) and the
+    #: next action's slot
     term_need: np.ndarray | None = None
     term_anchor: np.ndarray | None = None
     term_first: np.ndarray | None = None
@@ -195,9 +219,13 @@ class _Level:
     #: merger: first action and data tuples of each (merger, group)
     block_start: np.ndarray | None = None
     n: np.ndarray | None = None
-    #: the last sweep's action times and retirements
-    t: np.ndarray | None = None
-    retire: np.ndarray | None = None
+    #: the sweep step of the last solve
+    ran: int = 0
+
+    def __post_init__(self) -> None:
+        self.actions = self.need_a.size
+        terms = 0 if self.term_need is None else self.term_need.size
+        self.t = np.full(self.actions + terms, -1, dtype=np.int32)
 
 
 class _Stage:
@@ -223,7 +251,8 @@ class _Stage:
         leaf_len[self.run_leaf, self.run_group] = lengths
 
         # Dense key ranks: equal keys tie, the sentinel ranks above all.
-        order = np.argsort(keys, kind="stable")
+        # Ties take one rank whatever their order, so any sort will do.
+        order = np.argsort(keys)
         ordered = keys[order]
         step = np.zeros(keys.size, dtype=np.int32)
         np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
@@ -278,10 +307,12 @@ class _Stage:
             if level and coupled[level - 1]:
                 self.levels.append(self._coupler_level(pres[level - 1], ports[level - 1]))
         del self.rank
-        widest = max(len(lv.push) for lv in self.levels)
-        self.arange = np.arange(widest, dtype=np.int32)
-
         self._carve_batches(leaf_len, tuple_width, loader)
+        widest = max(self.leaf_slot.size, *(lv.t.size for lv in self.levels))
+        self.steps = np.arange(widest, dtype=np.int32)
+        self.fresh = np.empty(widest, dtype=np.int32)
+        self.scratch = np.empty(widest, dtype=np.int32)
+        self.step = self.loaded = self.written = self.top = 0
         self.write_rate = writer.write_bytes_per_cycle
         self.root_cost = tree.p * loader.record_bytes
 
@@ -297,12 +328,12 @@ class _Stage:
         run_seg = (self.run_leaf >> (self.depth - 1 - level)) * groups + self.run_group
         packed = np.repeat(run_seg * scale, self.lengths)
         packed += self.rank
-        packed.sort(kind="stable")
+        packed.sort()
         sizes = np.zeros(streams * groups, dtype=np.int64)
         np.add.at(sizes, run_seg, self.lengths)
         offset = tuple_j * self.widths[level]
-        real = offset < sizes[tuple_seg]
-        offset += _exclusive(sizes)[tuple_seg]
+        real = offset < np.take(sizes, tuple_seg)
+        offset += np.take(_exclusive(sizes), tuple_seg)
         offset[~real] = 0
         lead = packed[offset] if packed.size else np.zeros(offset.size, dtype=np.int64)
         del packed, offset
@@ -329,12 +360,12 @@ class _Stage:
         # flush and a terminal, which need both ports at their terminal.
         # Every action but a group's priming consume pushes one item.
         seg, local = _segment_index(blocks)
-        need_a = term_a[seg]
-        need_b = term_b[seg]
-        push = (local >= 1) | (n[seg] == 0)
+        need_a = np.take(term_a, seg)
+        need_b = np.take(term_b, seg)
+        push = (local >= 1) | (np.take(n, seg) == 0)
         local -= 1
         np.maximum(local, 0, out=local)
-        local += out.offsets.reshape(-1)[seg]
+        local += np.take(out.offsets.reshape(-1), seg)
         slot = out.slot_index(local, seg // groups, self.dummy)
         del seg, local
 
@@ -344,23 +375,20 @@ class _Stage:
         key = self._lead_ranks(level, tuple_seg, tuple_j)
         pair = (tuple_seg // groups >> 1) * groups + tuple_seg % groups
         key += pair.astype(np.int64) * (self.sentinel + 1)
-        order = np.argsort(key, kind="stable")
+        rank = np.empty_like(tuple_j)
+        rank[np.argsort(key, kind="stable")] = _segment_index(n)[1]
         del key
-        tuple_seg, tuple_j, pair = tuple_seg[order], tuple_j[order], pair[order]
-        del order
-        rank = np.arange(tuple_seg.size, dtype=np.int32)
-        rank -= _exclusive(n)[pair]
-        act = block_start[pair] + rank
+        act = np.take(block_start, pair) + rank
         before = np.where((tuple_seg // groups) & 1, rank - tuple_j, tuple_j)
-        need_a[act] = term_a[pair] - n_a[pair] + before
+        need_a[act] = np.take(term_a - n_a, pair) + before
         before -= rank
-        need_b[act] = term_b[pair] - n_b[pair] - before
+        need_b[act] = np.take(term_b - n_b, pair) - before
         del before, rank, pair
 
         # Each input item's pop: its consume, or for a terminal the
         # retirement slot after all actions.
         pop_src = np.empty(inp.hi - inp.lo, dtype=np.int32)
-        pop_src[inp.offsets.reshape(-1)[tuple_seg] + tuple_j - inp.lo] = act
+        pop_src[np.take(inp.offsets.reshape(-1) - inp.lo, tuple_seg) + tuple_j] = act
         term_index = np.arange(terms.size, dtype=np.int32)
         pop_src[terms - inp.lo] = total + term_index
 
@@ -379,10 +407,12 @@ class _Stage:
         starts = block_start.reshape(-1, groups)[:, 0]
         stops = np.append(starts[1:], total)
         return _Level(
-            need_a=need_a, need_b=need_b, slot=slot, push=push, out=out, inp=inp,
+            need_a=need_a, need_b=need_b, slot=slot,
+            push=np.flatnonzero(push).astype(np.int32), pop=pop_src, out=out, inp=inp,
             bounds=list(zip(starts.tolist(), stops.tolist())),
-            pop_src=pop_src, term_need=terms, term_anchor=anchor,
-            term_first=first, term_slot=slot[following],
+            ends=(stops - 1).astype(np.int32),
+            term_need=terms, term_anchor=anchor,
+            term_first=np.flatnonzero(first).astype(np.int32), term_slot=slot[following],
             block_start=block_start, n=n,
         )
 
@@ -394,20 +424,22 @@ class _Stage:
         blocks = n_in + (n_in & 1) + 1
         total = int(blocks.sum())
         seg, local = _segment_index(blocks)
-        consume = local < n_in[seg]
-        term = local == blocks[seg] - 1
-        need = inp.offsets.reshape(-1)[seg] + np.minimum(local, n_in[seg])
-        pushed = np.where(consume, local >> 1, (n_in[seg] + term) >> 1)
-        pushed += out.offsets.reshape(-1)[seg]
+        n_seg = np.take(n_in, seg)
+        consume = local < n_seg
+        term = local == n_seg + (n_seg & 1)
+        need = np.take(inp.offsets.reshape(-1), seg) + np.minimum(local, n_seg)
+        pushed = np.where(consume, local >> 1, (n_seg + term) >> 1)
+        pushed += np.take(out.offsets.reshape(-1), seg)
         starts = _exclusive(blocks).reshape(-1, self.groups)[:, 0]
         stops = np.append(starts[1:], total)
         return _Level(
             need_a=need, need_b=None,
             slot=out.slot_index(pushed, seg // self.groups, self.dummy),
-            push=~consume | (local & 1 == 1),
+            push=np.flatnonzero(~consume | (local & 1 == 1)).astype(np.int32),
+            pop=np.flatnonzero(consume | term).astype(np.int32),
             out=out, inp=inp,
             bounds=list(zip(starts.tolist(), stops.tolist())),
-            pop=consume | term,
+            ends=(stops - 1).astype(np.int32),
         )
 
     # ------------------------------------------------------------------
@@ -446,6 +478,7 @@ class _Stage:
         items = np.arange(leaves.lo, leaves.hi, dtype=np.int32)
         streams = np.repeat(np.arange(leaves.counts.shape[0]), (leaves.counts + 1).sum(axis=1))
         self.leaf_slot = leaves.slot_index(items, streams, self.dummy)
+        self.leaf_last = leaves.terminal()[:, -1] - leaves.lo
 
     # ------------------------------------------------------------------
     # one sweep
@@ -458,9 +491,10 @@ class _Stage:
         array[lo:hi] = values
         return True
 
-    def _load(self) -> bool:
-        """Exact replay of the loader: round-robin ``_find_feed`` against
-        the leaf pop times, one batch in flight, skid-buffer parking.
+    def _load(self) -> np.ndarray:
+        """The leaf pushes, by exact replay of the loader: round-robin
+        ``_find_feed`` against the leaf pop times, one batch in flight,
+        skid-buffer parking.
 
         A feed is eligible once its FIFO has ``batch_tuples + 1`` free
         slots and nothing of it is parked; a delivered item enters its
@@ -508,49 +542,77 @@ class _Stage:
             np.array([t for feed in delivered for t in feed], dtype=np.int32),
             self.batch_sizes,
         )
-        np.maximum(pushes, self.W[self.leaf_slot], out=pushes)
+        slots = np.take(self.W, self.leaf_slot, out=self.scratch[: pushes.size], mode="clip")
+        np.maximum(pushes, slots, out=pushes)
         pushes += 1
-        return self._store(self.V, leaves.lo, leaves.hi, pushes)
+        return pushes
 
     def _solve_level(self, lv: _Level) -> bool:
         """One level's action times by segmented cummax, then its pushes
-        (output V) and pops (input W)."""
+        (output V) and pops (input W); whether they changed.
+
+        Each action pushes or pops exactly one item (a priming consume
+        pops, a flush pushes, a coupler's terminal does both) at its time
+        plus the FIFO's delay, and each retirement is a terminal's pop.
+        So the pushes and pops are unchanged exactly when the times and
+        retirements are, and one compare stands for both stores.
+        """
         V, W = self.V, self.W
-        times = V[lv.need_a]
+        actions = lv.actions
+        t = self.fresh[: lv.t.size]
+        times = t[:actions]
+        other = self.scratch[:actions]
+        np.take(V, lv.need_a, out=times, mode="clip")
         if lv.need_b is not None:
-            np.maximum(times, V[lv.need_b], out=times)
-        np.maximum(times, W[lv.slot], out=times)
+            np.take(V, lv.need_b, out=other, mode="clip")
+            np.maximum(times, other, out=times)
+        np.take(W, lv.slot, out=other, mode="clip")
+        np.maximum(times, other, out=times)
         # t_s = max(t_{s-1} + 1, E_s)  <=>  t_s - s = cummax(E_s - s)
-        steps = self.arange[: times.size]
+        steps = self.steps[:actions]
         times -= steps
         for lo, hi in lv.bounds:
             np.maximum.accumulate(times[lo:hi], out=times[lo:hi])
         times += steps
-        lv.t = times
-        pushes = times[lv.push]
-        pushes += lv.out.push_delay
-        changed = self._store(V, lv.out.lo, lv.out.hi, pushes)
-        if lv.pop is not None:
-            pops = times[lv.pop]
-        else:
-            retire = times[lv.term_anchor]
+        if lv.term_need is not None:
+            retire = t[actions:]
+            np.take(times, lv.term_anchor, out=retire, mode="clip")
             retire += 1
             retire[lv.term_first] = 0
-            np.maximum(retire, V[lv.term_need], out=retire)
-            np.maximum(retire, W[lv.term_slot], out=retire)
-            lv.retire = retire
-            pops = np.concatenate((times, retire))[lv.pop_src]
-        pops += lv.inp.pop_delay
-        return self._store(W, lv.inp.lo, lv.inp.hi, pops) or changed
+            other = self.scratch[: retire.size]
+            np.take(V, lv.term_need, out=other, mode="clip")
+            np.maximum(retire, other, out=retire)
+            np.take(W, lv.term_slot, out=other, mode="clip")
+            np.maximum(retire, other, out=retire)
+        if np.array_equal(t, lv.t):
+            return False
+        lv.t[:] = t
+        out, inp = lv.out, lv.inp
+        pushes = V[out.lo:out.hi]
+        np.take(t, lv.push, out=pushes, mode="clip")
+        if out.push_delay:
+            pushes += out.push_delay
+        pops = W[inp.lo:inp.hi]
+        np.take(t, lv.pop, out=pops, mode="clip")
+        if inp.pop_delay:
+            pops += inp.pop_delay
+        out.v_step = inp.w_step = self.step
+        # A component's times rise, so its last action, a push, holds its
+        # latest; a merger's latest pop is a retirement, as each port's
+        # consumes come before its terminal retires.
+        latest = int(times[lv.ends].max())
+        popped = latest if lv.term_need is None else int(t[actions:].max())
+        self.top = max(self.top, latest + out.push_delay, popped + inp.pop_delay)
+        return True
 
-    def _write(self) -> bool:
+    def _write(self) -> np.ndarray:
         """The writer's pops: the arrival itself when one tick's credit
         always covers a root tuple, else an exact float credit replay."""
         root = self.root
         arrivals = self.V[root.lo:root.hi]
         rate, cost = self.write_rate, self.root_cost
         if rate >= cost:
-            return self._store(self.W, root.lo, root.hi, arrivals)
+            return arrivals
         cap = 4 * rate
         credit = 0.0
         tick = -1
@@ -569,20 +631,48 @@ class _Stage:
                     tick += 1
                 credit -= cost
             pops.append(tick)
-        return self._store(self.W, root.lo, root.hi, np.array(pops, dtype=np.int32))
+        return np.array(pops, dtype=np.int32)
 
     def sweep(self) -> bool:
-        """One Gauss-Seidel sweep; whether any time changed."""
-        changed = self._load()
+        """One Gauss-Seidel sweep; whether any time changed.
+
+        A component whose inputs no solve has changed since it last ran
+        would only rewrite what it wrote then, so it is skipped.
+        """
+        leaves, root = self.ports[self.depth - 1], self.root
+        self.top = 0
+        changed = False
+        self.step += 1
+        if leaves.w_step >= self.loaded:
+            self.loaded = self.step
+            pushes = self._load()
+            if self._store(self.V, leaves.lo, leaves.hi, pushes):
+                # A FIFO's pushes rise, so its last item holds its latest.
+                self.top = int(pushes[self.leaf_last].max())
+                leaves.v_step = self.step
+                changed = True
         for lv in self.levels:
-            changed = self._solve_level(lv) or changed
-        return self._write() or changed
+            self.step += 1
+            if lv.inp.v_step >= lv.ran or lv.out.w_step >= lv.ran:
+                lv.ran = self.step
+                changed = self._solve_level(lv) or changed
+        self.step += 1
+        if root.v_step >= self.written:
+            self.written = self.step
+            pops = self._write()
+            if self._store(self.W, root.lo, root.hi, pops):
+                # The writer pops in order, so its last pop is its latest.
+                self.top = max(self.top, int(pops[-1]))
+                root.w_step = self.step
+                changed = True
+        return changed
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
     def merger_stats(self, cycles: int) -> list[MergerStats]:
-        """Per-merger counters from the fixed point's action times.
+        """Per-merger counters from the fixed point's action times,
+        worked out in the sweep's scratch buffers.
 
         Between two actions a merger ticks without acting: idle while no
         run is in progress, else stalled on output while its output FIFO
@@ -594,24 +684,25 @@ class _Stage:
         groups = self.groups
         for level in range(self.depth):
             lv = self.merger_levels[level]
-            t = lv.t
+            t = lv.t[: lv.actions]
             starts = np.array([lo for lo, _hi in lv.bounds])
-            begin = np.empty_like(t)
+            begin = self.fresh[: t.size]
             begin[1:] = t[:-1]
             begin[starts] = -1
             begin += 1
-            retire = lv.retire.copy()
+            retire = lv.t[lv.actions:].copy()
             retire[lv.inp.counts.reshape(-1) > 0] = np.iinfo(np.int32).max
             retire = retire.reshape(-1, 2, groups).min(axis=1).reshape(-1)
-            running = begin.copy()
+            running = self.scratch[: t.size]
+            running[:] = begin
             heads = lv.block_start
             running[heads] = np.clip(retire, begin[heads], t[heads])
-            full_until = np.clip(self.W[lv.slot], running, t)
-            idle = np.add.reduceat(running - begin, starts)
-            stall_output = np.add.reduceat(full_until - running, starts)
-            stall_input = np.add.reduceat(t - full_until, starts)
-            ends = np.append(starts[1:], t.size) - 1
-            idle += cycles - 1 - t[ends]
+            full_until = np.take(self.W, lv.slot)
+            np.clip(full_until, running, t, out=full_until)
+            idle = np.add.reduceat(np.subtract(running, begin, out=begin), starts)
+            stall_output = np.add.reduceat(np.subtract(full_until, running, out=running), starts)
+            stall_input = np.add.reduceat(np.subtract(t, full_until, out=full_until), starts)
+            idle += cycles - 1 - t[lv.ends]
             n = lv.n.reshape(-1, groups)
             for index in range(len(lv.bounds)):
                 stats.append(MergerStats(
@@ -672,11 +763,14 @@ def solve(tree, runs, keys: np.ndarray, lengths: np.ndarray, loader, writer, max
             f"{4 * rate:g} bytes, below one {cost}-byte root tuple: the "
             f"{_shape(tree, lengths)} can never write a record"
         )
-    stage = _Stage(tree, keys, lengths, loader, writer)
+    obs = observation()
+    with obs.span("hw.timestamp.build"):
+        stage = _Stage(tree, keys, lengths, loader, writer)
     # A stage's cycle count is above its read transfers, so transfers over
     # the budget settle it before any sweep.  One sweep adds at most the
     # transfers to the latest time, so with them below 2**30 the check in
-    # the loop keeps the int32 arrays from wrapping.
+    # the loop, on the latest time each sweep wrote, keeps the int32
+    # arrays from wrapping.
     limit = min(max_cycles, _TIME_LIMIT)
     transfers = stage.loader_stats.cycles_bandwidth_limited
     if transfers > limit:
@@ -688,16 +782,18 @@ def solve(tree, runs, keys: np.ndarray, lengths: np.ndarray, loader, writer, max
     # back (the sweeps are not monotone), so only the fixed point's cycle
     # count is held to the budget.
     sweep = 0
-    while True:
-        sweep += 1
-        changed = stage.sweep()
-        if max(int(stage.V.max()), int(stage.W.max())) >= _TIME_LIMIT:
-            raise SimulationError(
-                f"simulation did not complete within {_TIME_LIMIT} cycles, the "
-                f"timestamp engine's int32 range: the {_shape(tree, lengths)} needs more"
-            )
-        if not changed:
-            break
+    with obs.span("hw.timestamp.sweeps") as span:
+        while True:
+            sweep += 1
+            changed = stage.sweep()
+            if stage.top >= _TIME_LIMIT:
+                raise SimulationError(
+                    f"simulation did not complete within {_TIME_LIMIT} cycles, the "
+                    f"timestamp engine's int32 range: the {_shape(tree, lengths)} needs more"
+                )
+            if not changed:
+                break
+        span.set(sweeps=sweep)
     cycles = int(stage.W[stage.root.hi - 1]) + 1
     if cycles > max_cycles:
         raise SimulationError(

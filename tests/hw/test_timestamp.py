@@ -21,10 +21,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.stage import split_into_runs
 from repro.errors import ConfigurationError, SimulationError
 from repro.hw import timestamp
 from repro.hw.tree import simulate_merge
 from repro.obs.runtime import activated, live_observation
+from repro.records.valsort import content_digest
+from repro.records.workloads import WorkloadSpec, generate
 from repro.serve.session import SortJob, SortSession
 
 RECORD_BYTES = 4
@@ -497,6 +500,26 @@ class TestTimestampEngine:
                 read_bytes_per_cycle=4.0, max_cycles=100,
             )
 
+    def test_times_past_int32_range_raise(self, monkeypatch):
+        """A time at or past ``_TIME_LIMIT`` stops the sweeps before the
+        int32 arrays can wrap.  With the limit between the stage's read
+        transfers (400) and its cycle count (603), the transfer check
+        passes and the sweep that writes the latest times raises."""
+        shape = dict(
+            p=2, leaves=2, runs=[list(range(200)), list(range(200))],
+            read_bytes_per_cycle=4.0,
+        )
+        _out, stats = simulate_merge(**shape)
+        transfers = stats.loader_stats.cycles_bandwidth_limited
+        assert (transfers, stats.cycles) == (400, 603)
+        monkeypatch.setattr(timestamp, "_TIME_LIMIT", 500)
+        with pytest.raises(SimulationError, match=(
+            r"simulation did not complete within 500 cycles, the timestamp "
+            r"engine's int32 range: the AMT\(2, 2\) stage of 400 records in 2 "
+            r"runs needs more"
+        )):
+            simulate_merge(**shape)
+
     @pytest.mark.parametrize("seed", range(16))
     def test_sweeps_extend_an_exact_prefix(self, seed, monkeypatch):
         """Why the uncapped sweeps end.  They are not monotone, but after
@@ -531,14 +554,24 @@ class TestNoFallbacks:
     timestamp engine on every stage (benchmarks/ledger/workloads.py)."""
 
     def run_observed(self, fn):
+        """Run ``fn`` traced: every stage runs the timestamp engine, with
+        one build and one sweeps span inside its ``hw.merge_stage``."""
         live = live_observation()
         with activated(live):
             fn()
         registry = live.registry
         assert registry.counter_total("sim.engine_sweeps") > 0
-        stages = [s for s in live.sink.spans() if s["name"] == "hw.merge_stage"]
+        spans = live.sink.spans()
+        stages = [s for s in spans if s["name"] == "hw.merge_stage"]
         assert stages and all(s["attrs"]["engine"] == "timestamp" for s in stages)
         assert all(s["attrs"]["sweeps"] > 0 for s in stages)
+        for stage in stages:
+            build, sweeps = sorted(
+                (s for s in spans if s["parent"] == stage["span"]), key=lambda s: s["name"]
+            )
+            assert (build["name"], sweeps["name"]) == ("hw.timestamp.build", "hw.timestamp.sweeps")
+            assert sweeps["attrs"]["sweeps"] == stage["attrs"]["sweeps"]
+            assert build["dur_s"] + sweeps["dur_s"] <= stage["dur_s"]
         return registry
 
     def test_simulate_compute(self):
@@ -565,3 +598,40 @@ class TestNoFallbacks:
 
         self.run_observed(sort)
         assert runs[0] == sorted(keys)
+
+
+class TestLedgerIterates:
+    """The ledger's two simulate shapes at full size
+    (benchmarks/ledger/workloads.py), pinned per stage: a change to the
+    sweep kernel that skips or adds a sweep, or moves a cycle, fails
+    here."""
+
+    def test_simulate_compute(self):
+        job = SortJob(
+            records=30_000, workload="uniform", seed=1, p=8, leaves=16, mode="simulate",
+        )
+        live = live_observation()
+        with activated(live):
+            payload = SortSession().run_sort(job)
+        stages = [
+            (s["cycles"], s["attrs"]["sweeps"])
+            for s in live.sink.spans() if s["name"] == "hw.merge_stage"
+        ]
+        assert stages == [(4155, 9), (4112, 20), (4235, 15)]
+        assert payload["digest"] == "837d6e2f5f716012"
+
+    def test_simulate_storage(self):
+        keys = generate(WorkloadSpec(kind="uniform", n_records=48_000, seed=1))
+        runs = [run.tolist() for run in split_into_runs(keys, PRESORT_RUN)]
+        stages = []
+        while len(runs) > 1:
+            runs, stats = simulate_merge(
+                16, 4, runs, read_bytes_per_cycle=0.02 * 16 * RECORD_BYTES,
+                batch_bytes=4096, check_sorted_inputs=False,
+            )
+            stages.append((stats.cycles, stats.sweeps))
+        assert [cycles for cycles, _sweeps in stages] == [
+            151_414, 150_305, 150_195, 150_238, 150_251, 150_257,
+        ]
+        assert [sweeps for _cycles, sweeps in stages] == [37, 37, 4, 5, 5, 39]
+        assert content_digest(np.array(runs[0], dtype=np.uint64)) == "324705bb7452fce3"

@@ -9,6 +9,8 @@ relies on (monotonicity of the optimizer in hardware generosity).
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +71,53 @@ class TestRecordConservation:
         out_multiset = sorted(x for run in simulated for x in run)
         assert in_multiset == out_multiset
         assert stats.records_in == stats.records_out == len(in_multiset)
+
+
+@st.composite
+def simulator_stages(draw):
+    """A ``simulate_merge`` stage over keys from the engine's whole
+    range, Python ints in ``[-2**70, 2**70)`` or full-range uint64
+    arrays, with drawn read and write budgets and batch size.  A small
+    key pool makes ties abound.  Writes get at least a quarter root tuple
+    per cycle, below which the writer can never drain the root."""
+    p = draw(st.sampled_from([1, 2, 4, 8]))
+    demand = p * 4
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    arrays = draw(st.booleans())
+    low, high = (0, 2**64) if arrays else (-2**70, 2**70)
+    pool = [rng.randrange(low, high) for _ in range(draw(st.sampled_from([3, 500])))]
+    runs = [
+        sorted(rng.choice(pool) for _ in range(length))
+        for length in draw(st.lists(st.integers(0, 30), max_size=12))
+    ]
+    if arrays:
+        runs = [np.array(run, dtype=np.uint64) for run in runs]
+    read = draw(st.sampled_from([None, 0.05, 0.25, 1.0, 3.0]))
+    write = draw(st.sampled_from([None, 0.25, 0.5, 1.0, 3.0]))
+    return dict(
+        p=p, leaves=draw(st.sampled_from([2, 4, 8, 16])), runs=runs, record_bytes=4,
+        read_bytes_per_cycle=None if read is None else read * demand,
+        write_bytes_per_cycle=None if write is None else write * demand,
+        batch_bytes=draw(st.sampled_from([4, 16, 64, 256, 4096])),
+    )
+
+
+class TestSimulatorEngines:
+    @given(simulator_stages())
+    @settings(max_examples=40, deadline=None)
+    def test_fast_equals_naive(self, shape):
+        """The timestamp engine and the per-cycle stepper give the same
+        runs, cycles and ``StageStats`` counters over the whole key range
+        and any memory budget."""
+        fast_runs, fast = simulate_merge(engine="fast", **shape)
+        naive_runs, naive = simulate_merge(engine="naive", **shape)
+        assert [type(run) for run in fast_runs] == [type(run) for run in naive_runs]
+        assert [list(run) for run in fast_runs] == [list(run) for run in naive_runs]
+        assert fast.cycles == naive.cycles
+        assert fast == naive
+        assert fast.sweeps > 0 and naive.sweeps == 0
+        keys = sorted(int(key) for run in shape["runs"] for key in run)
+        assert sorted(int(key) for run in fast_runs for key in run) == keys
 
 
 def draw_keys(draw, count: int) -> np.ndarray:
