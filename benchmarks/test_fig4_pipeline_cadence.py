@@ -59,7 +59,7 @@ def test_fig4_pipeline_cadence(benchmark, save_report):
     save_report("fig4_pipeline_cadence", report)
 
     for index, array in enumerate(arrays):
-        assert pipeline.outputs[index] == sorted(array)
+        assert pipeline.outputs[index].tolist() == sorted(array)
     # Constant cadence after the fill.
     steady = intervals[1:]
     assert max(steady) - min(steady) <= 0.2 * max(steady)

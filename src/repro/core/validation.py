@@ -19,8 +19,10 @@ from repro.core.configuration import AmtConfig
 from repro.core.parameters import HardwareParams, MergerArchParams
 from repro.core.performance import PerformanceModel
 from repro.core.resources import ResourceModel
+from repro.engine.stage import split_into_runs
 from repro.errors import ConfigurationError
-from repro.hw.tree import simulate_merge
+from repro.hw.clock import DEFAULT_MAX_CYCLES
+from repro.hw.tree import merge_to_one_run
 from repro.records.workloads import runs_of_sorted
 
 
@@ -55,33 +57,22 @@ def simulate_sort_cycles(
     Returns ``(total_cycles, stages)``.  The data starts as presorted
     runs of ``presort_run`` records (the presorter is pipelined with
     loading and adds no stage time, §VI-C1) and passes through the tree
-    until one run remains, exactly like steps 2-3 of Fig. 2.
+    until one run remains, exactly like steps 2-3 of Fig. 2.  The whole
+    sort shares one cycle budget, :data:`~repro.hw.clock.DEFAULT_MAX_CYCLES`.
     """
     if n_records < 1:
         raise ConfigurationError("need at least one record")
     data = runs_of_sorted(n_records, seed=seed, run_length=presort_run)
-    runs = [
-        [int(x) for x in data[start : start + presort_run]]
-        for start in range(0, n_records, presort_run)
-    ]
-    read_budget = hardware.beta_dram / frequency_hz
-    write_budget = hardware.beta_dram / frequency_hz
-    total_cycles = 0
-    stages = 0
-    while len(runs) > 1 or stages == 0:
-        runs, stats = simulate_merge(
-            p=config.p,
-            leaves=config.leaves,
-            runs=runs,
-            record_bytes=record_bytes,
-            read_bytes_per_cycle=read_budget,
-            write_bytes_per_cycle=write_budget,
-            batch_bytes=min(hardware.batch_bytes, 1024),
-            check_sorted_inputs=False,
-        )
-        total_cycles += stats.cycles
-        stages += 1
-    return total_cycles, stages
+    _run, cycles, stages = merge_to_one_run(
+        split_into_runs(data, presort_run, presorted=True),
+        DEFAULT_MAX_CYCLES,
+        p=config.p,
+        leaves=config.leaves,
+        record_bytes=record_bytes,
+        bytes_per_cycle=hardware.beta_dram / frequency_hz,
+        batch_bytes=min(hardware.batch_bytes, 1024),
+    )
+    return cycles, stages
 
 
 def validate_performance(

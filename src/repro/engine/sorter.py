@@ -148,7 +148,6 @@ class AmtSorter:
         """One stage through the cycle simulator, every group in one tree."""
         frequency = self.arch.frequency_hz
         budget = self.hardware.beta_dram / frequency
-        dtype = runs[0].dtype if runs else np.uint64
         out_runs, stats = simulate_merge(
             p=self.config.p,
             leaves=self.config.leaves,
@@ -159,7 +158,4 @@ class AmtSorter:
             batch_bytes=min(self.hardware.batch_bytes, 1024),
             check_sorted_inputs=False,
         )
-        return (
-            [np.asarray(run, dtype=dtype) for run in out_runs],
-            stats.cycles / frequency,
-        )
+        return out_runs, stats.cycles / frequency

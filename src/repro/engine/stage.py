@@ -9,7 +9,11 @@ whole input, so every model-mode sorter sorts its input once
 here serve the callers that keep their runs: :func:`merge_stage` merges
 each group of ``leaves`` sorted runs by sorting the group's
 concatenation, and since the runs sit in group order, a stable sort is
-exactly the k-way merge in which the lower-indexed run wins ties.
+exactly the k-way merge in which the lower-indexed run wins ties.  That
+group sort, :func:`sort_groups`, is also the cycle simulator's data
+path: which records leave a stage depends on the keys alone, so
+:func:`~repro.hw.tree.simulate_merge` merges its runs here and solves
+only their timing.
 Equal integer (and bool) keys are the same bytes, so for those dtypes
 any sort returns the stable sort's bytes and numpy's default sort, the
 fastest, is used; every other dtype keeps the stable sort
@@ -23,6 +27,7 @@ merger's ``<=`` port preference.
 from __future__ import annotations
 
 from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -66,9 +71,9 @@ def merge_stage(runs: list[np.ndarray], leaves: int) -> list[np.ndarray]:
     Mirrors :func:`repro.hw.loader.make_feeds`' grouping — output run
     ``j`` merges input runs ``[j * leaves, (j + 1) * leaves)``, exactly
     as :func:`merge_runs_numpy` would.  Runs of one dtype are
-    concatenated once and each group's slice is sorted in place, so the
-    output runs are disjoint slices of one fresh array; runs of mixed
-    dtypes merge group by group, each group in its own result dtype.
+    concatenated once and merged by :func:`sort_groups`, so the output
+    runs are disjoint slices of one fresh array; runs of mixed dtypes
+    merge group by group, each group in its own result dtype.
     """
     if leaves < 2:
         raise ConfigurationError(f"a merge stage needs >= 2 leaves, got {leaves}")
@@ -78,13 +83,26 @@ def merge_stage(runs: list[np.ndarray], leaves: int) -> list[np.ndarray]:
     starts = range(0, len(arrays), leaves)
     if len({array.dtype for array in arrays}) > 1:
         return [merge_runs_numpy(arrays[start : start + leaves]) for start in starts]
-    buffer = np.concatenate(arrays)
-    kind = sort_kind(buffer.dtype)
-    offsets = list(accumulate((array.size for array in arrays), initial=0))
+    return sort_groups(np.concatenate(arrays), [array.size for array in arrays], leaves)
+
+
+def sort_groups(keys: np.ndarray, lengths: Sequence[int], leaves: int) -> list[np.ndarray]:
+    """Merge a stage's runs laid end to end in ``keys``, in place.
+
+    ``lengths`` are the runs' sizes in order; each group of ``leaves``
+    consecutive runs becomes one run, sorted in place under
+    :func:`sort_kind` (a group of one run is already sorted).  Returns
+    the groups as disjoint slices of ``keys``, and one empty slice for a
+    stage without runs.  :func:`merge_stage` and the cycle simulator's
+    :func:`~repro.hw.tree.simulate_merge` both merge through here.
+    """
+    kind = sort_kind(keys.dtype)
+    offsets = list(accumulate(lengths, initial=0))
+    count = len(lengths)
     merged = []
-    for start in starts:
-        stop = min(start + leaves, len(arrays))
-        group = buffer[offsets[start] : offsets[stop]]
+    for start in range(0, max(count, 1), leaves):
+        stop = min(start + leaves, count)
+        group = keys[offsets[start] : offsets[stop]]
         if stop - start > 1:
             group.sort(kind=kind)
         merged.append(group)

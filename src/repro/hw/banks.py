@@ -24,44 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.engine.stage import split_into_runs
 from repro.errors import ConfigurationError, SimulationError
 from repro.hw.clock import DEFAULT_MAX_CYCLES
-from repro.hw.tree import simulate_merge
+from repro.hw.tree import merge_to_one_run
 from repro.parallel.plan import ParallelPlan
-
-
-def merge_to_one_run(
-    runs: list[np.ndarray],
-    max_cycles: int,
-    *,
-    p: int,
-    leaves: int,
-    record_bytes: int,
-    bytes_per_cycle: float,
-    batch_bytes: int,
-) -> tuple[np.ndarray, int, int]:
-    """Merge ``runs`` stage by stage on one AMT until one run is left.
-
-    Runs at least one stage, even over a single run (the data still
-    streams through the tree once).  Returns ``(run, cycles, stages)``,
-    where ``cycles`` sums the stages' cycle counts.  ``max_cycles``
-    budgets the whole loop: each stage gets what the earlier ones left.
-    """
-    cycles = stages = 0
-    while stages == 0 or len(runs) > 1:
-        runs, stats = simulate_merge(
-            p=p,
-            leaves=leaves,
-            runs=runs,
-            record_bytes=record_bytes,
-            read_bytes_per_cycle=bytes_per_cycle,
-            write_bytes_per_cycle=bytes_per_cycle,
-            batch_bytes=batch_bytes,
-            max_cycles=max_cycles - cycles,
-        )
-        cycles += stats.cycles
-        stages += 1
-    return runs[0], cycles, stages
 
 
 def sort_unit(
@@ -69,16 +36,13 @@ def sort_unit(
 ) -> tuple[np.ndarray, int, int]:
     """One unrolled unit: sort a uint64 ``chunk`` from presorted runs.
 
-    ``shape`` holds :func:`merge_to_one_run`'s keyword arguments.
-    Returns the sorted chunk, the unit's cycle count and its stage
-    count.  A unit that cannot finish within ``max_cycles`` raises
+    ``shape`` holds :func:`~repro.hw.tree.merge_to_one_run`'s keyword
+    arguments.  Returns the sorted chunk, the unit's cycle count and its
+    stage count.  A unit that cannot finish within ``max_cycles`` raises
     :class:`~repro.errors.SimulationError` carrying ``simulate_merge``'s
     stall diagnosis.
     """
-    runs = [
-        np.sort(chunk[start : start + presort_run])
-        for start in range(0, chunk.size, presort_run)
-    ] or [chunk]
+    runs = split_into_runs(chunk, presort_run) or [chunk]
     try:
         return merge_to_one_run(runs, max_cycles, **shape)
     except SimulationError as exc:
@@ -111,7 +75,7 @@ class UnrolledSimulation:
     stages_done: int = field(init=False, default=0)
     parallel_cycles: int = field(init=False, default=0)
     final_merge_cycles: int = field(init=False, default=0)
-    output: list[int] = field(init=False, default_factory=list)
+    output: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.lambda_unroll < 2:
@@ -162,5 +126,5 @@ class UnrolledSimulation:
             bytes_per_cycle=self.total_bytes_per_cycle, **shape,
         )
         self.stages_done = max(stages for _cycles, stages in results) + final_stages
-        self.output = merged.tolist()
+        self.output = merged
         return self.parallel_cycles + self.final_merge_cycles

@@ -108,8 +108,8 @@ def format_stall_report(components: list, cycle: int) -> str:
 
     Lists every FIFO a component holds (occupancy/capacity/high-water
     mark) and each merger's run state (done flags, feedback register),
-    so a ``max_cycles`` timeout is diagnosable without re-running under
-    a trace recorder.
+    so a ``max_cycles`` timeout is diagnosable without re-running the
+    stage.
     """
     fifos: dict[int, Fifo] = {}
     merger_lines: list[str] = []

@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.engine.stage import split_into_runs
 from repro.errors import ConfigurationError, SimulationError
 from repro.hw.tree import simulate_merge
 from repro.parallel.shm import as_uint64_keys
@@ -65,7 +66,7 @@ class PipelineSimulation:
 
     stage_busy_cycles: list[int] = field(init=False, default_factory=list)
     completion_cycles: dict[int, int] = field(init=False, default_factory=dict)
-    outputs: dict[int, list[int]] = field(init=False, default_factory=dict)
+    outputs: dict[int, np.ndarray] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.lambda_pipe < 2:
@@ -92,10 +93,7 @@ class PipelineSimulation:
                     f"({len(array)} > {self.capacity_records()})"
                 )
             keys = as_uint64_keys(array)
-            queued.append([
-                np.sort(keys[start : start + self.presort_run])
-                for start in range(0, keys.size, self.presort_run)
-            ] or [keys])
+            queued.append(split_into_runs(keys, self.presort_run) or [keys])
 
         self.stage_busy_cycles = [0] * self.lambda_pipe
         stage_free = [0] * self.lambda_pipe  # finish(i, j - 1)
@@ -126,7 +124,7 @@ class PipelineSimulation:
                     f"{len(runs)} runs; pipeline too shallow"
                 )
             self.completion_cycles[index] = ready - 1
-            self.outputs[index] = runs[0].tolist()
+            self.outputs[index] = runs[0]
         return stage_free[-1]
 
     # ------------------------------------------------------------------

@@ -41,7 +41,10 @@ so ``T`` rises at least once every few sweeps (a slot freed in the cycle
 it is seen travels one level against the sweep order per sweep) until
 it passes the stage's last cycle.  The engine only ever returns a
 verified fixed point.  It needs only the keys' order, taken as their
-dense ranks, so keys outside ``[0, 2**64)`` solve like any others.
+dense ranks, so keys of any dtype solve alike.  It solves timing only:
+a :class:`Solution` holds the cycles and counters, and the merged runs
+come from the stage's group sort (:func:`repro.engine.stage.sort_groups`),
+since which records leave a stage follows from the keys alone.
 
 A sweep is gathers, a running maximum and stores over buffers built
 once per stage.  Each level keeps its last action times (and, for
@@ -62,16 +65,13 @@ sweep would leave.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.hw.loader import batch_pieces, leaf_positions
 from repro.hw.probes import LoaderStats, MergerStats
 from repro.obs.runtime import observation
-from repro.parallel.shm import as_uint64_keys
 
 #: Largest cycle the int32 time arrays may hold.
 _TIME_LIMIT = 1 << 30
@@ -79,38 +79,13 @@ _TIME_LIMIT = 1 << 30
 
 @dataclass
 class Solution:
-    """A solved stage: merged runs plus everything ``StageStats`` reports."""
+    """A solved stage's timing: everything ``StageStats`` reports."""
 
-    runs: list
     cycles: int
     merger_stats: list[MergerStats]
     loader_stats: LoaderStats
     bytes_written: int
     sweeps: int
-
-
-def array_runs(runs: Sequence[Sequence[int]]) -> bool:
-    """Whether a stage's runs (and so its merged runs) are numpy arrays."""
-    return bool(runs) and all(isinstance(run, np.ndarray) for run in runs)
-
-
-def key_array(runs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The runs as one flat key array plus per-run lengths.
-
-    The keys are uint64 when every one is an integer in ``[0, 2**64)``
-    (the range :func:`repro.parallel.shm.as_uint64_keys` admits).  Any
-    other keys keep their own dtype (object for Python sequences), which
-    :func:`first_unsorted` and the engine's dense ranks still order.
-    """
-    lengths = np.fromiter((len(run) for run in runs), dtype=np.int64, count=len(runs))
-    if array_runs(runs):
-        flat = np.concatenate(runs)
-    else:
-        flat = [key for run in runs for key in run]
-    try:
-        return as_uint64_keys(flat), lengths
-    except ConfigurationError:
-        return np.asarray(flat, dtype=None if array_runs(runs) else object), lengths
 
 
 def first_unsorted(keys: np.ndarray, lengths: np.ndarray) -> tuple[int, int] | None:
@@ -719,22 +694,6 @@ class _Stage:
         return stats
 
 
-def _output_runs(runs, keys: np.ndarray, lengths: np.ndarray, leaves: int) -> list:
-    """Each group's records in order, as the writer collects them:
-    uint64 arrays for array runs, else lists of the runs' own keys."""
-    groups = max(1, -(-len(runs) // leaves))
-    if array_runs(runs):
-        starts = np.concatenate(([0], np.cumsum(lengths))).tolist()
-        return [
-            np.sort(keys[starts[g * leaves] : starts[min((g + 1) * leaves, len(runs))]])
-            for g in range(groups)
-        ]
-    return [
-        sorted(chain.from_iterable(runs[g * leaves : (g + 1) * leaves]))
-        for g in range(groups)
-    ]
-
-
 def _shape(tree, lengths: np.ndarray) -> str:
     """A stage's shape, for error messages."""
     return (
@@ -743,11 +702,12 @@ def _shape(tree, lengths: np.ndarray) -> str:
     )
 
 
-def solve(tree, runs, keys: np.ndarray, lengths: np.ndarray, loader, writer, max_cycles: int):
-    """Solve one stage of ``runs`` on ``tree``; a :class:`Solution`.
+def solve(tree, keys: np.ndarray, lengths: np.ndarray, loader, writer, max_cycles: int):
+    """Solve the timing of one stage on ``tree``; a :class:`Solution`.
 
-    ``keys`` and ``lengths`` are the runs' :func:`key_array`, with a
-    total order (the caller rejects NaN).  ``loader`` and ``writer`` carry
+    ``keys`` holds the stage's runs end to end and ``lengths`` their
+    sizes; the keys need a total order (the caller rejects NaN) and are
+    only read.  ``loader`` and ``writer`` carry
     the stage's memory parameters (their feeds and source are not read);
     ``tree``'s leaf FIFOs must already have their stage capacity.
 
@@ -805,7 +765,6 @@ def solve(tree, runs, keys: np.ndarray, lengths: np.ndarray, loader, writer, max
     merger_stats = stage.merger_stats(cycles)
     del stage
     return Solution(
-        runs=_output_runs(runs, keys, lengths, tree.leaves),
         cycles=cycles,
         merger_stats=merger_stats,
         loader_stats=loader_stats,

@@ -8,26 +8,33 @@ If for a given level k, we have 2^k > p, we use 1-mergers."
 
 :class:`AmtTree` wires mergers, couplers and FIFOs into that shape;
 :func:`simulate_merge` drives one full merge stage — data loader at the
-leaves, output writer at the root — and returns the merged runs plus
-cycle-level statistics.  This is the reproduction's stand-in for running
-the Verilog design on the FPGA.
+leaves, output writer at the root — and returns the merged runs, one
+numpy array per group, plus cycle-level statistics;
+:func:`merge_to_one_run` repeats it until one run is left.  This is the
+reproduction's stand-in for running the Verilog design on the FPGA.
 
-Which engine runs a stage: ``engine="fast"`` (the default) solves it
-with the timestamp engine (:mod:`repro.hw.timestamp`); ``engine="naive"``
+Which records leave a stage depends on the keys alone, so a stage's
+data is one key array merged by the group sort model mode uses
+(:func:`repro.engine.stage.sort_groups`), and an engine solves only its
+timing.  Which engine: ``engine="fast"`` (the default) solves it with
+the timestamp engine (:mod:`repro.hw.timestamp`); ``engine="naive"``
 ticks every component every cycle (:class:`~repro.hw.clock.Simulation`),
 and so does a stage whose input runs are not sorted, which only
-``check_sorted_inputs=False`` lets through.  Both engines give the same
-runs, cycles and statistics.
+``check_sorted_inputs=False`` lets through.  The stepper merges the keys
+itself, an independent oracle for the group sort; both engines give the
+same runs, cycles and statistics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, pairwise
 from typing import Sequence
 
 import numpy as np
 
+from repro.engine.stage import sort_groups
 from repro.errors import ConfigurationError, SimulationError
 from repro.hw import timestamp
 from repro.hw.clock import DEFAULT_MAX_CYCLES, Simulation
@@ -37,6 +44,7 @@ from repro.hw.loader import DataLoader, OutputWriter, make_feeds
 from repro.hw.merger import KMerger
 from repro.hw.probes import StageStats
 from repro.obs.runtime import observation
+from repro.parallel.shm import as_uint64_keys
 from repro.units import is_power_of_two, log2_int
 
 #: FIFO depth (in tuples) between internal tree levels; absorbs selection
@@ -165,6 +173,31 @@ class AmtTree:
         return total
 
 
+def _stage_keys(runs: Sequence[Sequence[int]]) -> np.ndarray:
+    """A stage's runs laid end to end: the one fresh key array it merges.
+
+    Array runs keep their dtype, as numpy concatenates them; integer
+    arrays whose common type is a float (int64 with uint64) would lose
+    keys and are rejected.  Other runs become uint64 when every key is
+    an int in ``[0, 2**64)`` (:func:`~repro.parallel.shm.as_uint64_keys`),
+    and otherwise an object array of the caller's own keys.
+    """
+    if runs and all(isinstance(run, np.ndarray) for run in runs):
+        keys = np.concatenate(runs)
+        if keys.dtype.kind == "f" and all(run.dtype.kind in "iu" for run in runs):
+            dtypes = sorted({str(run.dtype) for run in runs})
+            raise ConfigurationError(
+                f"runs of dtypes {dtypes} have no common integer dtype "
+                f"(numpy would merge them as {keys.dtype})"
+            )
+        return keys
+    flat = list(chain.from_iterable(runs))
+    try:
+        return as_uint64_keys(flat)
+    except ConfigurationError:
+        return np.array(flat, dtype=object)
+
+
 def simulate_merge(
     p: int,
     leaves: int,
@@ -177,7 +210,7 @@ def simulate_merge(
     check_sorted_inputs: bool = True,
     auto_shrink: bool = True,
     engine: str = "fast",
-) -> tuple[list[list[int]], StageStats]:
+) -> tuple[list[np.ndarray], StageStats]:
     """Run one merge stage of AMT(p, l) over ``runs``.
 
     Parameters
@@ -214,17 +247,19 @@ def simulate_merge(
     Returns
     -------
     (output_runs, stats):
-        Merged runs in group order, and cycle-level stage statistics.
-        The runs are uint64 arrays when ``runs`` are numpy arrays whose
-        keys all lie in ``[0, 2**64)``, and lists otherwise: for list
-        input (reusing its key objects), and for arrays holding other
-        keys (negative or float), as Python scalars.
+        Merged runs in group order, one numpy array per group, and
+        cycle-level stage statistics.  Array runs keep their dtype;
+        other runs come back as uint64 when every key is an int in
+        ``[0, 2**64)``, and as object arrays of the caller's own keys
+        otherwise.  The engines time the stage on the keys' dense ranks,
+        so the dtype never changes a cycle.
 
     Raises
     ------
     ConfigurationError
-        For an unsorted run (unless ``check_sorted_inputs`` is false) and
-        for NaN keys, which have no merge order.
+        For an unsorted run (unless ``check_sorted_inputs`` is false),
+        for NaN keys, which have no merge order, and for integer arrays
+        with no common integer dtype (int64 with uint64).
     SimulationError
         When the stage cannot finish within ``max_cycles``.
     """
@@ -234,9 +269,9 @@ def simulate_merge(
         )
     obs = observation()
     with obs.span("hw.merge_stage", p=p) as span:
-        keys, lengths = timestamp.key_array(runs)
-        uint64_keys = keys.dtype == np.uint64
-        if not uint64_keys and np.any(keys != keys):
+        keys = _stage_keys(runs)
+        lengths = np.fromiter((len(run) for run in runs), dtype=np.int64, count=len(runs))
+        if keys.dtype.kind not in "iub" and np.any(keys != keys):
             raise ConfigurationError("NaN keys have no merge order")
         unsorted = timestamp.first_unsorted(keys, lengths)
         if unsorted is not None and check_sorted_inputs:
@@ -244,9 +279,6 @@ def simulate_merge(
             raise ConfigurationError(
                 f"input run {index} is not sorted at value {runs[index][offset]!r}"
             )
-        arrays = timestamp.array_runs(runs)
-        if arrays and not uint64_keys:
-            runs = [run.tolist() for run in runs]
         if auto_shrink and len(runs) < leaves:
             shrunk = 1 << max(1, (max(2, len(runs)) - 1).bit_length())
             leaves = min(leaves, shrunk)
@@ -282,12 +314,19 @@ def simulate_merge(
             expected_runs=n_groups,
         )
         if engine == "fast" and unsorted is None:
-            solution = timestamp.solve(tree, runs, keys, lengths, loader, writer, max_cycles)
+            # Which records leave the stage follows from the keys alone:
+            # the engine solves the timing, the group sort the data.
+            solution = timestamp.solve(tree, keys, lengths, loader, writer, max_cycles)
+            merged = sort_groups(keys, lengths, leaves)
             span.set(engine="timestamp", sweeps=solution.sweeps)
         else:
-            if arrays and uint64_keys:
-                runs = [run.tolist() for run in runs]
-            loader.feeds = make_feeds(tree.leaf_fifos, runs, leaves)
+            # The stepper stays an independent oracle: it merges the
+            # keys itself, and its writer's runs are the stage's output.
+            flat = keys.tolist()
+            bounds = list(accumulate(lengths.tolist(), initial=0))
+            loader.feeds = make_feeds(
+                tree.leaf_fifos, [flat[lo:hi] for lo, hi in pairwise(bounds)], leaves
+            )
             sim = Simulation()
             sim.add(writer)
             for component in tree.components:
@@ -295,9 +334,8 @@ def simulate_merge(
             sim.add(loader)
             span.set(engine="naive")
             cycles = sim.run_until(lambda: writer.done, max_cycles=max_cycles)
+            merged = [np.array(run, dtype=keys.dtype) for run in writer.runs]
             solution = timestamp.Solution(
-                runs=[np.array(run, dtype=np.uint64) for run in writer.runs]
-                if arrays and uint64_keys else writer.runs,
                 cycles=cycles,
                 merger_stats=[merger.stats for merger in tree.mergers],
                 loader_stats=loader.stats,
@@ -306,15 +344,15 @@ def simulate_merge(
             )
         span.set(cycles=solution.cycles)
 
-    records_in = sum(len(run) for run in runs)
-    records_out = sum(len(run) for run in solution.runs)
+    records_in = int(keys.size)
+    records_out = sum(int(run.size) for run in merged)
     stats = StageStats(
         cycles=solution.cycles,
         records_in=records_in,
         records_out=records_out,
         bytes_read=solution.loader_stats.bytes_loaded,
         bytes_written=solution.bytes_written,
-        output_runs=len(solution.runs),
+        output_runs=len(merged),
         merger_stats=solution.merger_stats,
         loader_stats=solution.loader_stats,
         sweeps=solution.sweeps,
@@ -324,5 +362,39 @@ def simulate_merge(
             f"record count mismatch: {records_in} in, {records_out} out"
         )
     stats.publish(obs)
-    return solution.runs, stats
+    return merged, stats
 
+
+def merge_to_one_run(
+    runs: list[np.ndarray],
+    max_cycles: int,
+    *,
+    p: int,
+    leaves: int,
+    record_bytes: int,
+    bytes_per_cycle: float,
+    batch_bytes: int,
+) -> tuple[np.ndarray, int, int]:
+    """Merge ``runs`` stage by stage on one AMT until one run is left.
+
+    Reads and writes share the budget ``bytes_per_cycle``.  Runs at
+    least one stage, even over a single run (the data still streams
+    through the tree once).  Returns ``(run, cycles, stages)``, where
+    ``cycles`` sums the stages' cycle counts.  ``max_cycles`` budgets
+    the whole loop: each stage gets what the earlier ones left.
+    """
+    cycles = stages = 0
+    while stages == 0 or len(runs) > 1:
+        runs, stats = simulate_merge(
+            p=p,
+            leaves=leaves,
+            runs=runs,
+            record_bytes=record_bytes,
+            read_bytes_per_cycle=bytes_per_cycle,
+            write_bytes_per_cycle=bytes_per_cycle,
+            batch_bytes=batch_bytes,
+            max_cycles=max_cycles - cycles,
+        )
+        cycles += stats.cycles
+        stages += 1
+    return runs[0], cycles, stages

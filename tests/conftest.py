@@ -28,3 +28,12 @@ def make_sorted_runs(
         sorted(rng.randrange(1, key_space) for _ in range(rng.randrange(0, max_len)))
         for _ in range(n_runs)
     ]
+
+
+def run_values(runs) -> list[list]:
+    """Each run's keys as a list of Python values.
+
+    ``simulate_merge`` returns numpy arrays; tests compare their values
+    with expected lists through this one conversion.
+    """
+    return [np.asarray(run).tolist() for run in runs]

@@ -22,13 +22,13 @@ class TestCorrectness:
         sim = UnrolledSimulation(p=4, leaves=4, lambda_unroll=4)
         array = make_array(2_000, seed=1)
         sim.run(array)
-        assert sim.output == sorted(array)
+        assert sim.output.tolist() == sorted(array)
 
     def test_two_way_unroll(self):
         sim = UnrolledSimulation(p=2, leaves=4, lambda_unroll=2)
         array = make_array(800, seed=2)
         sim.run(array)
-        assert sim.output == sorted(array)
+        assert sim.output.tolist() == sorted(array)
 
     def test_rejects_single_unit(self):
         with pytest.raises(ConfigurationError):
@@ -56,14 +56,14 @@ class TestCorrectness:
         sim = UnrolledSimulation(p=2, leaves=2, lambda_unroll=4)
         array = make_array(900, seed=10)
         total = sim.run(array)
-        assert sim.output == sorted(array)
+        assert sim.output.tolist() == sorted(array)
         assert total == sim.parallel_cycles + sim.final_merge_cycles
 
     def test_uneven_tail_partition(self):
         sim = UnrolledSimulation(p=2, leaves=4, lambda_unroll=4)
         array = make_array(1_001, seed=4)  # not divisible by 4
         sim.run(array)
-        assert sim.output == sorted(array)
+        assert sim.output.tolist() == sorted(array)
 
 
 class TestConcurrency:
@@ -153,6 +153,7 @@ def test_pinned_cycles_and_digest(shape, expected):
         batch_bytes=batch_bytes,
     )
     total = sim.run(array)
-    digest = content_digest(np.asarray(sim.output, dtype=np.uint64))
+    assert sim.output.dtype == np.uint64
+    digest = content_digest(sim.output)
     assert (total, sim.parallel_cycles, sim.final_merge_cycles, digest) == expected
-    assert sim.output == sorted(array)
+    assert sim.output.tolist() == sorted(array)

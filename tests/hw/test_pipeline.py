@@ -25,19 +25,19 @@ class TestCorrectness:
         arrays = make_arrays(count=3, length=200)
         pipeline.run(arrays)
         for index, array in enumerate(arrays):
-            assert pipeline.outputs[index] == sorted(array)
+            assert pipeline.outputs[index].tolist() == sorted(array)
 
     def test_three_stage_pipeline(self):
         pipeline = PipelineSimulation(p=2, leaves=4, lambda_pipe=3, presort_run=4)
         arrays = make_arrays(count=2, length=250, seed=1)
         pipeline.run(arrays)
         for index, array in enumerate(arrays):
-            assert pipeline.outputs[index] == sorted(array)
+            assert pipeline.outputs[index].tolist() == sorted(array)
 
     def test_empty_array(self):
         pipeline = PipelineSimulation(p=2, leaves=4, lambda_pipe=2, presort_run=4)
         pipeline.run([[]])
-        assert pipeline.outputs[0] == []
+        assert pipeline.outputs[0].tolist() == []
 
     def test_capacity_formula(self):
         pipeline = PipelineSimulation(p=4, leaves=4, lambda_pipe=2, presort_run=16)
@@ -147,9 +147,8 @@ def test_pinned_completion_cycles_and_digest(shape, expected):
     )
     total = pipeline.run(arrays)
     completions = [pipeline.completion_cycles[i] for i in range(len(arrays))]
-    outputs = [key for i in range(len(arrays)) for key in pipeline.outputs[i]]
-    digest = content_digest(np.asarray(outputs, dtype=np.uint64))
+    digest = content_digest(np.concatenate([pipeline.outputs[i] for i in range(len(arrays))]))
     assert (completions, digest) == expected
     assert total == completions[-1] + 1
     for index, array in enumerate(arrays):
-        assert pipeline.outputs[index] == sorted(array)
+        assert pipeline.outputs[index].tolist() == sorted(array)

@@ -29,6 +29,7 @@ from repro.obs.runtime import activated, live_observation
 from repro.records.valsort import content_digest
 from repro.records.workloads import WorkloadSpec, generate
 from repro.serve.session import SortJob, SortSession
+from tests.conftest import run_values
 
 RECORD_BYTES = 4
 
@@ -92,10 +93,9 @@ def assert_identical(fast, naive, label=""):
     assert not isinstance(naive, SimulationError), f"{label}: naive raised {naive}"
     out_fast, stats_fast = fast
     out_naive, stats_naive = naive
-    assert [type(run) for run in out_fast] == [type(run) for run in out_naive], label
-    assert [list(run) for run in out_fast] == [list(run) for run in out_naive], (
-        f"{label}: merged output differs"
-    )
+    assert all(isinstance(run, np.ndarray) for run in out_fast + out_naive), label
+    assert [run.dtype for run in out_fast] == [run.dtype for run in out_naive], label
+    assert run_values(out_fast) == run_values(out_naive), f"{label}: merged output differs"
     assert stats_fast.cycles == stats_naive.cycles, (
         f"{label}: cycles {stats_fast.cycles} vs {stats_naive.cycles}"
     )
@@ -270,7 +270,7 @@ class TestDifferential:
         assert cycles == shape.cycles
         if records is not None:
             assert stages == shape.stages
-            assert runs[0] == sorted(records)
+            assert runs[0].tolist() == sorted(records)
 
     @pytest.mark.parametrize("name", sorted(EDGE_SHAPES))
     def test_edge_shapes(self, name):
@@ -283,7 +283,7 @@ class TestDifferential:
         leaves = shape["leaves"]
         if len(runs) < leaves:
             leaves = 1 << max(1, (max(2, len(runs)) - 1).bit_length())
-        assert [list(map(int, run)) for run in out] == sorted_groups(runs, leaves)
+        assert run_values(out) == sorted_groups(runs, leaves)
 
     @pytest.mark.parametrize("seed", range(32))
     def test_randomized_shapes(self, seed):
@@ -311,7 +311,7 @@ class TestDifferential:
         )
         assert_identical(fast, naive, label="auto-shrink")
         out, _stats = fast
-        assert out[0] == sorted(value for run in runs for value in run)
+        assert out[0].tolist() == sorted(value for run in runs for value in run)
 
     def test_bandwidth_starved_stage(self):
         """Read budget far below demand: the tree mostly waits."""
@@ -391,7 +391,7 @@ class TestTimestampEngine:
         )
         fast, naive = run_both(**shape)
         assert_identical(fast, naive, label=f"{shape}")
-        assert fast[0] == sorted_groups(runs, leaves)
+        assert run_values(fast[0]) == sorted_groups(runs, leaves)
 
     def test_unsorted_input_runs_the_stepper(self):
         """Unsorted runs (let through by ``check_sorted_inputs=False``)
@@ -408,8 +408,9 @@ class TestTimestampEngine:
     @pytest.mark.parametrize("seed", range(4))
     def test_keys_outside_uint64_solve_on_ranks(self, kind, seed):
         """Negative and float keys run the timestamp engine on their
-        dense ranks; runs, cycles and every counter equal the stepper's,
-        and the runs hold the caller's keys as Python scalars."""
+        dense ranks; runs, cycles and every counter equal the stepper's.
+        Arrays come back in their own dtype, lists as object arrays of
+        the caller's keys."""
         rng = random.Random(seed)
         floats = kind.startswith("float")
         keys = [rng.randrange(-50, 50) / (4 if floats else 1) for _ in range(120)]
@@ -424,21 +425,42 @@ class TestTimestampEngine:
         fast, naive = run_both(**shape)
         assert_identical(fast, naive, label=kind)
         assert_timestamp(fast[1])
-        assert all(type(run) is list for run in fast[0])
-        assert {type(key) for run in fast[0] for key in run} == {float if floats else int}
-        assert fast[0] == sorted_groups([list(run) for run in runs], 4)
+        if kind.endswith("array"):
+            dtype = np.dtype(np.float64 if floats else np.int64)
+        else:
+            dtype = np.dtype(object)
+            assert {type(key) for run in fast[0] for key in run} == {float if floats else int}
+        assert [run.dtype for run in fast[0]] == [dtype] * len(fast[0])
+        assert run_values(fast[0]) == sorted_groups([list(run) for run in runs], 4)
 
-    def test_signed_arrays_come_back_as_python_ints(self):
-        """int64 arrays with negative keys come back as lists of Python
-        ints; an unsorted one is rejected like any other run."""
-        runs = [np.array(run, dtype=np.int64) for run in ([-7, -1, 4], [-3, 2], [0, 10**3])]
-        fast, naive = run_both(p=2, leaves=4, runs=runs)
-        assert_identical(fast, naive, label="signed arrays")
-        out, stats = fast
-        assert_timestamp(stats)
-        assert out == [[-7, -3, -1, 0, 2, 4, 1000]]
-        assert all(type(key) is int for key in out[0])
-        runs[1] = np.array([2, -3], dtype=np.int64)
+    def test_output_dtype_contract(self):
+        """Every stage returns one numpy array per group on both engines:
+        arrays keep their dtype, in-range int lists become uint64, other
+        int lists object arrays of the caller's ints.  Integer arrays
+        with no common integer dtype, and unsorted runs, are rejected."""
+        cases = [
+            ([np.array(run, dtype=np.int64) for run in ([-7, -1, 4], [-3, 2], [0, 10**3])],
+             np.int64, [[-7, -3, -1, 2, 4], [0, 1000]]),
+            ([np.array(run) for run in ([-0.5, 2.25], [-3.0, 1e300])],
+             np.float64, [[-3.0, -0.5, 2.25, 1e300]]),
+            ([[3, 2**64 - 1], [0, 2**63]], np.uint64, [[0, 3, 2**63, 2**64 - 1]]),
+            ([[-2**70, 5], [-1, 2**70 - 1], [2]], object,
+             [[-2**70, -1, 5, 2**70 - 1], [2]]),
+        ]
+        for runs, dtype, expected in cases:
+            fast, naive = run_both(p=2, leaves=2, runs=runs, auto_shrink=False)
+            assert_identical(fast, naive, label=str(dtype))
+            out, stats = fast
+            assert_timestamp(stats)
+            assert [run.dtype for run in out] == [np.dtype(dtype)] * len(expected)
+            assert run_values(out) == expected
+        # The object case holds the caller's own int objects.
+        assert all(type(key) is int for key in out[0]) and out[0][0] is runs[0][0]
+        mixed = [np.array([1, 2], dtype=np.int64), np.array([3], dtype=np.uint64)]
+        for engine in ("fast", "naive"):
+            with pytest.raises(ConfigurationError, match="no common integer dtype"):
+                simulate_merge(2, 2, mixed, engine=engine)
+        runs = [np.array(run, dtype=np.int64) for run in ([-7, -1, 4], [2, -3])]
         with pytest.raises(ConfigurationError, match="input run 1 is not sorted at value"):
             simulate_merge(2, 4, runs)
 
@@ -597,7 +619,7 @@ class TestNoFallbacks:
                 )
 
         self.run_observed(sort)
-        assert runs[0] == sorted(keys)
+        assert runs[0].tolist() == sorted(keys)
 
 
 class TestLedgerIterates:

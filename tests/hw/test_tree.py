@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.hw.tree import AmtTree, simulate_merge
+from tests.conftest import run_values
 
 
 class TestTreeShape:
@@ -77,7 +78,7 @@ class TestStageCorrectness:
         rng = random.Random(p * 100 + leaves)
         runs = random_runs(rng, leaves, 50)
         output, stats = simulate_merge(p=p, leaves=leaves, runs=runs)
-        assert output == [sorted(x for run in runs for x in run)]
+        assert run_values(output) == [sorted(x for run in runs for x in run)]
         assert stats.records_out == sum(len(run) for run in runs)
 
     def test_multiple_groups(self):
@@ -89,28 +90,28 @@ class TestStageCorrectness:
             expected = sorted(
                 x for run in runs[group * 4 : (group + 1) * 4] for x in run
             )
-            assert output[group] == expected
+            assert output[group].tolist() == expected
 
     def test_ragged_final_group(self):
         rng = random.Random(4)
         runs = random_runs(rng, 6, 20)  # leaves=4: second group has 2 runs
         output, _ = simulate_merge(p=2, leaves=4, runs=runs)
-        assert output[1] == sorted(x for run in runs[4:] for x in run)
+        assert output[1].tolist() == sorted(x for run in runs[4:] for x in run)
 
     def test_empty_input(self):
         output, stats = simulate_merge(p=2, leaves=4, runs=[])
-        assert output == [[]]
+        assert run_values(output) == [[]]
         assert stats.records_out == 0
 
     def test_all_duplicate_keys(self):
         runs = [[7] * 16 for _ in range(4)]
         output, _ = simulate_merge(p=2, leaves=4, runs=runs)
-        assert output == [[7] * 64]
+        assert run_values(output) == [[7] * 64]
 
     def test_single_nonempty_leaf(self):
         runs = [[1, 5, 9]] + [[] for _ in range(7)]
         output, _ = simulate_merge(p=4, leaves=8, runs=runs)
-        assert output == [[1, 5, 9]]
+        assert run_values(output) == [[1, 5, 9]]
 
     def test_rejects_unsorted_input_run(self):
         with pytest.raises(ConfigurationError, match="not sorted"):
@@ -130,7 +131,7 @@ class TestStageCorrectness:
         rng = random.Random(seed)
         runs = random_runs(rng, 8, 24)
         output, _ = simulate_merge(p=4, leaves=8, runs=runs)
-        assert output == [sorted(x for run in runs for x in run)]
+        assert run_values(output) == [sorted(x for run in runs for x in run)]
 
 
 class TestStageTiming:

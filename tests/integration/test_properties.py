@@ -24,6 +24,7 @@ from repro.hw.banks import UnrolledSimulation
 from repro.hw.pipeline import PipelineSimulation
 from repro.hw.tree import simulate_merge
 from repro.units import GB, KiB
+from tests.conftest import run_values
 
 
 # A strategy for small lists of sorted runs over a narrow key space
@@ -46,9 +47,7 @@ class TestSimulatorMatchesFunctionalEngine:
         functional = merge_stage(
             [np.array(run, dtype=np.int64) for run in runs], leaves
         )
-        assert [list(run) for run in simulated] == [
-            run.tolist() for run in functional
-        ]
+        assert run_values(simulated) == run_values(functional)
 
     @given(runs_strategy)
     @settings(max_examples=40, deadline=None)
@@ -56,7 +55,7 @@ class TestSimulatorMatchesFunctionalEngine:
         simulated, _ = simulate_merge(
             p=2, leaves=16, runs=runs, check_sorted_inputs=False
         )
-        merged = [x for run in simulated for x in run]
+        merged = [x for run in run_values(simulated) for x in run]
         assert merged == sorted(x for run in runs for x in run)
 
 
@@ -73,25 +72,46 @@ class TestRecordConservation:
         assert stats.records_in == stats.records_out == len(in_multiset)
 
 
+#: Run containers a stage is drawn in, and the keys each one holds:
+#: Python ints in ``[-2**70, 2**70)`` for lists, the dtype's whole range
+#: for arrays.
+RUN_CONTAINERS = {
+    "list": (-2**70, 2**70),
+    "uint32": (0, 2**32),
+    "uint64": (0, 2**64),
+    "int64": (-2**63, 2**63),
+}
+
+
+def stage_dtype(runs) -> np.dtype:
+    """The dtype ``simulate_merge`` returns ``runs`` in: array runs keep
+    theirs, other runs are uint64 when every key is an int in
+    ``[0, 2**64)`` and object otherwise."""
+    if runs and all(isinstance(run, np.ndarray) for run in runs):
+        return runs[0].dtype
+    in_range = all(0 <= key < 2**64 for run in runs for key in run)
+    return np.dtype(np.uint64 if in_range else object)
+
+
 @st.composite
 def simulator_stages(draw):
     """A ``simulate_merge`` stage over keys from the engine's whole
-    range, Python ints in ``[-2**70, 2**70)`` or full-range uint64
-    arrays, with drawn read and write budgets and batch size.  A small
-    key pool makes ties abound.  Writes get at least a quarter root tuple
-    per cycle, below which the writer can never drain the root."""
+    range, in a drawn run container (``RUN_CONTAINERS``), with drawn
+    read and write budgets and batch size.  A small key pool makes ties
+    abound.  Writes get at least a quarter root tuple per cycle, below
+    which the writer can never drain the root."""
     p = draw(st.sampled_from([1, 2, 4, 8]))
     demand = p * 4
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    arrays = draw(st.booleans())
-    low, high = (0, 2**64) if arrays else (-2**70, 2**70)
+    container = draw(st.sampled_from(sorted(RUN_CONTAINERS)))
+    low, high = RUN_CONTAINERS[container]
     pool = [rng.randrange(low, high) for _ in range(draw(st.sampled_from([3, 500])))]
     runs = [
         sorted(rng.choice(pool) for _ in range(length))
         for length in draw(st.lists(st.integers(0, 30), max_size=12))
     ]
-    if arrays:
-        runs = [np.array(run, dtype=np.uint64) for run in runs]
+    if container != "list":
+        runs = [np.array(run, dtype=container) for run in runs]
     read = draw(st.sampled_from([None, 0.05, 0.25, 1.0, 3.0]))
     write = draw(st.sampled_from([None, 0.25, 0.5, 1.0, 3.0]))
     return dict(
@@ -107,12 +127,16 @@ class TestSimulatorEngines:
     @settings(max_examples=40, deadline=None)
     def test_fast_equals_naive(self, shape):
         """The timestamp engine and the per-cycle stepper give the same
-        runs, cycles and ``StageStats`` counters over the whole key range
-        and any memory budget."""
+        runs, cycles and ``StageStats`` counters over the whole key range,
+        every run container and any memory budget, and return the runs in
+        the container's dtype."""
         fast_runs, fast = simulate_merge(engine="fast", **shape)
         naive_runs, naive = simulate_merge(engine="naive", **shape)
-        assert [type(run) for run in fast_runs] == [type(run) for run in naive_runs]
-        assert [list(run) for run in fast_runs] == [list(run) for run in naive_runs]
+        dtype = stage_dtype(shape["runs"])
+        assert all(isinstance(run, np.ndarray) for run in fast_runs + naive_runs)
+        assert [run.dtype for run in fast_runs] == [dtype] * len(fast_runs)
+        assert [run.dtype for run in naive_runs] == [dtype] * len(naive_runs)
+        assert run_values(fast_runs) == run_values(naive_runs)
         assert fast.cycles == naive.cycles
         assert fast == naive
         assert fast.sweeps > 0 and naive.sweeps == 0
@@ -178,7 +202,8 @@ class TestUnrolledAndPipelinedSurfaces:
     def test_unrolled(self, drawn):
         sim, keys = drawn
         total = sim.run(keys)
-        assert np.array_equal(np.asarray(sim.output, dtype=np.uint64), np.sort(keys))
+        assert sim.output.dtype == np.uint64
+        assert np.array_equal(sim.output, np.sort(keys))
         assert total == sim.parallel_cycles + sim.final_merge_cycles
         assert sim.parallel_cycles == max(sim.unit_cycles)
 
@@ -188,9 +213,8 @@ class TestUnrolledAndPipelinedSurfaces:
         pipeline, arrays = drawn
         total = pipeline.run(arrays)
         for index, keys in enumerate(arrays):
-            assert np.array_equal(
-                np.asarray(pipeline.outputs[index], dtype=np.uint64), np.sort(keys)
-            )
+            assert pipeline.outputs[index].dtype == np.uint64
+            assert np.array_equal(pipeline.outputs[index], np.sort(keys))
         completions = [pipeline.completion_cycles[i] for i in range(len(arrays))]
         assert completions == sorted(completions)
         assert total == completions[-1] + 1

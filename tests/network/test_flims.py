@@ -28,6 +28,7 @@ from repro.engine.stage import merge_runs_numpy, merge_stage
 from repro.hw.fifo import Fifo
 from repro.hw.merger import KMerger
 from repro.hw.tree import simulate_merge
+from tests.conftest import run_values
 
 SEEDS = range(32)
 WIDTHS = (1, 2, 4, 8, 16, 32)
@@ -187,8 +188,10 @@ class TestSimulatorBackendIdentity:
         fast = simulate_merge(p, leaves, runs, check_sorted_inputs=False, engine="fast")
         naive = simulate_merge(p, leaves, runs, check_sorted_inputs=False, engine="naive")
         assert fast[1].sweeps > 0
-        assert fast == naive
-        assert fast[0] == [sorted(record for run in runs for record in run)]
+        assert fast[1] == naive[1]
+        assert [run.dtype for run in fast[0]] == [run.dtype for run in naive[0]] == [np.uint64]
+        assert run_values(fast[0]) == run_values(naive[0])
+        assert run_values(fast[0]) == [sorted(record for run in runs for record in run)]
 
 
 class TestNaiveStepperKeyRange:
@@ -199,7 +202,8 @@ class TestNaiveStepperKeyRange:
     def test_keys_at_the_old_sentinel(self):
         runs = [[-5, 2**64], [2**64 - 1, 2**64, 2**64 + 1], [2**65], [2**70, 2**71]]
         out, _ = simulate_merge(2, 4, runs, engine="naive")
-        assert out == [sorted(key for run in runs for key in run)]
+        assert out[0].dtype == object
+        assert run_values(out) == [sorted(key for run in runs for key in run)]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_wide_int_runs_match_sorted(self, seed):
@@ -211,5 +215,10 @@ class TestNaiveStepperKeyRange:
         ]
         naive = simulate_merge(p, leaves, runs, engine="naive")
         groups = [runs[start : start + leaves] for start in range(0, len(runs), leaves)]
-        assert naive[0] == [sorted(key for run in group for key in run) for group in groups]
-        assert simulate_merge(p, leaves, runs, engine="fast") == naive
+        assert run_values(naive[0]) == [
+            sorted(key for run in group for key in run) for group in groups
+        ]
+        out, stats = simulate_merge(p, leaves, runs, engine="fast")
+        assert stats == naive[1]
+        assert [run.dtype for run in out] == [run.dtype for run in naive[0]]
+        assert run_values(out) == run_values(naive[0])

@@ -284,4 +284,4 @@ class TestSimulateShmTransport:
         for plan in (None, ParallelPlan(jobs=2)):
             sim = UnrolledSimulation(p=2, leaves=2, lambda_unroll=2)
             sim.run(keys, plan=plan)
-            assert list(sim.output) == sorted(keys), plan
+            assert sim.output.tolist() == sorted(keys), plan
