@@ -19,23 +19,14 @@ import sys
 
 from repro._version import __version__
 from repro.analysis.tables import render_table
-from repro.core import presets
 from repro.core.configuration import AmtConfig
 from repro.core.parameters import ArrayParams, MergerArchParams
+from repro.core.presets import PLATFORMS
 from repro.core.scalability import ScalabilityModel
 from repro.core.ssd_planner import SsdSortPlan
 from repro.errors import BonsaiError, ConfigurationError, NoFeasibleConfigError
 from repro.records.workloads import WorkloadSpec, generate
 from repro.units import GB, KB, MB, TB, format_bytes, format_seconds
-
-PLATFORMS = {
-    "aws-f1": presets.aws_f1,
-    "aws-f1-measured": presets.aws_f1_measured,
-    "alveo-u50": presets.alveo_u50,
-    "ssd-node": presets.ssd_node,
-    "ssd-as-memory": presets.ssd_as_memory,
-}
-
 
 def _parse_size(text: str) -> int:
     """Parse sizes like ``16GB``, ``512MB``, ``2TB`` or raw bytes."""
@@ -291,8 +282,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
               f"exchange={report.exchange_seconds:.3f}s  "
               f"sort={report.sort_seconds:.3f}s  "
               f"merge={report.merge_seconds:.3f}s  "
-              f"verified=OK ({summary.duplicates:,} duplicate keys)"
-              + ("  straggler=recovered" if report.straggler_recovered else ""))
+              f"verified=OK ({summary.duplicates:,} duplicate keys)")
         if args.print_digest:
             print(f"digest={report.digest}")
         if args.output:

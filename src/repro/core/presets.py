@@ -119,6 +119,17 @@ def ssd_as_memory() -> Platform:
     )
 
 
+#: The named platforms every surface selects by name (the CLI's
+#: ``--platform`` choices and a served job's ``platform`` field).
+PLATFORMS = {
+    "aws-f1": aws_f1,
+    "aws-f1-measured": aws_f1_measured,
+    "alveo-u50": alveo_u50,
+    "ssd-node": ssd_node,
+    "ssd-as-memory": ssd_as_memory,
+}
+
+
 def custom_dram(bandwidth: float, capacity: int = 64 * GB) -> Platform:
     """A DRAM platform with arbitrary bandwidth (Fig. 5's β sweep)."""
     dram = DdrDram(

@@ -23,11 +23,7 @@ Bonsai cluster.
 from repro.distributed.node import SortingNode
 from repro.distributed.cluster import Cluster, ClusterSortReport
 from repro.distributed.exchange import ShuffleLayout, sample_splitters
-from repro.distributed.executor import (
-    ClusterExecutionReport,
-    ClusterExecutor,
-    StragglerSpec,
-)
+from repro.distributed.executor import ClusterExecutionReport, ClusterExecutor
 
 __all__ = [
     "Cluster",
@@ -36,6 +32,5 @@ __all__ = [
     "ClusterSortReport",
     "ShuffleLayout",
     "SortingNode",
-    "StragglerSpec",
     "sample_splitters",
 ]

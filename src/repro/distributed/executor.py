@@ -34,17 +34,16 @@ the measured Table I figure of merit (``elapsed x nodes / GB``) with
 the analytical model's prediction at the *measured* partition skew, so
 the measured-vs-modeled delta is one number.
 
-Straggler tolerance is the parallel layer's: a killed or stalled node
-task degrades to a serial recompute in the parent
-(:meth:`ParallelPlan.map`'s timeout/crash fallback), so the run still
-produces bit-exact output; the injected worker marks a shared flag slot
-first, which is how ``straggler_recovered`` is reported even with
-observability disabled.
+Straggler tolerance is the parallel layer's: each node is one task of
+the map, so a node that overruns the plan's ``task_timeout`` is
+recomputed alone in the parent, and a killed worker breaks the pool,
+so the parent recomputes every node the pool had not yet returned
+(:meth:`ParallelPlan.map`'s timeout/crash fallback).  The output stays
+bit-exact, and ``parallel.recomputed_chunks`` counts each recompute.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -74,33 +73,6 @@ from repro.parallel.workers import worker_cluster_node
 from repro.records.valsort import content_digest
 from repro.units import ms_per_gb
 
-#: Straggler injection modes: ``kill`` SIGKILLs the node's worker
-#: process (pool crash -> parent recompute), ``sleep`` stalls it past
-#: the plan's per-task timeout (future timeout -> parent recompute).
-STRAGGLER_MODES = ("kill", "sleep")
-
-
-@dataclass(frozen=True)
-class StragglerSpec:
-    """Deliberate fault injection into one node's task."""
-
-    node: int
-    mode: str = "sleep"
-    seconds: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ConfigurationError(f"straggler node must be >= 0, got {self.node}")
-        if self.mode not in STRAGGLER_MODES:
-            raise ConfigurationError(
-                f"straggler mode must be one of {STRAGGLER_MODES}, got {self.mode!r}"
-            )
-        if self.seconds <= 0:
-            raise ConfigurationError(
-                f"straggler sleep must be positive, got {self.seconds}"
-            )
-
-
 @dataclass(frozen=True)
 class ClusterExecutionReport:
     """One executed, verified cluster sort: measured next to modeled."""
@@ -118,7 +90,6 @@ class ClusterExecutionReport:
     node_model_seconds: tuple[float, ...]
     node_stages: tuple[int, ...]
     modeled: ClusterSortReport
-    straggler_recovered: bool
     digest: str
     data: np.ndarray | None = field(repr=False, compare=False, default=None)
 
@@ -161,21 +132,15 @@ class ClusterExecutor:
         Per-node :class:`AmtSorter` parameters (every node runs the
         same single-tree sorter the serial path would).
     plan:
-        ``None`` or a serial plan runs everything in-process (same
-        results, no pool); a process plan runs the node tasks as
-        actual worker processes, one task per chunk so a straggling
-        node recomputes alone.
+        The default serial plan runs every node in-process (same
+        results, no pool); a process plan runs the node tasks as actual
+        worker processes, and its ``task_timeout`` is each node's
+        budget before the parent recomputes it.
     oversample / seed:
         Splitter sketch parameters (seeded: same data + seed = same
         splitters at every ``jobs`` setting).
     node_model:
         The analytical node used for the modeled comparison report.
-    straggler:
-        Optional fault injection into one node's sort.
-    task_timeout:
-        Per-task seconds for the node tasks (required for
-        ``sleep``-mode stragglers to actually trip the fallback);
-        ``None`` inherits the plan's own timeout.
     """
 
     nodes: int = 4
@@ -184,23 +149,16 @@ class ClusterExecutor:
     arch: MergerArchParams = field(default_factory=MergerArchParams)
     presort_run: int = 16
     mode: str = "model"
-    plan: ParallelPlan | None = None
+    plan: ParallelPlan = field(default_factory=ParallelPlan)
     oversample: int = DEFAULT_OVERSAMPLE
     seed: int = 0
     node_model: SortingNode = field(default_factory=SortingNode)
-    straggler: StragglerSpec | None = None
-    task_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ConfigurationError(f"cluster needs >= 1 node, got {self.nodes}")
         if self.mode not in ("model", "simulate"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.straggler is not None and self.straggler.node >= self.nodes:
-            raise ConfigurationError(
-                f"straggler node {self.straggler.node} does not exist in a "
-                f"{self.nodes}-node cluster"
-            )
 
     # ------------------------------------------------------------------
     def execute(self, data: np.ndarray) -> ClusterExecutionReport:
@@ -208,22 +166,10 @@ class ClusterExecutor:
         keys = as_uint64_keys(data)
         if keys.size == 0:
             raise ConfigurationError("cannot cluster-sort zero records")
-        plan = self.plan or ParallelPlan.serial()
-        # One node per chunk: a straggler's timeout/crash recomputes
-        # only that node, and its per-future timeout is per-node.
-        node_plan = dataclasses.replace(
-            plan,
-            chunk_size=1,
-            task_timeout=self.task_timeout or plan.task_timeout,
-        )
         obs = observation()
         record_bytes = self.arch.record_bytes
         total_bytes = int(keys.size) * record_bytes
         chunks = np.array_split(keys, self.nodes)
-        straggler = (
-            None if self.straggler is None
-            else (self.straggler.node, self.straggler.mode, self.straggler.seconds)
-        )
         started = time.perf_counter()
         with obs.span(
             "cluster.sort", nodes=self.nodes, records=int(keys.size),
@@ -237,37 +183,30 @@ class ClusterExecutor:
             with obs.span("cluster.exchange", nodes=self.nodes):
                 in_block, in_desc = pack_arrays(chunks)
             exchange_done = time.perf_counter()
-            out_block = flag_block = None
+            out_block = None
             try:
                 out_block, out_desc = alloc_arrays([int(keys.size)], np.uint64)
-                flag_block, flag_desc = alloc_arrays([1], np.uint8)
-                # A fresh block is zero-filled on Linux, but the
-                # recovered-straggler flag must not rest on that.
-                view_array(flag_desc, 0, flag_block)[:] = 0
                 # Node r owns [bounds[r], bounds[r + 1]); None is open.
                 bounds = [None, *(int(s) for s in splitters), None]
                 with obs.span("cluster.local_sort", nodes=self.nodes):
                     node_tasks = [
                         (
-                            in_desc, out_desc, flag_desc, receiver,
+                            in_desc, out_desc, receiver,
                             bounds[receiver], bounds[receiver + 1],
                             self.config, self.hardware, self.arch,
-                            self.presort_run, self.mode, straggler,
+                            self.presort_run, self.mode,
                         )
                         for receiver in range(self.nodes)
                     ]
-                    node_results = node_plan.map(worker_cluster_node, node_tasks)
+                    node_results = self.plan.map(worker_cluster_node, node_tasks)
                 sorts_done = time.perf_counter()
                 with obs.span("cluster.merge", nodes=self.nodes):
                     output = view_array(out_desc, 0, out_block).copy()
                 merge_done = time.perf_counter()
-                recovered = bool(view_array(flag_desc, 0, flag_block)[0])
             finally:
                 release(in_block)
                 if out_block is not None:
                     release(out_block)
-                if flag_block is not None:
-                    release(flag_block)
             _, node_seconds, node_stages, columns = zip(*node_results)
             layout = ShuffleLayout(counts=tuple(zip(*columns)))
             # Verification sits outside the timed window (the oracle
@@ -280,11 +219,7 @@ class ClusterExecutor:
                     f"({int(output.size)} records out vs {int(oracle.size)} in)"
                 )
             digest = content_digest(output)
-            sort_span.set(
-                skew=round(layout.skew, 4),
-                straggler_recovered=recovered,
-                digest=digest,
-            )
+            sort_span.set(skew=round(layout.skew, 4), digest=digest)
         elapsed = merge_done - started
         modeled = Cluster(
             node=self.node_model, nodes=self.nodes, skew_factor=layout.skew
@@ -304,7 +239,6 @@ class ClusterExecutor:
             node_model_seconds=node_seconds,
             node_stages=node_stages,
             modeled=modeled,
-            straggler_recovered=recovered,
             digest=digest,
             data=output,
         )

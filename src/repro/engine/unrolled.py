@@ -35,8 +35,8 @@ from repro.parallel.plan import ParallelPlan
 class UnrolledSorter:
     """λ_unrl independent AMTs over one array.
 
-    ``parallel`` optionally runs the cycle-simulated units of
-    :meth:`simulate` in a process pool, one worker per unit; results are
+    ``parallel`` (serial by default) may run the cycle-simulated units
+    of :meth:`simulate` in a process pool, one task per unit; results are
     bit-identical to the serial loop for every ``jobs`` setting.  Model
     mode always sorts its partitions in a serial loop: each one is a few
     in-place row sorts, cheaper than shipping it to a worker and back.
@@ -47,7 +47,7 @@ class UnrolledSorter:
     arch: MergerArchParams = field(default_factory=MergerArchParams)
     presort_run: int = 16
     partitioning: Literal["range", "address"] = "range"
-    parallel: ParallelPlan | None = None
+    parallel: ParallelPlan = field(default_factory=ParallelPlan)
 
     def __post_init__(self) -> None:
         if self.config.lambda_unroll < 2:

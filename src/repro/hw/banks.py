@@ -86,14 +86,14 @@ class UnrolledSimulation:
         self,
         array: Sequence[int],
         max_cycles: int = 5_000_000,
-        plan: ParallelPlan | None = None,
+        plan: ParallelPlan = ParallelPlan(),
     ) -> int:
         """Sort ``array``; returns total cycles (parallel + final merges).
 
         ``array`` holds keys in ``[0, 2**64)`` (a list or an integer
         array).  Each unit sorts one address-range chunk on a 1/λ share
         of the budget within ``max_cycles``; the final merges keep
-        ``simulate_merge``'s default budget.  ``plan`` (default: serial)
+        ``simulate_merge``'s default budget.  ``plan`` (serial by default)
         only decides which process runs each unit; the task list, the
         ``max()`` reduction and the final merges are the same for every
         plan.  :attr:`stages_done` counts the slowest unit's stages plus
@@ -113,8 +113,7 @@ class UnrolledSimulation:
             "bytes_per_cycle": self.total_bytes_per_cycle / self.lambda_unroll,
         }
         ranges, results = simulate_units_sharded(
-            array, self.lambda_unroll, unit_shape, max_cycles,
-            plan or ParallelPlan.serial(),
+            array, self.lambda_unroll, unit_shape, max_cycles, plan
         )
         self.unit_cycles = [cycles for cycles, _stages in results]
         self.parallel_cycles = max(self.unit_cycles)

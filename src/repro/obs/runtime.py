@@ -161,7 +161,7 @@ class ObsTaskContext:
     process: str = "worker"
 
     def for_chunk(self, index: int) -> "ObsTaskContext":
-        """Label the context with the chunk's stable worker id."""
+        """Label the context with task ``index``'s stable worker id."""
         return replace(self, process=f"w{index}")
 
 

@@ -4,7 +4,7 @@
 """Span-based tracing: nested wall-clock (+ cycle-count) intervals.
 
 A span is one timed phase of a run — a CLI command, a merge stage, an
-optimizer sweep, a worker chunk.  Spans nest: the tracer keeps the
+optimizer sweep, a worker task.  Spans nest: the tracer keeps the
 current span per thread, each new span records its parent, and
 ``bonsai report`` later folds the tree into a per-phase attribution
 table.  Cycle counts (simulated time) attach to spans via
@@ -119,7 +119,7 @@ class Tracer:
     root_parent:
         Parent span id inherited from another process — how a worker's
         spans attach under the parent-side span that dispatched the
-        chunk.
+        task.
     """
 
     enabled = True

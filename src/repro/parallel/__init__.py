@@ -10,9 +10,10 @@ single tree's merge groups are never split apart: in simulate mode they
 share one simulated pipeline, and in model mode a whole stage is one
 in-place row sort of one buffer, which no pool dispatch could beat:
 
-* :class:`ParallelPlan` is the one policy object (worker count,
-  chunking, per-task timeout with serial fallback) and its
-  :meth:`~ParallelPlan.map` the one execution entry point;
+* :class:`ParallelPlan` is the one policy object (worker count and a
+  per-task timeout with serial fallback; ``ParallelPlan()`` is serial)
+  and its :meth:`~ParallelPlan.map` the one execution entry point, one
+  pool submission per task;
 * :mod:`repro.parallel.shm` ships numpy arrays through POSIX shared
   memory instead of pickles;
 * :mod:`repro.parallel.workers` holds the module-level, import-pure
@@ -22,8 +23,7 @@ in-place row sort of one buffer, which no pool dispatch could beat:
 
 Determinism contract: same task list + same worker function +
 order-stable reduction ⇒ bit-identical results for every ``jobs``
-setting, plan-less included, pinned by the differential suite in
-``tests/parallel``.
+setting, pinned by the differential suite in ``tests/parallel``.
 """
 
 from repro.parallel.plan import ParallelPlan, available_cpus

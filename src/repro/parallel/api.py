@@ -6,8 +6,8 @@
 results through :meth:`ParallelPlan.map`.  The task decomposition never
 depends on the ``jobs`` setting, and the reduction is order-stable, so
 the output is bit-identical at every ``jobs`` setting — the
-differential suite in ``tests/parallel`` pins this against the
-plan-less path.
+differential suite in ``tests/parallel`` pins this against the serial
+plan.
 
 Record data travels through :mod:`repro.parallel.shm`: the parent packs
 the chunks into one shared block, workers attach zero-copy views, and

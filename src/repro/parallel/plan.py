@@ -1,26 +1,29 @@
 """The parallel execution plan: one policy object for every sharded loop.
 
 Every unit of work the reproduction shards — the λ_unrl units of an
-unrolled simulation, the nodes of a cluster sort and its exchange, a
-batch of served jobs — goes through one entry point,
-:meth:`ParallelPlan.map`.  The plan decides *how* the map runs (a
-process pool or a plain loop); it never changes *what* is computed, so
-results are bit-identical across every ``jobs`` setting by
-construction: the same module-level worker function is applied to the
-same task list in the same order, and the reduction is order-stable
-(results land at their task's index, never in completion order).
+unrolled simulation, the nodes of a cluster sort, a batch of served
+jobs — goes through one entry point, :meth:`ParallelPlan.map`.  The
+plan decides *how* the map runs (a process pool or a plain loop); it
+never changes *what* is computed, so results are bit-identical across
+every ``jobs`` setting by construction: the same module-level worker
+function is applied to the same task list in the same order, and the
+reduction is order-stable (results land at their task's index, never in
+completion order).  Each task is one pool submission: every map here
+has a handful of tasks, each far heavier than its pickling.
 
 The map runs as a plain loop in the parent when any of these hold:
 
-* ``jobs`` resolves to 1, or there are fewer than two tasks;
+* ``jobs`` resolves to 1 (the default ``ParallelPlan()``), or there are
+  fewer than two tasks;
 * the platform cannot ``fork`` (process workers would re-import the
   world per task under ``spawn``, which costs more than it saves for
   our task sizes);
 * the current process is itself a pool worker (no nested pools).
 
-Worker failure is not fatal: a crashed or timed-out chunk is recomputed
+Worker failure is not fatal: a crashed or timed-out task is recomputed
 serially in the parent, so a flaky pool can slow a run down but can
-never change its output or kill it.
+never change its output or kill it.  A map that lost a task kills its
+workers before it returns, so a stalled worker never outlives it.
 """
 
 from __future__ import annotations
@@ -56,24 +59,36 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _call_chunk(
-    fn: Callable, tasks: list, obs_ctx: ObsTaskContext | None = None
-) -> tuple[list, dict | None]:
-    """Pool-side trampoline: apply ``fn`` to one chunk, keep order.
+def _call_task(
+    fn: Callable, task: object, obs_ctx: ObsTaskContext | None = None
+) -> tuple[object, dict | None]:
+    """Pool-side trampoline: apply ``fn`` to one task.
 
-    When the parent shipped an observation context, the chunk runs
-    under a fresh buffering observation whose metrics snapshot and span
-    events ride back with the results (the second tuple element); the
-    parent absorbs them, so instrumented counters are identical to a
-    serial run by construction.
+    When the parent shipped an observation context, the task runs under
+    a fresh buffering observation whose metrics snapshot and span events
+    ride back with the result (the second tuple element); the parent
+    absorbs them, so instrumented counters are identical to a serial run
+    by construction.
     """
     if obs_ctx is None:
-        return [fn(task) for task in tasks], None
+        return fn(task), None
     worker = worker_observation(obs_ctx)
     with activated(worker):
-        with worker.span("parallel.chunk", tasks=len(tasks)):
-            results = [fn(task) for task in tasks]
-    return results, worker_payload(worker)
+        with worker.span("parallel.chunk"):
+            result = fn(task)
+    return result, worker_payload(worker)
+
+
+def _kill_workers(executor: ProcessPoolExecutor) -> None:
+    """SIGKILL every worker process of ``executor``.
+
+    ``ProcessPoolExecutor`` has no public way to stop a running task
+    before Python 3.14, so this reads its process table.  The pool's
+    manager thread sees the deaths and joins the processes, which
+    ``shutdown(wait=True)`` then waits for.
+    """
+    for process in list((executor._processes or {}).values()):
+        process.kill()
 
 
 @dataclass(frozen=True)
@@ -83,19 +98,15 @@ class ParallelPlan:
     Parameters
     ----------
     jobs:
-        Worker count, or ``"auto"`` for the machine's CPU count; 1 runs
-        a plain loop in the parent.
-    chunk_size:
-        Tasks per pool submission, or ``"auto"`` to split the task list
-        into about four chunks per worker (amortises pickling for many
-        small tasks while keeping the pool load-balanced).
+        Worker count, or ``"auto"`` for the machine's CPU count; 1 (the
+        default) runs a plain loop in the parent.
     task_timeout:
-        Optional per-task seconds before a chunk is declared lost and
-        recomputed serially in the parent.  ``None`` waits forever.
+        Optional seconds to wait for each task's result before it is
+        declared lost and recomputed serially in the parent.  ``None``
+        waits forever.
     """
 
     jobs: int | str = 1
-    chunk_size: int | str = "auto"
     task_timeout: float | None = None
 
     def __post_init__(self) -> None:
@@ -106,16 +117,6 @@ class ParallelPlan:
                 )
         elif self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if isinstance(self.chunk_size, str):
-            if self.chunk_size != "auto":
-                raise ConfigurationError(
-                    f"chunk_size must be a positive int or 'auto', got "
-                    f"{self.chunk_size!r}"
-                )
-        elif self.chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ConfigurationError(
                 f"task_timeout must be positive, got {self.task_timeout}"
@@ -123,15 +124,9 @@ class ParallelPlan:
 
     # ------------------------------------------------------------------
     @classmethod
-    def serial(cls) -> "ParallelPlan":
-        """The do-nothing plan: a plain loop in the parent."""
-        return cls(jobs=1)
-
-    @classmethod
-    def from_jobs(cls, jobs: int | str | None) -> "ParallelPlan | None":
-        """CLI adapter: ``None`` stays ``None`` (caller keeps its default
-        path), 1 is :meth:`serial`, anything else shards."""
-        return None if jobs is None else cls(jobs=jobs)
+    def from_jobs(cls, jobs: int | str | None) -> "ParallelPlan":
+        """CLI adapter: ``None`` (no ``--jobs``) is the serial default."""
+        return cls() if jobs is None else cls(jobs=jobs)
 
     # ------------------------------------------------------------------
     def resolve_jobs(self) -> int:
@@ -149,27 +144,14 @@ class ParallelPlan:
             and not multiprocessing.current_process().daemon
         )
 
-    def chunks(self, n_tasks: int) -> list[range]:
-        """Contiguous index ranges covering ``range(n_tasks)`` in order."""
-        if n_tasks <= 0:
-            return []
-        if self.chunk_size == "auto":
-            size = max(1, -(-n_tasks // (self.resolve_jobs() * 4)))
-        else:
-            size = int(self.chunk_size)
-        return [
-            range(start, min(start + size, n_tasks))
-            for start in range(0, n_tasks, size)
-        ]
-
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[Task], Result], tasks: Sequence[Task]) -> list[Result]:
         """Order-stable ``[fn(t) for t in tasks]``, possibly sharded.
 
         ``fn`` must be a module-level function (process workers import
         it by qualified name) and every task must be picklable.  The
-        returned list is always in task order; worker failures and
-        timeouts degrade the affected chunk to a serial recompute in the
+        returned list is always in task order; a task whose worker
+        fails or overruns ``task_timeout`` is recomputed serially in the
         parent, so the result is independent of how the pool behaved.
         """
         tasks = list(tasks)
@@ -179,54 +161,50 @@ class ParallelPlan:
             return [fn(task) for task in tasks]
         obs.count("parallel.maps", mode="pool")
         obs.count("parallel.tasks", len(tasks))
-        chunks = self.chunks(len(tasks))
         results: list = [None] * len(tasks)
-        context = multiprocessing.get_context("fork")
-        max_workers = min(self.resolve_jobs(), len(chunks))
-        executor = ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
+        workers = min(self.resolve_jobs(), len(tasks))
+        executor = ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        )
+        lost = False
         try:
-            with obs.span(
-                "parallel.map", tasks=len(tasks), chunks=len(chunks),
-                workers=max_workers,
-            ):
+            with obs.span("parallel.map", tasks=len(tasks), workers=workers):
                 # Captured inside the span so worker span trees hang off
                 # the dispatch span that actually ran them.
                 ctx = task_context()
                 futures = [
                     executor.submit(
-                        _call_chunk,
-                        fn,
-                        [tasks[i] for i in chunk],
-                        None if ctx is None else ctx.for_chunk(number),
+                        _call_task, fn, task,
+                        None if ctx is None else ctx.for_chunk(index),
                     )
-                    for number, chunk in enumerate(chunks)
+                    for index, task in enumerate(tasks)
                 ]
-                for chunk, future in zip(chunks, futures):
-                    timeout = (
-                        None if self.task_timeout is None
-                        else self.task_timeout * len(chunk)
-                    )
+                for index, future in enumerate(futures):
                     try:
-                        chunk_results, payload = future.result(timeout=timeout)
+                        results[index], payload = future.result(
+                            timeout=self.task_timeout
+                        )
                     except FutureTimeoutError:
                         future.cancel()
+                        lost = True
                         # Recomputed in the parent under the parent's own
-                        # observation, so the lost chunk's metrics are
+                        # observation, so the lost task's metrics are
                         # still counted exactly once.
                         obs.count("parallel.recomputed_chunks")
-                        chunk_results = [fn(tasks[i]) for i in chunk]
+                        results[index] = fn(tasks[index])
                     except Exception:  # bonsai-lint: disable=exn-broad-fallback -- the serial recompute re-raises any real task error in the parent with a clean traceback, so nothing is masked
                         # Worker crash (BrokenProcessPool), unpicklable
                         # result, or the task's own deterministic error:
                         # recompute serially — a real error raises again
                         # here, in the parent, with a clean traceback.
+                        lost = True
                         obs.count("parallel.recomputed_chunks")
-                        chunk_results = [fn(tasks[i]) for i in chunk]
+                        results[index] = fn(tasks[index])
                     else:
                         if payload is not None:
                             absorb(payload)
-                    for index, value in zip(chunk, chunk_results):
-                        results[index] = value
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            if lost:
+                _kill_workers(executor)
+            executor.shutdown(wait=lost, cancel_futures=True)
         return results

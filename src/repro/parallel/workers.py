@@ -17,7 +17,9 @@ dataclasses); large numpy arrays travel through
 
 A cluster sort has one entry, :func:`worker_cluster_node`: each node
 pulls its key range from the packed input and sorts it in the same
-task, so the whole sort costs one pool round trip.
+task, so the whole sort costs one pool round trip.  Entries carry no
+fault-injection hooks: the straggler tests wrap an entry in their own
+module and patch the wrapper in.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ def worker_simulate_unit_shm(task: tuple) -> tuple:
 def worker_cluster_node(task: tuple) -> tuple:
     """Pull one node's key range from the packed input and sort it.
 
-    ``task = (in_desc, out_desc, flag_desc, receiver, lo, hi, config,
-    hardware, arch, presort_run, mode, straggler)`` — node ``receiver``
-    owns the keys in ``[lo, hi)`` (``None`` leaves an end open).  It
-    takes them from every sender slot of the input block
+    ``task = (in_desc, out_desc, receiver, lo, hi, config, hardware,
+    arch, presort_run, mode)`` — node ``receiver`` owns the keys in
+    ``[lo, hi)`` (``None`` leaves an end open).  It takes them from
+    every sender slot of the input block
     (:func:`~repro.distributed.exchange.pull_partition`), sorts them
     through a single-tree :class:`AmtSorter`, and writes the sorted
     partition at ``[offset, offset + len)`` of the one output slot,
@@ -62,48 +64,17 @@ def worker_cluster_node(task: tuple) -> tuple:
     ``(receiver, model_seconds, stages, counts)``, ``counts`` holding
     the keys taken from each sender; the parent assembles them into a
     :class:`~repro.distributed.exchange.ShuffleLayout`.
-
-    ``straggler`` (``None`` or ``(node, mode, seconds)``) injects a
-    fault into exactly one node's task — ``"kill"`` SIGKILLs the worker
-    process, ``"sleep"`` stalls it past the plan's task timeout — to
-    exercise the parallel layer's serial-recompute fallback.  Injection
-    is gated on actually being a pool child (``parent_process()``), so
-    the parent's recompute of the same task runs clean, and marks the
-    shared flag slot first, so the parent can report that recovery
-    happened even with observability disabled.
     """
-    from multiprocessing import parent_process, shared_memory
+    from multiprocessing import shared_memory
 
     from repro.distributed.exchange import pull_partition
     from repro.engine.sorter import AmtSorter
     from repro.obs.runtime import observation
 
     (
-        in_desc, out_desc, flag_desc, receiver, lo, hi,
-        config, hardware, arch, presort_run, mode, straggler,
+        in_desc, out_desc, receiver, lo, hi,
+        config, hardware, arch, presort_run, mode,
     ) = task
-    if (
-        straggler is not None
-        and straggler[0] == receiver
-        and parent_process() is not None
-    ):
-        flag_block = shared_memory.SharedMemory(name=flag_desc.name)
-        try:
-            flags = view_array(flag_desc, 0, flag_block)
-            already_injected = bool(flags[0])
-            flags[0] = 1
-        finally:
-            flag_block.close()
-        if not already_injected:
-            if straggler[1] == "kill":
-                import os
-                import signal
-
-                os.kill(os.getpid(), signal.SIGKILL)
-            else:
-                import time
-
-                time.sleep(float(straggler[2]))
     block = shared_memory.SharedMemory(name=in_desc.name)
     try:
         # The slot views are temporaries: none may outlive close().

@@ -313,9 +313,8 @@ def _execute_batch(session: SortSession, tasks: list) -> list:
     Both paths execute :func:`~repro.serve.session.execute_payload`, so
     which one a job landed on is unobservable in its payload.
     """
-    plan = session.plan
-    if plan is not None and len(tasks) > 1 and plan.wants_processes(len(tasks)):
-        return plan.map(worker_serve_job, tasks)
+    if session.plan.wants_processes(len(tasks)):
+        return session.plan.map(worker_serve_job, tasks)
     return [execute_payload(session, kind, params) for kind, params in tasks]
 
 

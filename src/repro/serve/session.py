@@ -162,10 +162,10 @@ class SortSession:
     ----------
     jobs:
         Worker-process count (a count, ``"auto"``, or ``None`` for the
-        plain serial path) — exactly the CLI ``--jobs`` contract.  It
-        shards served batches only: a single-tree sort and an optimizer
-        ranking always run in this process, because each is cheaper
-        than a pool round trip.  Results are bit-identical at every
+        serial default ``ParallelPlan()``) — exactly the CLI ``--jobs``
+        contract.  It shards served batches only: a single-tree sort and
+        an optimizer ranking always run in this process, because each is
+        cheaper than a pool round trip.  Results are bit-identical at every
         setting.
     """
 
@@ -182,7 +182,7 @@ class SortSession:
         """The named platform preset (cached per session)."""
         cached = self._platforms.get(name)
         if cached is None:
-            from repro.cli import PLATFORMS
+            from repro.core.presets import PLATFORMS
 
             factory = PLATFORMS.get(name)
             if factory is None:

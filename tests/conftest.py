@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
+import os
 import random
+import signal
+import time
 
 import numpy as np
 import pytest
+
+from repro.parallel.workers import worker_cluster_node
 
 
 @pytest.fixture
@@ -18,6 +25,38 @@ def rng() -> random.Random:
 def nprng() -> np.random.Generator:
     """Seeded numpy PRNG."""
     return np.random.default_rng(0xB0452)
+
+
+def _straggling_node(task: tuple, node: int, mode: str) -> tuple:
+    """``worker_cluster_node`` with a fault in node ``node``'s pool task.
+
+    ``kill`` SIGKILLs the worker process (a pool crash); ``sleep``
+    stalls it for 30 s, past any test's task timeout.  The fault fires
+    only in a pool child, so the parent's recompute runs clean.
+    """
+    receiver = task[2]
+    if receiver == node and multiprocessing.parent_process() is not None:
+        if mode == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(30.0)
+    return worker_cluster_node(task)
+
+
+@pytest.fixture
+def straggler(monkeypatch):
+    """``straggler(node, mode)`` injects a fault into one cluster node.
+
+    ``ClusterExecutor`` maps through the patched entry, and forked pool
+    workers inherit the patch.
+    """
+    from repro.distributed import executor
+
+    def inject(node: int, mode: str) -> None:
+        monkeypatch.setattr(
+            executor, "worker_cluster_node",
+            functools.partial(_straggling_node, node=node, mode=mode),
+        )
+    return inject
 
 
 def make_sorted_runs(

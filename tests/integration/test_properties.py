@@ -1,10 +1,10 @@
 """Cross-layer property tests.
 
-The reproduction has three independent implementations of "merge a
-stage": the cycle simulator (`repro.hw`), the vectorised functional
-engine (`repro.engine.stage`), and Python's own sorted().  Hypothesis
-drives them against each other, plus model-level invariants the paper
-relies on (monotonicity of the optimizer in hardware generosity).
+The cycle simulator (`repro.hw`) and the vectorised functional engine
+(`repro.engine.stage`) both merge a stage's keys through one group sort,
+so Hypothesis drives each against Python's own sorted() rather than
+against the other, plus model-level invariants the paper relies on
+(monotonicity of the optimizer in hardware generosity).
 """
 
 from __future__ import annotations
@@ -27,27 +27,48 @@ from repro.units import GB, KiB
 from tests.conftest import run_values
 
 
-# A strategy for small lists of sorted runs over a narrow key space
-# (narrow keys maximise duplicate/tie coverage).
-runs_strategy = st.lists(
-    st.lists(st.integers(1, 50), min_size=0, max_size=24).map(sorted),
-    min_size=0,
-    max_size=12,
+def runs_over(keys: st.SearchStrategy) -> st.SearchStrategy:
+    """Small lists of sorted runs drawn from ``keys``."""
+    return st.lists(
+        st.lists(keys, min_size=0, max_size=24).map(sorted),
+        min_size=0,
+        max_size=12,
+    )
+
+
+# Sorted runs over a narrow key space (narrow keys maximise duplicate and
+# tie coverage) or over the whole uint64 range.
+runs_strategy = st.one_of(
+    runs_over(st.integers(1, 50)), runs_over(st.integers(0, 2**64 - 1))
 )
+
+
+def grouped_sorted(runs: list[list[int]], leaves: int) -> list[list[int]]:
+    """The stage oracle: output run ``j`` is ``sorted()`` of input runs
+    ``[j * leaves, (j + 1) * leaves)``; a stage without runs gives one
+    empty run."""
+    return [
+        sorted(key for run in runs[start : start + leaves] for key in run)
+        for start in range(0, max(len(runs), 1), leaves)
+    ]
 
 
 class TestSimulatorMatchesFunctionalEngine:
     @given(runs_strategy, st.sampled_from([(1, 2), (2, 4), (4, 4), (8, 8)]))
     @settings(max_examples=60, deadline=None)
     def test_same_output_runs(self, runs, shape):
+        """Both engines against a per-group ``sorted()``, not each other:
+        they share :func:`~repro.engine.stage.sort_groups`."""
         p, leaves = shape
+        expected = grouped_sorted(runs, leaves)
         simulated, _ = simulate_merge(
             p=p, leaves=leaves, runs=runs, check_sorted_inputs=False
         )
         functional = merge_stage(
-            [np.array(run, dtype=np.int64) for run in runs], leaves
+            [np.array(run, dtype=np.uint64) for run in runs], leaves
         )
-        assert run_values(simulated) == run_values(functional)
+        assert run_values(simulated) == expected
+        assert run_values(functional) == expected
 
     @given(runs_strategy)
     @settings(max_examples=40, deadline=None)

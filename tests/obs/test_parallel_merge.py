@@ -56,7 +56,7 @@ class TestUnrolledSortMerge:
     @pytest.mark.parametrize("partitioning", ["range", "address"])
     def test_serial_and_jobs2_counters_identical(self, hardware, partitioning):
         serial_outcomes, serial = observed_counters(
-            lambda: self.run(hardware, partitioning, None)
+            lambda: self.run(hardware, partitioning, ParallelPlan())
         )
         sharded_outcomes, sharded = observed_counters(
             lambda: self.run(hardware, partitioning, ParallelPlan(jobs=2))
@@ -164,12 +164,10 @@ class TestClusterSortMerge:
     pooled run's counters equal the serial run's, and a recomputed
     straggler partition is counted exactly once."""
 
-    def run_cluster(self, data, plan=None, straggler=None):
+    def run_cluster(self, data, plan=ParallelPlan()):
         from repro.distributed.executor import ClusterExecutor
 
-        return ClusterExecutor(
-            nodes=4, plan=plan, straggler=straggler
-        ).execute(data)
+        return ClusterExecutor(nodes=4, plan=plan).execute(data)
 
     def test_serial_and_jobs2_counters_identical(self):
         rng = np.random.default_rng(14)
@@ -187,22 +185,16 @@ class TestClusterSortMerge:
             ignore_prefixes=IGNORED,
         ) == []
 
-    def test_straggler_recompute_counts_exactly_once(self):
-        from repro.distributed.executor import StragglerSpec
-
+    def test_straggler_recompute_counts_exactly_once(self, straggler):
         rng = np.random.default_rng(15)
         data = rng.integers(0, 1 << 30, size=8000, dtype=np.uint64)
         serial_report, serial = observed_counters(
             lambda: self.run_cluster(data)
         )
+        straggler(1, "kill")
         straggled_report, straggled = observed_counters(
-            lambda: self.run_cluster(
-                data,
-                plan=ParallelPlan(jobs=2),
-                straggler=StragglerSpec(node=1, mode="kill"),
-            )
+            lambda: self.run_cluster(data, plan=ParallelPlan(jobs=2))
         )
-        assert straggled_report.straggler_recovered
         assert straggled_report.digest == serial_report.digest
         # The recomputed partition's records land once — either from
         # the absorbed worker snapshot or from the parent's recompute,

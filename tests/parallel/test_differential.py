@@ -2,7 +2,7 @@
 
 The acceptance contract of the execution layer — for every surface that
 takes a ``jobs`` setting (session sorts in both modes, unrolled trees in
-both modes), every setting must reproduce the plan-less results
+both modes), every setting must reproduce the serial plan's results
 exactly: sorted bytes, modeled seconds, cycle counts and traffic.  Each
 surface is exercised across at least three jobs settings and eight
 workload seeds.  Only work that pays for a pool round trip reaches one:
@@ -32,13 +32,12 @@ from repro.units import GB
 
 SEEDS = tuple(range(8))
 
-#: The plan-less path first, as every surface's reference, then three-plus
-#: jobs settings; "auto" rides along to cover CPU-count resolution.
+#: The serial default first, as every surface's reference, then three
+#: pooled jobs settings; "auto" rides along to cover CPU-count resolution.
 JOBS_SETTINGS = (
-    None,
-    ParallelPlan.serial(),
+    ParallelPlan(),
     ParallelPlan(jobs=2),
-    ParallelPlan(jobs=4, chunk_size=2),
+    ParallelPlan(jobs=4),
     ParallelPlan(jobs="auto"),
 )
 
@@ -68,13 +67,14 @@ def outcomes_identical(left, right) -> bool:
     )
 
 
-#: ``SortSession(jobs=...)`` values covering the same settings.
-SESSION_JOBS = tuple(None if plan is None else plan.jobs for plan in JOBS_SETTINGS)
+#: ``SortSession(jobs=...)`` values covering the same settings, plus the
+#: CLI's "no --jobs" spelling.
+SESSION_JOBS = (None, *(plan.jobs for plan in JOBS_SETTINGS))
 
 
 def assert_session_parity(job: SortJob) -> None:
     """A session's sort payload — digest, checksum, stages, model or
-    simulated seconds — is the plan-less one at every ``jobs`` setting."""
+    simulated seconds — is the serial one at every ``jobs`` setting."""
     reference = SortSession().run_sort(job)
     assert reference["stages"] > 1
     for jobs in SESSION_JOBS:
@@ -147,7 +147,7 @@ class TestUnrolledModel:
 class TestUnrolledSimulate:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sharded_units_match_joint_simulation(self, hardware, seed):
-        """Per-unit workers reproduce the plan-less simulation exactly —
+        """Per-unit workers reproduce the serial simulation exactly —
         including ``parallel_cycles = max(unit completion cycles)``."""
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 1 << 30, size=1200)
@@ -258,7 +258,7 @@ class TestFullRangeKeys:
             ).sort(data)
             assert np.array_equal(outcome.data, expected), mode
         config = AmtConfig(p=4, leaves=4, lambda_unroll=4)
-        for plan in (None, ParallelPlan(jobs=2)):
+        for plan in (ParallelPlan(), ParallelPlan(jobs=2)):
             outcome = UnrolledSorter(
                 config=config, hardware=hardware, parallel=plan
             ).simulate(data)
@@ -281,7 +281,7 @@ class TestSimulateShmTransport:
         assert all(run.dtype == np.uint64 for run in packed)
         assert packed[0].tolist() == full_range
         keys = [2**64 - 1, 5, 2**63, 0, 9, 2**64 - 2, 1, 2**63 + 1]
-        for plan in (None, ParallelPlan(jobs=2)):
+        for plan in (ParallelPlan(), ParallelPlan(jobs=2)):
             sim = UnrolledSimulation(p=2, leaves=2, lambda_unroll=2)
             sim.run(keys, plan=plan)
             assert sim.output.tolist() == sorted(keys), plan

@@ -1,6 +1,9 @@
-"""ParallelPlan policy: validation, chunking, fallback, order stability."""
+"""ParallelPlan policy: validation, fallback, worker cleanup, order stability."""
 
 from __future__ import annotations
+
+import multiprocessing
+import time
 
 import pytest
 
@@ -21,9 +24,14 @@ def _flaky_boom(task):
 
 
 def _slow(task):
-    import time
-
     time.sleep(task)
+    return task
+
+
+def _stall_in_worker(task):
+    # Sleeps only inside a pool worker: the parent's recompute is instant.
+    if multiprocessing.parent_process() is not None:
+        time.sleep(task)
     return task
 
 
@@ -34,19 +42,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="jobs"):
             ParallelPlan(jobs="many")
 
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            ParallelPlan(chunk_size=0)
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            ParallelPlan(chunk_size="huge")
-
     def test_rejects_bad_timeout(self):
         with pytest.raises(ConfigurationError, match="task_timeout"):
             ParallelPlan(task_timeout=0)
 
     def test_from_jobs_adapter(self):
-        assert ParallelPlan.from_jobs(None) is None
-        assert ParallelPlan.from_jobs(1) == ParallelPlan.serial()
+        assert ParallelPlan.from_jobs(None) == ParallelPlan()
+        assert ParallelPlan.from_jobs(1) == ParallelPlan()
         assert ParallelPlan.from_jobs(4).jobs == 4
         assert ParallelPlan.from_jobs("auto").jobs == "auto"
 
@@ -60,20 +62,9 @@ class TestResolution:
         assert available_cpus() >= 1
 
     def test_serial_conditions(self):
-        assert not ParallelPlan.serial().wants_processes(100)
-        assert not ParallelPlan(jobs=1).wants_processes(100)
+        assert not ParallelPlan().wants_processes(100)
         assert not ParallelPlan(jobs=4).wants_processes(1)
         assert ParallelPlan(jobs=4).wants_processes(2)
-
-    def test_chunks_cover_everything_in_order(self):
-        for n_tasks in (0, 1, 5, 17, 100):
-            for plan in (
-                ParallelPlan(jobs=4),
-                ParallelPlan(jobs=3, chunk_size=7),
-                ParallelPlan(jobs="auto"),
-            ):
-                covered = [i for chunk in plan.chunks(n_tasks) for i in chunk]
-                assert covered == list(range(n_tasks))
 
 
 class TestMap:
@@ -81,9 +72,9 @@ class TestMap:
         tasks = list(range(23))
         expected = [t * t for t in tasks]
         for plan in (
-            ParallelPlan.serial(),
+            ParallelPlan(),
             ParallelPlan(jobs=2),
-            ParallelPlan(jobs=4, chunk_size=3),
+            ParallelPlan(jobs=4),
             ParallelPlan(jobs="auto"),
         ):
             assert plan.map(_square, tasks) == expected
@@ -94,10 +85,19 @@ class TestMap:
             plan.map(_flaky_boom, [1, 2, 3, 4])
 
     def test_timeout_falls_back_to_serial_recompute(self):
-        # Sleepy tasks behind a tiny budget: chunks time out and the
+        # Sleepy tasks behind a tiny budget: tasks time out and the
         # parent recomputes serially — results must still be right.
-        plan = ParallelPlan(jobs=2, chunk_size=1, task_timeout=0.05)
+        plan = ParallelPlan(jobs=2, task_timeout=0.05)
         assert plan.map(_slow, [0.2, 0.3]) == [0.2, 0.3]
+
+    def test_timed_out_worker_does_not_outlive_the_map(self):
+        # The worker stuck on the 30 s task is killed before map
+        # returns, so it cannot hold the process open at exit.
+        plan = ParallelPlan(jobs=2, task_timeout=0.3)
+        started = time.perf_counter()
+        assert plan.map(_stall_in_worker, [0.0, 30.0, 0.0]) == [0.0, 30.0, 0.0]
+        assert time.perf_counter() - started < 10.0
+        assert multiprocessing.active_children() == []
 
     def test_lambda_fails_under_processes(self):
         # Worker functions must be module-level; a lambda cannot be
