@@ -11,6 +11,8 @@ full-size targets, so host noise cannot flake them:
 * four workers against one, for the λ_unrl unrolled simulation and the
   4-node cluster sort, and a two-worker session's model-mode sort
   against a serial one (multicore hosts only);
+* a warm two-worker pool's round trip against an absolute 3 ms (a
+  freshly forked pool costs 9–13 ms on a 2-CPU host);
 * the disabled observability path against a 2% budget;
 * the model-mode sort and ``validate_sort`` against numpy's default
   sort of the same keys, the floor a host-side pass chases;
@@ -27,6 +29,7 @@ the ledger (``benchmarks/ledger``).
 from __future__ import annotations
 
 import random
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -280,6 +283,20 @@ def test_pooled_session_model_sort_keeps_pace_with_serial():
     pooled_seconds, pooled = best_of(lambda: pooled_session.run_sort(job))
     assert pooled["digest"] == serial["digest"]
     assert pooled_seconds <= 1.5 * serial_seconds
+
+
+def test_warm_pool_map_round_trip():
+    """A map of 4 no-op tasks on the warm two-worker pool: median under
+    3 ms.  A map that forked its own pool took 9–13 ms."""
+    require_cpus(2)
+    plan = ParallelPlan(jobs=2)
+    plan.map(abs, range(4))
+    seconds = []
+    for _ in range(15):
+        started = time.perf_counter()
+        assert plan.map(abs, range(4)) == [0, 1, 2, 3]
+        seconds.append(time.perf_counter() - started)
+    assert statistics.median(seconds) < 3e-3
 
 
 def test_cluster_keeps_pace_with_one_tree():

@@ -9,17 +9,23 @@
 1. **splitters** — a seeded oversampled key sketch yields the range
    boundaries (:func:`~repro.distributed.exchange.sample_splitters`);
 2. **exchange** — the parent packs the input chunks, one slot per
-   sender, into one shared uint64 block;
+   sender, into the ``in`` block of the shared-memory arena it leases
+   (:func:`~repro.parallel.plan.lease`);
 3. **local sort** — one task per receiver, in one
    :meth:`~repro.parallel.plan.ParallelPlan.map`, pulls the keys of its
    range from every sender slot
    (:func:`~repro.distributed.exchange.pull_partition`), sorts them
    through a single-tree :class:`~repro.engine.sorter.AmtSorter`, and
-   writes them into one output block at the offset its pull counted
-   (the keys below its range);
+   writes them into the arena's ``out`` block at the offset its pull
+   counted (the keys below its range);
 4. **merge** — the parent copies the output block, where the nodes'
    sorted partitions lie end to end in receiver order (range
    partitioning makes that globally sorted by construction).
+
+The pool and the arena are the process's warm set
+(:mod:`repro.parallel.plan`): a repeated sort reuses the same worker
+processes and the same already-faulted blocks, so none of the four
+phases pays for a fork or for fresh shared-memory pages.
 
 Each node scans all ``N`` input keys, which is ``nodes x N`` compares
 in total.  On one host that costs far less than the separate exchange
@@ -61,14 +67,8 @@ from repro.distributed.node import SortingNode
 from repro.engine.stage import sort_kind
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.runtime import observation
-from repro.parallel.plan import ParallelPlan
-from repro.parallel.shm import (
-    alloc_arrays,
-    as_uint64_keys,
-    pack_arrays,
-    release,
-    view_array,
-)
+from repro.parallel.plan import ParallelPlan, lease
+from repro.parallel.shm import as_uint64_keys
 from repro.parallel.workers import worker_cluster_node
 from repro.records.valsort import content_digest
 from repro.units import ms_per_gb
@@ -180,12 +180,11 @@ class ClusterExecutor:
                     keys, self.nodes, self.oversample, self.seed
                 )
             split_done = time.perf_counter()
-            with obs.span("cluster.exchange", nodes=self.nodes):
-                in_block, in_desc = pack_arrays(chunks)
-            exchange_done = time.perf_counter()
-            out_block = None
-            try:
-                out_block, out_desc = alloc_arrays([int(keys.size)], np.uint64)
+            with lease() as arena:
+                with obs.span("cluster.exchange", nodes=self.nodes):
+                    in_desc = arena.pack(chunks)
+                exchange_done = time.perf_counter()
+                out_desc = arena.layout([int(keys.size)], np.uint64)
                 # Node r owns [bounds[r], bounds[r + 1]); None is open.
                 bounds = [None, *(int(s) for s in splitters), None]
                 with obs.span("cluster.local_sort", nodes=self.nodes):
@@ -201,12 +200,8 @@ class ClusterExecutor:
                     node_results = self.plan.map(worker_cluster_node, node_tasks)
                 sorts_done = time.perf_counter()
                 with obs.span("cluster.merge", nodes=self.nodes):
-                    output = view_array(out_desc, 0, out_block).copy()
+                    output = arena.view(out_desc, 0).copy()
                 merge_done = time.perf_counter()
-            finally:
-                release(in_block)
-                if out_block is not None:
-                    release(out_block)
             _, node_seconds, node_stages, columns = zip(*node_results)
             layout = ShuffleLayout(counts=tuple(zip(*columns)))
             # Verification sits outside the timed window (the oracle

@@ -24,10 +24,13 @@ dynamically) and reports:
 ``proc-shm-lifetime``
     shared-memory lifetime bugs, on either side of the fork: an owning
     allocation (``SharedMemory(create=...)`` or the project allocators
-    ``pack_arrays``/``alloc_arrays``) that is neither released,
+    ``pack_arrays``) that is neither released,
     unlinked, nor returned to the caller; an owning allocation whose
-    result is not even bound; and any call through a block name after
-    that block's ``close()``.
+    result is not even bound; any call through a block name after
+    that block's ``close()``; and an arena lease
+    (:func:`repro.parallel.plan.lease`) taken anywhere but as a ``with``
+    statement's context expression, where an exception before its exit
+    would leave the warm arena held.
 
 Known approximations, kept deliberately: ownership tracking is
 name-based within one function (returning the block transfers
@@ -72,10 +75,13 @@ UNPICKLABLE_MEMBERS: frozenset[str] = frozenset({
 #: shared-memory block and must release() it or pass it on
 OWNING_ALLOCATORS: frozenset[str] = frozenset({
     "repro.parallel.shm.pack_arrays",
-    "repro.parallel.shm.alloc_arrays",
 })
 
 RELEASE_FUNCTION = "repro.parallel.shm.release"
+
+#: hands out the process's shared-memory arena; a ``with`` statement is
+#: the only accepted proof that the lease is returned on every path
+LEASE_FUNCTION = "repro.parallel.plan.lease"
 
 #: component methods the simulator dispatches to dynamically, which a
 #: static call graph cannot follow
@@ -295,6 +301,21 @@ def _shm_lifetime_findings(index: ProjectIndex) -> list[Diagnostic]:
         block_names: set[str] = set()
         for call in fn.calls:
             resolved = index.resolve_call(fq, call["target"])
+            if resolved == LEASE_FUNCTION and not call["with"]:
+                if call["id"] in returned_ids:
+                    continue  # the caller takes the lease
+                out.append(Diagnostic(
+                    path=index.paths[fq], line=call["line"],
+                    column=call["col"], rule="proc-shm-lifetime",
+                    message=(
+                        f"{short}() takes an arena lease outside a "
+                        "`with` statement; an exception before it is "
+                        "returned leaves the shared-memory arena held "
+                        "— write `with lease() as arena:`"
+                    ),
+                    severity=Severity.ERROR,
+                ))
+                continue
             owning = False
             if _is_shared_memory_call(call):
                 if isinstance(call["binds"], str):

@@ -121,7 +121,8 @@ class FunctionSummary:
     #: abstract values of every ``return`` expression
     returns: list[AbsVal] = field(default_factory=list)
     #: call sites: {"id", "line", "col", "target", "args", "kwargs",
-    #: "arg_names", "kwarg_names", "binds"}
+    #: "arg_names", "kwarg_names", "binds", "with"} (``with``: the call
+    #: is a ``with`` statement's context expression)
     calls: list[dict] = field(default_factory=list)
     #: additive/comparison sites: {"line", "col", "op", "left", "right"}
     mixes: list[dict] = field(default_factory=list)
@@ -467,6 +468,7 @@ class _FunctionExtractor:
                 if kw.arg is not None and isinstance(kw.value, ast.Name)
             },
             "binds": None,
+            "with": False,
         })
         return ("ret", call_id)
 
@@ -612,7 +614,9 @@ class _FunctionExtractor:
             return
         if isinstance(stmt, ast.With):
             for item in stmt.items:
-                self.eval(item.context_expr)
+                value = self.eval(item.context_expr)
+                if value[0] == "ret":
+                    self.out.calls[value[1]]["with"] = True
                 if item.optional_vars is not None:
                     self._bind_names(item.optional_vars)
             for inner in stmt.body:

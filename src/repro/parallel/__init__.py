@@ -13,9 +13,10 @@ in-place row sort of one buffer, which no pool dispatch could beat:
 * :class:`ParallelPlan` is the one policy object (worker count and a
   per-task timeout with serial fallback; ``ParallelPlan()`` is serial)
   and its :meth:`~ParallelPlan.map` the one execution entry point, one
-  pool submission per task;
+  pool submission per task, on the process's one warm worker pool;
 * :mod:`repro.parallel.shm` ships numpy arrays through POSIX shared
-  memory instead of pickles;
+  memory instead of pickles, from one reused arena per process
+  (:func:`~repro.parallel.plan.lease`);
 * :mod:`repro.parallel.workers` holds the module-level, import-pure
   worker entries (enforced by ``bonsai check``'s ``worker-entry`` rule);
 * :mod:`repro.parallel.api` reproduces the unrolled simulator's unit

@@ -10,22 +10,18 @@ differential suite in ``tests/parallel`` pins this against the serial
 plan.
 
 Record data travels through :mod:`repro.parallel.shm`: the parent packs
-the chunks into one shared block, workers attach zero-copy views, and
-only tiny descriptors and cycle counts ride the pickles.
+the chunks into the ``in`` block of the arena it leases
+(:func:`~repro.parallel.plan.lease`, the same transport the cluster sort
+uses), workers attach zero-copy views, and only tiny descriptors and
+cycle counts ride the pickles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.plan import ParallelPlan
-from repro.parallel.shm import (
-    alloc_arrays,
-    as_uint64_keys,
-    pack_arrays,
-    release,
-    view_array,
-)
+from repro.parallel.plan import ParallelPlan, lease
+from repro.parallel.shm import as_uint64_keys
 from repro.parallel.workers import worker_simulate_unit_shm
 
 
@@ -55,21 +51,13 @@ def simulate_units_sharded(
         keys[index * chunk : (index + 1) * chunk]
         for index in range(lambda_unroll)
     ]
-    in_block, in_desc = pack_arrays(chunks)
-    out_block, out_desc = alloc_arrays(
-        [int(part.size) for part in chunks], np.uint64
-    )
-    try:
+    with lease() as arena:
+        in_desc = arena.pack(chunks)
+        out_desc = arena.layout([int(part.size) for part in chunks], np.uint64)
         tasks = [
             (in_desc, out_desc, index, shape, max_cycles)
             for index in range(lambda_unroll)
         ]
         results = plan.map(worker_simulate_unit_shm, tasks)
-        ranges = [
-            view_array(out_desc, index, out_block).copy()
-            for index in range(lambda_unroll)
-        ]
-    finally:
-        release(in_block)
-        release(out_block)
+        ranges = [arena.view(out_desc, index).copy() for index in range(lambda_unroll)]
     return ranges, results

@@ -20,23 +20,39 @@ The map runs as a plain loop in the parent when any of these hold:
   our task sizes);
 * the current process is itself a pool worker (no nested pools).
 
+Process maps share one **warm set** per process: one fork
+``ProcessPoolExecutor``, reused while the worker count a map wants stays
+the same (another count replaces it), and the shared-memory
+:class:`~repro.parallel.shm.Arena` that sharded calls take through
+:func:`lease`.  A warm pool skips the fork and the parent's
+copy-on-write faults that follow each one; a warm arena skips creating
+and faulting fresh segments.  The set releases itself — workers stopped,
+blocks unlinked — :data:`IDLE_SECONDS` after its last use, at once after
+any failure, and at interpreter exit, so no process or segment outlives
+the run even when nobody closes it.  A serial plan never touches it.
+
 Worker failure is not fatal: a crashed or timed-out task is recomputed
 serially in the parent, so a flaky pool can slow a run down but can
 never change its output or kill it.  A map that lost a task kills its
-workers before it returns, so a stalled worker never outlives it.
+workers before it returns, so a stalled worker never outlives it, and
+the next map starts a fresh pool.
 """
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.obs.runtime import (
+    DISABLED,
     ObsTaskContext,
     absorb,
     activated,
@@ -45,6 +61,7 @@ from repro.obs.runtime import (
     worker_observation,
     worker_payload,
 )
+from repro.parallel.shm import ARENA, Arena
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
@@ -71,7 +88,10 @@ def _call_task(
     by construction.
     """
     if obs_ctx is None:
-        return fn(task), None
+        # A warm worker may have been forked under an observation the
+        # parent has since left: run untraced, as the parent is.
+        with activated(DISABLED):
+            return fn(task), None
     worker = worker_observation(obs_ctx)
     with activated(worker):
         with worker.span("parallel.chunk"):
@@ -89,6 +109,133 @@ def _kill_workers(executor: ProcessPoolExecutor) -> None:
     """
     for process in list((executor._processes or {}).values()):
         process.kill()
+
+
+#: Seconds the warm pool and arena outlive their last use.  Long enough
+#: to bridge back-to-back sorts, short enough that a caller reaping its
+#: children (or exiting) never waits on an idle pool for long.
+IDLE_SECONDS = 0.5
+
+
+class _WarmSet:
+    """This process's one worker pool and its arena's lifetime.
+
+    Every process map and every :func:`lease` runs inside :meth:`held`,
+    under one reentrant lock: concurrent callers take turns, and a lease
+    nests the map it makes.  When the last holder lets go the set arms
+    an idle timer, or releases at once after a failure and in a pool
+    worker (which exits without running ``atexit``).
+    """
+
+    def __init__(self) -> None:
+        self.inherited: ProcessPoolExecutor | None = None
+        self._start()
+
+    def _start(self) -> None:
+        self.lock = threading.RLock()
+        self.executor: ProcessPoolExecutor | None = None
+        self.workers = 0
+        self.users = 0
+        self.failed = False
+        self.timer: threading.Timer | None = None
+
+    def after_fork_in_child(self) -> None:
+        """A forked child owns none of its parent's set.
+
+        The parent's executor object stays referenced: freeing it would
+        run its weakref callback, which takes the executor's shutdown
+        lock (the fork copied it held, mid-``submit``) and writes to the
+        parent's wakeup pipe.
+        """
+        self.inherited = self.executor
+        self._start()
+
+    @contextmanager
+    def held(self) -> Iterator["_WarmSet"]:
+        with self.lock:
+            if self.timer is not None:
+                self.timer.cancel()
+                self.timer = None
+            self.users += 1
+            returned = False
+            try:
+                yield self
+                returned = True
+            finally:
+                self.failed |= not returned
+                self.users -= 1
+                if self.users == 0:
+                    if self.failed or multiprocessing.current_process().daemon:
+                        self.release()
+                    else:
+                        self.timer = threading.Timer(IDLE_SECONDS, self._idle)
+                        self.timer.daemon = True
+                        self.timer.start()
+
+    def pool(self, workers: int) -> ProcessPoolExecutor:
+        """The warm pool of ``workers`` processes, started if need be.
+
+        A pool whose worker died while it sat idle is marked broken (a
+        private flag, as with ``_processes`` in :func:`_kill_workers`)
+        and would refuse every submission, so it is replaced too.
+        """
+        if self.executor is not None and (
+            self.workers != workers or self.executor._broken
+        ):
+            self._stop_pool()
+        if self.executor is None:
+            self.executor = ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("fork")
+            )
+            self.workers = workers
+            observation().count("parallel.pool_starts", workers=workers)
+        return self.executor
+
+    def discard(self) -> None:
+        """Kill the pool after a lost task; the arena follows on release."""
+        if self.executor is not None:
+            _kill_workers(self.executor)
+        self._stop_pool()
+        self.failed = True
+
+    def release(self) -> None:
+        """Unlink the arena's blocks and stop the pool's workers."""
+        with self.lock:
+            ARENA.release()
+            self._stop_pool()
+            self.failed = False
+
+    def _stop_pool(self) -> None:
+        executor, self.executor = self.executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+    def _idle(self) -> None:
+        with self.lock:
+            # A holder that came and went since this timer was armed
+            # cancelled it or armed a newer one.
+            if self.timer is threading.current_thread() and self.users == 0:
+                self.timer = None
+                self.release()
+
+
+_WARM = _WarmSet()
+os.register_at_fork(after_in_child=_WARM.after_fork_in_child)
+atexit.register(_WARM.release)
+
+
+@contextmanager
+def lease() -> Iterator[Arena]:
+    """Hold the process's shared-memory arena for one sharded call.
+
+    The arena's blocks are the caller's until the ``with`` block exits,
+    and views taken from them must not outlive it.  Take a lease in a
+    ``with`` statement (``bonsai check``'s ``proc-shm-lifetime`` rule
+    enforces it): an exception inside the block then releases the warm
+    set at once instead of leaving the arena held.
+    """
+    with _WARM.held():
+        yield ARENA
 
 
 @dataclass(frozen=True)
@@ -163,48 +310,48 @@ class ParallelPlan:
         obs.count("parallel.tasks", len(tasks))
         results: list = [None] * len(tasks)
         workers = min(self.resolve_jobs(), len(tasks))
-        executor = ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
-        )
-        lost = False
-        try:
-            with obs.span("parallel.map", tasks=len(tasks), workers=workers):
-                # Captured inside the span so worker span trees hang off
-                # the dispatch span that actually ran them.
-                ctx = task_context()
-                futures = [
-                    executor.submit(
-                        _call_task, fn, task,
-                        None if ctx is None else ctx.for_chunk(index),
-                    )
-                    for index, task in enumerate(tasks)
-                ]
-                for index, future in enumerate(futures):
-                    try:
-                        results[index], payload = future.result(
-                            timeout=self.task_timeout
+        with _WARM.held() as warm:
+            executor = warm.pool(workers)
+            clean = False
+            try:
+                with obs.span("parallel.map", tasks=len(tasks), workers=workers):
+                    # Captured inside the span so worker span trees hang off
+                    # the dispatch span that actually ran them.
+                    ctx = task_context()
+                    futures = [
+                        executor.submit(
+                            _call_task, fn, task,
+                            None if ctx is None else ctx.for_chunk(index),
                         )
-                    except FutureTimeoutError:
-                        future.cancel()
-                        lost = True
-                        # Recomputed in the parent under the parent's own
-                        # observation, so the lost task's metrics are
-                        # still counted exactly once.
-                        obs.count("parallel.recomputed_chunks")
-                        results[index] = fn(tasks[index])
-                    except Exception:  # bonsai-lint: disable=exn-broad-fallback -- the serial recompute re-raises any real task error in the parent with a clean traceback, so nothing is masked
-                        # Worker crash (BrokenProcessPool), unpicklable
-                        # result, or the task's own deterministic error:
-                        # recompute serially — a real error raises again
-                        # here, in the parent, with a clean traceback.
-                        lost = True
-                        obs.count("parallel.recomputed_chunks")
-                        results[index] = fn(tasks[index])
-                    else:
-                        if payload is not None:
-                            absorb(payload)
-        finally:
-            if lost:
-                _kill_workers(executor)
-            executor.shutdown(wait=lost, cancel_futures=True)
+                        for index, task in enumerate(tasks)
+                    ]
+                    lost = False
+                    for index, future in enumerate(futures):
+                        try:
+                            results[index], payload = future.result(
+                                timeout=self.task_timeout
+                            )
+                        except FutureTimeoutError:
+                            future.cancel()
+                            lost = True
+                            # Recomputed in the parent under the parent's own
+                            # observation, so the lost task's metrics are
+                            # still counted exactly once.
+                            obs.count("parallel.recomputed_chunks")
+                            results[index] = fn(tasks[index])
+                        except Exception:  # bonsai-lint: disable=exn-broad-fallback -- the serial recompute re-raises any real task error in the parent with a clean traceback, so nothing is masked
+                            # Worker crash (BrokenProcessPool), unpicklable
+                            # result, or the task's own deterministic error:
+                            # recompute serially — a real error raises again
+                            # here, in the parent, with a clean traceback.
+                            lost = True
+                            obs.count("parallel.recomputed_chunks")
+                            results[index] = fn(tasks[index])
+                        else:
+                            if payload is not None:
+                                absorb(payload)
+                    clean = not lost
+            finally:
+                if not clean:
+                    warm.discard()
         return results

@@ -13,7 +13,9 @@ processes.  Two invariants keep the pool deterministic and safe, and
 
 Entries return plain data (tuples of ints/floats, lists, small frozen
 dataclasses); large numpy arrays travel through
-:mod:`repro.parallel.shm` descriptors instead of pickles.
+:mod:`repro.parallel.shm` descriptors instead of pickles.  An entry maps
+its task's blocks through :meth:`~repro.parallel.shm.Arena.attach`, so a
+warm worker reuses its mappings from one task to the next.
 
 A cluster sort has one entry, :func:`worker_cluster_node`: each node
 pulls its key range from the packed input and sorts it in the same
@@ -24,7 +26,7 @@ module and patch the wrapper in.
 
 from __future__ import annotations
 
-from repro.parallel.shm import ShmArrays, read_array, view_array, write_array
+from repro.parallel.shm import ARENA, ShmArrays, view_array
 
 
 # ----------------------------------------------------------------------
@@ -42,8 +44,11 @@ def worker_simulate_unit_shm(task: tuple) -> tuple:
     from repro.hw.banks import sort_unit
 
     in_desc, out_desc, index, shape, max_cycles = task
-    output, cycles, stages = sort_unit(read_array(in_desc, index), max_cycles, **shape)
-    write_array(out_desc, index, output)
+    in_block, out_block = ARENA.attach(in_desc, out_desc)
+    output, cycles, stages = sort_unit(
+        view_array(in_desc, index, in_block).copy(), max_cycles, **shape
+    )
+    view_array(out_desc, index, out_block)[:] = output
     return (cycles, stages)
 
 
@@ -65,8 +70,6 @@ def worker_cluster_node(task: tuple) -> tuple:
     the keys taken from each sender; the parent assembles them into a
     :class:`~repro.distributed.exchange.ShuffleLayout`.
     """
-    from multiprocessing import shared_memory
-
     from repro.distributed.exchange import pull_partition
     from repro.engine.sorter import AmtSorter
     from repro.obs.runtime import observation
@@ -75,25 +78,18 @@ def worker_cluster_node(task: tuple) -> tuple:
         in_desc, out_desc, receiver, lo, hi,
         config, hardware, arch, presort_run, mode,
     ) = task
-    block = shared_memory.SharedMemory(name=in_desc.name)
-    try:
-        # The slot views are temporaries: none may outlive close().
-        data, offset, counts = pull_partition(
-            [view_array(in_desc, s, block) for s in range(len(in_desc.lengths))],
-            lo, hi,
-        )
-    finally:
-        block.close()
+    in_block, out_block = ARENA.attach(in_desc, out_desc)
+    # The slot views are temporaries: none may outlive the task.
+    data, offset, counts = pull_partition(
+        [view_array(in_desc, s, in_block) for s in range(len(in_desc.lengths))],
+        lo, hi,
+    )
     sorter = AmtSorter(
         config=config, hardware=hardware, arch=arch,
         presort_run=presort_run, mode=mode,
     )
     outcome = sorter.sort(data)
-    out_block = shared_memory.SharedMemory(name=out_desc.name)
-    try:
-        view_array(out_desc, 0, out_block)[offset : offset + data.size] = outcome.data
-    finally:
-        out_block.close()
+    view_array(out_desc, 0, out_block)[offset : offset + data.size] = outcome.data
     observation().count("cluster.node_records", int(data.size))
     return (receiver, float(outcome.seconds), int(outcome.stages), counts)
 

@@ -46,8 +46,10 @@ def _straggling_node(task: tuple, node: int, mode: str) -> tuple:
 def straggler(monkeypatch):
     """``straggler(node, mode)`` injects a fault into one cluster node.
 
-    ``ClusterExecutor`` maps through the patched entry, and forked pool
-    workers inherit the patch.
+    ``ClusterExecutor`` maps through the patched entry, which travels to
+    the workers as the map's function.  A warm pool forked before the
+    patch would not see a patched module global, so the fault must ride
+    the task and not the workers' inherited state.
     """
     from repro.distributed import executor
 

@@ -320,6 +320,44 @@ class TestShmLifetime:
         assert "parallel.buffers.leak" in finding.message
         assert "'block'" in finding.message
 
+    LEASE_PLAN = """
+        from contextlib import contextmanager
+
+
+        @contextmanager
+        def lease():
+            yield None
+    """
+
+    def test_lease_outside_with_is_flagged(self, check_tree):
+        result = check_tree({
+            "src/repro/parallel/plan.py": self.LEASE_PLAN,
+            "src/repro/parallel/buffers.py": """
+                from repro.parallel.plan import lease
+
+
+                def scoped(arrays):
+                    with lease() as arena:
+                        return arena.pack(arrays)
+
+
+                def handed_on():
+                    return lease()
+
+
+                def unscoped(arrays):
+                    held = lease()
+                    arena = held.__enter__()
+                    descriptor = arena.pack(arrays)
+                    held.__exit__(None, None, None)
+                    return descriptor
+            """,
+        }, select=["proc-shm-lifetime"])
+        assert [d.rule for d in result.diagnostics] == ["proc-shm-lifetime"]
+        finding = result.diagnostics[0]
+        assert "parallel.buffers.unscoped" in finding.message
+        assert "outside a `with` statement" in finding.message
+
     def test_use_after_close(self, check_tree):
         result = check_tree({
             "src/repro/parallel/buffers.py": """

@@ -95,10 +95,20 @@ MUTATIONS: tuple[tuple[str, str, str, dict[str, str]], ...] = (
      "    lambda_pipe: int = 1\n",
      "    lambda_pipe: int = 1\n    lock: threading.Lock | None = None\n",
      {"proc-unpicklable": "parallel/workers.py@config: AmtConfig"}),
+    # the descriptor escapes, the block it names does not
+    ("parallel/shm.py",
+     "    return block, descriptor\n",
+     "    return descriptor\n",
+     {"proc-shm-lifetime": "parallel/shm.py"}),
+    # a lease returned on the normal path only
     ("parallel/api.py",
-     "        release(in_block)\n        release(out_block)\n",
-     "        release(out_block)\n",
-     {"proc-shm-lifetime": "parallel/api.py"}),
+     "    with lease() as arena:\n",
+     "    held = lease()\n    arena = held.__enter__()\n    if arena:\n",
+     {"proc-shm-lifetime": "parallel/api.py@outside a `with` statement"}),
+    ("parallel/api.py",
+     "    return ranges, results\n",
+     "    held.__exit__(None, None, None)\n    return ranges, results\n",
+     {}),
     ("serve/session.py",
      '{"kind": job.kind, **job.params()}',
      '{"kind": job.kind, "nonce": id(job), **job.params()}',

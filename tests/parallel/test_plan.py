@@ -1,16 +1,26 @@
-"""ParallelPlan policy: validation, fallback, worker cleanup, order stability."""
+"""ParallelPlan policy: validation, fallback, worker cleanup, order
+stability, and the warm pool and arena's lifetime."""
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.runtime import activated, live_observation, observation
 from repro.parallel import ParallelPlan, available_cpus
 from repro.parallel import plan as plan_module
 from repro.parallel.workers import WORKER_ENTRIES
+
+ROOT = Path(__file__).resolve().parents[2]
 
 # Module-level so process workers can import them by qualified name.
 def _square(task):
@@ -25,6 +35,21 @@ def _flaky_boom(task):
 
 def _slow(task):
     time.sleep(task)
+    return task
+
+
+def _pid(task):
+    return os.getpid()
+
+
+def _observed(task):
+    return observation().enabled
+
+
+def _kill_in_worker(task):
+    # Task 1 kills its pool worker; the parent's recompute is clean.
+    if task == 1 and multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
     return task
 
 
@@ -105,6 +130,116 @@ class TestMap:
         # keeps the answer correct.
         plan = ParallelPlan(jobs=2)
         assert plan.map(lambda t: t + 1, [1, 2, 3]) == [2, 3, 4]
+
+
+def _warm_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _wait_until(condition, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+class TestWarmSet:
+    def test_second_map_runs_in_the_same_workers(self):
+        plan = ParallelPlan(jobs=2)
+        plan.map(_pid, range(4))
+        workers = _warm_pids()
+        assert len(workers) == 2
+        assert set(plan.map(_pid, range(4))) <= workers
+        assert _warm_pids() == workers
+
+    def test_another_worker_count_replaces_the_pool(self):
+        ParallelPlan(jobs=2).map(_pid, range(4))
+        two = _warm_pids()
+        ParallelPlan(jobs=3).map(_pid, range(4))
+        three = _warm_pids()
+        assert len(three) == 3 and not three & two
+
+    def test_pool_starts_count_forks_only(self):
+        plan_module._WARM.release()
+        live = live_observation()
+        with activated(live):
+            for _ in range(3):
+                ParallelPlan(jobs=2).map(_pid, range(4))
+        assert live.registry.counter_total("parallel.pool_starts") == 1
+        assert live.registry.counter_value("parallel.maps", mode="pool") == 3
+
+    def test_workers_forked_under_an_observation_do_not_keep_it(self):
+        plan_module._WARM.release()
+        with activated(live_observation()):
+            ParallelPlan(jobs=2).map(_pid, range(4))
+        assert ParallelPlan(jobs=2).map(_observed, range(4)) == [False] * 4
+
+    @pytest.mark.parametrize("fault", ["kill", "timeout"])
+    def test_lost_task_stops_the_pool_and_the_next_map_starts_fresh(self, fault):
+        plan = ParallelPlan(jobs=2, task_timeout=0.3)
+        plan.map(_pid, range(4))
+        before = _warm_pids()
+        if fault == "kill":
+            assert plan.map(_kill_in_worker, range(4)) == [0, 1, 2, 3]
+        else:
+            assert plan.map(_stall_in_worker, [0.0, 30.0, 0.0]) == [0.0, 30.0, 0.0]
+        assert multiprocessing.active_children() == []
+        after = set(plan.map(_pid, range(4)))
+        assert after and not after & before
+
+    def test_worker_killed_while_idle_does_not_fail_the_next_map(self):
+        plan = ParallelPlan(jobs=2)
+        plan.map(_pid, range(4))
+        before = _warm_pids()
+        os.kill(min(before), signal.SIGKILL)
+        time.sleep(0.1)  # well inside IDLE_SECONDS: the pool is still warm
+        assert plan.map(_square, range(4)) == [0, 1, 4, 9]
+        assert not _warm_pids() & before
+
+    def test_lost_task_releases_the_arena(self):
+        with plan_module.lease() as arena:
+            arena.pack([np.arange(16, dtype=np.uint64)])
+            names = [block.name for block in arena.blocks.values()]
+            ParallelPlan(jobs=2).map(_kill_in_worker, range(4))
+        assert plan_module.ARENA.blocks == {}
+        assert not any(Path("/dev/shm", name).exists() for name in names)
+
+    def test_idle_set_releases_its_workers_and_blocks(self):
+        with plan_module.lease() as arena:
+            arena.pack([np.arange(16, dtype=np.uint64)])
+            arena.layout([16], np.uint64)
+            names = [block.name for block in arena.blocks.values()]
+            assert ParallelPlan(jobs=2).map(_pid, range(4))
+        assert multiprocessing.active_children()
+        assert all(Path("/dev/shm", name).exists() for name in names)
+        assert _wait_until(
+            lambda: not multiprocessing.active_children(),
+            plan_module.IDLE_SECONDS + 5.0,
+        )
+        assert not any(Path("/dev/shm", name).exists() for name in names)
+
+    def test_a_reaper_of_children_does_not_wait_on_the_warm_pool(self):
+        # The ledger joins every live child before it exits; an idle
+        # warm pool must let go well before that join's 30 s timeout.
+        script = (
+            "import time\n"
+            "from benchmarks.ledger.run import stop_children\n"
+            "from repro.parallel import ParallelPlan\n"
+            "assert ParallelPlan(jobs=2).map(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]\n"
+            "started = time.perf_counter()\n"
+            "stop_children()\n"
+            "print(time.perf_counter() - started)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, cwd=ROOT, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 2.0
+        assert "leaked" not in done.stderr
 
 
 class TestWorkerEntryHygiene:

@@ -1,21 +1,28 @@
-"""Shared-memory transport: pack/alloc/read/write round trips."""
+"""Shared-memory transport: pack and view round trips and the reusable
+arena."""
 
 from __future__ import annotations
 
+import errno
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.runtime import activated, live_observation
+from repro.parallel import ParallelPlan
+from repro.parallel import plan as plan_module
+from repro.parallel import shm
+from repro.parallel.api import simulate_units_sharded
 from repro.parallel.shm import (
-    alloc_arrays,
+    Arena,
     as_uint64_keys,
     pack_arrays,
-    read_array,
     release,
     view_array,
-    write_array,
 )
 
 
@@ -31,7 +38,7 @@ def test_pack_and_read_round_trip():
         assert desc.offsets == (0, 5, 5)
         assert desc.total == 15
         for index, original in enumerate(arrays):
-            assert np.array_equal(read_array(desc, index), original)
+            assert np.array_equal(view_array(desc, index, block), original)
     finally:
         release(block)
 
@@ -57,29 +64,21 @@ def test_pack_rejects_empty_list():
         pack_arrays([])
 
 
-def test_alloc_write_view_round_trip():
-    block, desc = alloc_arrays([4, 0, 3], np.int64)
+def test_layout_write_view_round_trip():
+    arena = Arena()
     try:
-        write_array(desc, 0, np.array([4, 3, 2, 1]))
-        write_array(desc, 2, np.array([7, 8, 9]))
-        assert np.array_equal(view_array(desc, 0, block), [4, 3, 2, 1])
-        assert np.array_equal(view_array(desc, 2, block), [7, 8, 9])
-        assert view_array(desc, 1, block).size == 0
+        desc = arena.layout([4, 0, 3], np.int64)
+        arena.view(desc, 0)[:] = [4, 3, 2, 1]
+        arena.view(desc, 2)[:] = [7, 8, 9]
+        assert np.array_equal(arena.view(desc, 0), [4, 3, 2, 1])
+        assert np.array_equal(arena.view(desc, 2), [7, 8, 9])
+        assert arena.view(desc, 1).size == 0
     finally:
-        release(block)
-
-
-def test_write_rejects_size_mismatch():
-    block, desc = alloc_arrays([3], np.uint64)
-    try:
-        with pytest.raises(ConfigurationError, match="slot 0"):
-            write_array(desc, 0, np.arange(5, dtype=np.uint64))
-    finally:
-        release(block)
+        arena.release()
 
 
 def test_release_tolerates_double_release():
-    block, _desc = alloc_arrays([2], np.uint64)
+    block, _desc = pack_arrays([np.arange(2, dtype=np.uint64)])
     release(block)
     release(block)  # no FileNotFoundError escape
 
@@ -117,3 +116,62 @@ class TestUint64Packability:
         with pytest.raises(ConfigurationError, match="uint64") as unrolled:
             UnrolledSimulation(p=2, leaves=2, lambda_unroll=2).run(negative)
         assert str(cluster.value) == str(unrolled.value)
+
+
+def shm_exists(name: str) -> bool:
+    return Path("/dev/shm", name).exists()
+
+
+class TestArena:
+    def test_blocks_are_reused_up_to_their_high_water_mark(self):
+        arena = Arena()
+        try:
+            live = live_observation()
+            with activated(live):
+                first = arena.pack([np.arange(100, dtype=np.uint64)])
+                again = arena.pack([np.arange(50, dtype=np.uint64)] * 2)
+                grown = arena.pack([np.arange(300, dtype=np.uint64)])
+            assert again.name == first.name
+            assert grown.name != first.name and not shm_exists(first.name)
+            assert live.registry.counter_value("parallel.arena_grows", role="in") == 2
+            assert np.array_equal(arena.view(grown, 0), np.arange(300))
+        finally:
+            arena.release()
+        assert arena.blocks == {} and arena.mapped == {}
+        assert not shm_exists(grown.name)
+
+    def test_worker_keeps_its_mapping_and_closes_a_replaced_one(self):
+        parent, worker = Arena(), Arena()
+        try:
+            small = parent.pack([np.arange(4, dtype=np.uint64)])
+            out = parent.layout([4], np.uint64)
+            first = worker.attach(small, out)
+            assert worker.attach(small, out) == first
+            big = parent.pack([np.arange(400, dtype=np.uint64)])
+            worker.attach(big, out)
+            assert set(worker.mapped) == {big.name, out.name}
+        finally:
+            worker.release()
+            parent.release()
+
+    def test_failed_allocation_leaves_no_block(self, monkeypatch):
+        # /dev/shm fills up between the input and the output block.
+        plan_module._WARM.release()
+        real = shm.shared_memory.SharedMemory
+        created: list[str] = []
+
+        def allocate(*args, create=False, **kwargs):
+            if create and created:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            block = real(*args, create=create, **kwargs)
+            if create:
+                created.append(block.name)
+            return block
+
+        monkeypatch.setattr(shm, "shared_memory", SimpleNamespace(SharedMemory=allocate))
+        with pytest.raises(OSError):
+            simulate_units_sharded(
+                np.arange(64, dtype=np.uint64), 2, {}, 1000, ParallelPlan()
+            )
+        assert created and not any(shm_exists(name) for name in created)
+        assert shm.ARENA.blocks == {}
