@@ -9,8 +9,7 @@ full-size targets, so host noise cannot flake them:
   naive stepper, on bandwidth-bound shapes and compute-bound ones;
 * a memoized ``Bonsai`` optimizer against cache-cold instances;
 * four workers against one, for the λ_unrl unrolled simulation and the
-  4-node cluster sort, and a two-worker session's model-mode sort
-  against a serial one (multicore hosts only);
+  4-node cluster sort (multicore hosts only);
 * a warm two-worker pool's round trip against an absolute 3 ms (a
   freshly forked pool costs 9–13 ms on a 2-CPU host);
 * the disabled observability path against a 2% budget;
@@ -271,18 +270,6 @@ def test_unrolled_four_jobs_speed_up():
     assert content_digest(pooled.data) == content_digest(serial.data)
     assert pooled.detail == serial.detail
     assert serial_seconds / pooled_seconds >= 1.25
-
-
-def test_pooled_session_model_sort_keeps_pace_with_serial():
-    """A model-mode sort costs a ``jobs=2`` session at most 1.5x what it
-    costs a serial one: model stages never pay for pool dispatch."""
-    require_cpus(2)
-    job = SortJob(records=200_000, seed=1)
-    serial_session, pooled_session = SortSession(), SortSession(jobs=2)
-    serial_seconds, serial = best_of(lambda: serial_session.run_sort(job))
-    pooled_seconds, pooled = best_of(lambda: pooled_session.run_sort(job))
-    assert pooled["digest"] == serial["digest"]
-    assert pooled_seconds <= 1.5 * serial_seconds
 
 
 def test_warm_pool_map_round_trip():

@@ -53,13 +53,6 @@ def _parse_jobs(text: str) -> int | str:
     return jobs
 
 
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=_parse_jobs, default=None, metavar="N",
-        help="worker processes for independent work (a count or 'auto'; "
-             "default: serial, results are identical either way)")
-
-
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by the workload-running subcommands."""
     parser.add_argument(
@@ -108,7 +101,10 @@ def _configure_sort(srt: argparse.ArgumentParser) -> None:
                      help="also print the sorted output's sha256 content "
                           "digest (the identity served results are "
                           "compared against)")
-    _add_jobs_flag(srt)
+    srt.add_argument("--jobs", type=_parse_jobs, default=None, metavar="N",
+                     help="worker processes for the nodes of a "
+                          "--cluster-nodes sort (a count or 'auto'; default: "
+                          "serial, results are identical either way)")
     _add_obs_flags(srt)
 
 
@@ -150,13 +146,9 @@ def _configure_serve(srv: argparse.ArgumentParser) -> None:
     srv.add_argument("--client-quota", type=int, default=16, metavar="N",
                      help="max queued+running jobs per client identity "
                           "(default 16)")
-    srv.add_argument("--batch-max", type=int, default=8, metavar="N",
-                     help="max jobs dispatched per batch; batches >1 fan "
-                          "out across --jobs workers (default 8)")
     srv.add_argument("--cache-size", type=int, default=128, metavar="N",
                      help="LRU result-cache entries, keyed by job digest; "
                           "0 disables caching (default 128)")
-    _add_jobs_flag(srv)
     _add_obs_flags(srv)
 
 
@@ -513,9 +505,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         socket=args.socket,
         queue_depth=args.queue_depth,
         client_quota=args.client_quota,
-        batch_max=args.batch_max,
         cache_size=args.cache_size,
-        jobs=args.jobs,
     ))
 
 

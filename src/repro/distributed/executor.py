@@ -41,10 +41,10 @@ the analytical model's prediction at the *measured* partition skew, so
 the measured-vs-modeled delta is one number.
 
 Straggler tolerance is the parallel layer's: each node is one task of
-the map, so a node that overruns the plan's ``task_timeout`` is
-recomputed alone in the parent, and a killed worker breaks the pool,
-so the parent recomputes every node the pool had not yet returned
-(:meth:`ParallelPlan.map`'s timeout/crash fallback).  The output stays
+the map, so a node whose task raised is recomputed alone in the parent,
+and a killed worker breaks the pool, so the parent recomputes every
+node the pool had not yet returned (:meth:`ParallelPlan.map`'s crash
+fallback).  The output stays
 bit-exact, and ``parallel.recomputed_chunks`` counts each recompute.
 """
 
@@ -134,8 +134,7 @@ class ClusterExecutor:
     plan:
         The default serial plan runs every node in-process (same
         results, no pool); a process plan runs the node tasks as actual
-        worker processes, and its ``task_timeout`` is each node's
-        budget before the parent recomputes it.
+        worker processes.
     oversample / seed:
         Splitter sketch parameters (seeded: same data + seed = same
         splitters at every ``jobs`` setting).

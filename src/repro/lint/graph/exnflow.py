@@ -24,7 +24,7 @@ Rules:
     or computing a fallback.
 ``exn-broad-fallback``
     ``except Exception`` (or broader) inside ``repro.parallel``, where
-    the timeout/serial-recompute fallback paths depend on *precise*
+    the serial-recompute fallback paths depend on *precise*
     catches: a broad catch there turns a real worker bug into a silent
     serial recompute.
 ``exn-dead-handler``

@@ -44,11 +44,7 @@ from __future__ import annotations
 
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.graph.symbols import ProjectIndex
-
-#: the modules holding pool entry points (see workercheck): the
-#: execution layer's and the serve daemon's batch worker
-WORKERS_MODULES = ("repro.parallel.workers", "repro.serve.workers")
-ENTRY_PREFIX = "worker_"
+from repro.lint.graph.workercheck import ENTRY_PREFIX, WORKERS_MODULE
 
 #: packages allowed to manage cross-process state: the observability
 #: runtime implements the sanctioned worker_observation/absorb path
@@ -107,7 +103,7 @@ def _worker_reachable(index: ProjectIndex) -> set[str]:
     """Closure of the call graph from the ``worker_*`` entry points."""
     roots = {
         fq for fq, fn in index.functions.items()
-        if index.file_of[fq].module in WORKERS_MODULES
+        if index.file_of[fq].module == WORKERS_MODULE
         and fq.rsplit(".", 1)[-1].startswith(ENTRY_PREFIX)
         and fn.class_name is None
     }

@@ -28,11 +28,11 @@ from __future__ import annotations
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.graph.symbols import ProjectIndex
 
-#: the packages whose files this pass inspects (everything that ships
-#: work to pool processes: the execution layer and the serve daemon)
-PACKAGES = ("repro.parallel", "repro.serve")
-#: the modules holding pool entry points
-WORKERS_MODULES = ("repro.parallel.workers", "repro.serve.workers")
+#: the package whose files this pass inspects (the one that ships work
+#: to pool processes)
+PACKAGE = "repro.parallel"
+#: the module holding the pool entry points
+WORKERS_MODULE = "repro.parallel.workers"
 #: naming convention marking a function as a pool entry
 ENTRY_PREFIX = "worker_"
 
@@ -46,9 +46,8 @@ EAGER_IMPORT_OK = ("repro.parallel", "repro.errors", "repro.units")
 
 
 def _in_package(module: str | None) -> bool:
-    return module is not None and any(
-        module == package or module.startswith(package + ".")
-        for package in PACKAGES
+    return module is not None and (
+        module == PACKAGE or module.startswith(PACKAGE + ".")
     )
 
 
@@ -85,7 +84,7 @@ def check_worker_entries(index: ProjectIndex) -> list[Diagnostic]:
                         ),
                         severity=Severity.ERROR,
                     ))
-        if summary.module not in WORKERS_MODULES:
+        if summary.module != WORKERS_MODULE:
             continue
         for fn in summary.functions.values():
             if fn.name.startswith(ENTRY_PREFIX) and len(fn.params) != 1:

@@ -10,10 +10,11 @@ single tree's merge groups are never split apart: in simulate mode they
 share one simulated pipeline, and in model mode a whole stage is one
 in-place row sort of one buffer, which no pool dispatch could beat:
 
-* :class:`ParallelPlan` is the one policy object (worker count and a
-  per-task timeout with serial fallback; ``ParallelPlan()`` is serial)
-  and its :meth:`~ParallelPlan.map` the one execution entry point, one
-  pool submission per task, on the process's one warm worker pool;
+* :class:`ParallelPlan` is the one policy object (a worker count;
+  ``ParallelPlan()`` is serial, and a lost task is recomputed in the
+  parent) and its :meth:`~ParallelPlan.map` the one execution entry
+  point, one pool submission per task, on the process's one warm
+  worker pool;
 * :mod:`repro.parallel.shm` ships numpy arrays through POSIX shared
   memory instead of pickles, from one reused arena per process
   (:func:`~repro.parallel.plan.lease`);

@@ -1,8 +1,8 @@
 """The parallel execution plan: one policy object for every sharded loop.
 
 Every unit of work the reproduction shards — the λ_unrl units of an
-unrolled simulation, the nodes of a cluster sort, a batch of served
-jobs — goes through one entry point, :meth:`ParallelPlan.map`.  The
+unrolled simulation and the nodes of a cluster sort — goes through one
+entry point, :meth:`ParallelPlan.map`.  The
 plan decides *how* the map runs (a process pool or a plain loop); it
 never changes *what* is computed, so results are bit-identical across
 every ``jobs`` setting by construction: the same module-level worker
@@ -31,11 +31,11 @@ blocks unlinked — :data:`IDLE_SECONDS` after its last use, at once after
 any failure, and at interpreter exit, so no process or segment outlives
 the run even when nobody closes it.  A serial plan never touches it.
 
-Worker failure is not fatal: a crashed or timed-out task is recomputed
-serially in the parent, so a flaky pool can slow a run down but can
-never change its output or kill it.  A map that lost a task kills its
-workers before it returns, so a stalled worker never outlives it, and
-the next map starts a fresh pool.
+Worker failure is not fatal: a task whose worker crashed or raised is
+recomputed serially in the parent, so a flaky pool can slow a run down
+but can never change its output or kill it.  A map that lost a task
+kills its workers before it returns, so a stalled worker never outlives
+it, and the next map starts a fresh pool.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -247,14 +246,9 @@ class ParallelPlan:
     jobs:
         Worker count, or ``"auto"`` for the machine's CPU count; 1 (the
         default) runs a plain loop in the parent.
-    task_timeout:
-        Optional seconds to wait for each task's result before it is
-        declared lost and recomputed serially in the parent.  ``None``
-        waits forever.
     """
 
     jobs: int | str = 1
-    task_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.jobs, str):
@@ -264,10 +258,6 @@ class ParallelPlan:
                 )
         elif self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ConfigurationError(
-                f"task_timeout must be positive, got {self.task_timeout}"
-            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -298,8 +288,8 @@ class ParallelPlan:
         ``fn`` must be a module-level function (process workers import
         it by qualified name) and every task must be picklable.  The
         returned list is always in task order; a task whose worker
-        fails or overruns ``task_timeout`` is recomputed serially in the
-        parent, so the result is independent of how the pool behaved.
+        fails is recomputed serially in the parent, so the result is
+        independent of how the pool behaved.
         """
         tasks = list(tasks)
         obs = observation()
@@ -328,22 +318,15 @@ class ParallelPlan:
                     lost = False
                     for index, future in enumerate(futures):
                         try:
-                            results[index], payload = future.result(
-                                timeout=self.task_timeout
-                            )
-                        except FutureTimeoutError:
-                            future.cancel()
-                            lost = True
-                            # Recomputed in the parent under the parent's own
-                            # observation, so the lost task's metrics are
-                            # still counted exactly once.
-                            obs.count("parallel.recomputed_chunks")
-                            results[index] = fn(tasks[index])
+                            results[index], payload = future.result()
                         except Exception:  # bonsai-lint: disable=exn-broad-fallback -- the serial recompute re-raises any real task error in the parent with a clean traceback, so nothing is masked
                             # Worker crash (BrokenProcessPool), unpicklable
                             # result, or the task's own deterministic error:
                             # recompute serially — a real error raises again
                             # here, in the parent, with a clean traceback.
+                            # The recompute runs under the parent's own
+                            # observation, so the lost task's metrics are
+                            # still counted exactly once.
                             lost = True
                             obs.count("parallel.recomputed_chunks")
                             results[index] = fn(tasks[index])

@@ -8,9 +8,8 @@ The package splits along the determinism boundary:
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.queue` — the pure
   wire format and the admission-controlled priority queue;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the asyncio
-  daemon and the stdlib client (wall-clock territory);
-* :mod:`repro.serve.workers` — the import-pure pool entry that fans a
-  dequeued batch across worker processes.
+  daemon, which runs one job at a time on its own session, and the
+  stdlib client (wall-clock territory).
 
 See ``docs/serving.md`` for the protocol and operational tour.
 """

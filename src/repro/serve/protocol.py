@@ -63,6 +63,12 @@ REJECT_REASONS = ("overloaded", "quota", "draining")
 #: (and, unchecked, a memory-exhaustion vector on a shared daemon).
 MAX_LINE_BYTES = 1 << 20
 
+#: What ``json.loads`` raises on a line it cannot turn into a value:
+#: ``ValueError`` covers malformed JSON, undecodable bytes and integers
+#: past the interpreter's digit limit; ``RecursionError`` covers arrays
+#: or objects nested deeper than the interpreter's stack.
+_UNDECODABLE = (ValueError, RecursionError)
+
 
 @dataclass(frozen=True)
 class Request:
@@ -97,7 +103,7 @@ def decode_request(line: bytes) -> Request:
         )
     try:
         body = json.loads(line)
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except _UNDECODABLE as error:
         raise ProtocolError(f"request is not valid JSON: {error}") from None
     if not isinstance(body, dict):
         raise ProtocolError(
@@ -140,7 +146,7 @@ def salvage_request_id(line: bytes) -> str:
     """
     try:
         body = json.loads(line)
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except _UNDECODABLE:
         return "?"
     if isinstance(body, dict):
         request_id = body.get("id")
@@ -173,7 +179,7 @@ def decode_response(line: bytes) -> dict:
     """Decode one response line (the client side of the contract)."""
     try:
         body = json.loads(line)
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except _UNDECODABLE as error:
         raise ProtocolError(f"response is not valid JSON: {error}") from None
     if not isinstance(body, dict):
         raise ProtocolError(

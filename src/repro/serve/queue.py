@@ -100,22 +100,19 @@ class JobQueue:
             self._ready.notify_all()
 
     # -- dispatch side -------------------------------------------------
-    async def take_batch(self, limit: int) -> list[QueuedJob]:
-        """Wait for work; returns up to ``limit`` jobs in priority order.
+    async def take(self) -> QueuedJob | None:
+        """Wait for work; returns the first job in priority order.
 
-        Returns ``[]`` only when the queue is draining *and* empty —
+        Returns ``None`` only when the queue is draining *and* empty —
         the dispatcher's signal to exit its loop.
         """
-        if limit < 1:
-            raise ServeError(f"batch limit must be >= 1, got {limit}")
         async with self._ready:
             await self._ready.wait_for(lambda: self._heap or self._draining)
-            batch = []
-            while self._heap and len(batch) < limit:
-                _key, job = heapq.heappop(self._heap)
-                batch.append(job)
-            self._running += len(batch)
-            return batch
+            if not self._heap:
+                return None
+            _key, job = heapq.heappop(self._heap)
+            self._running += 1
+            return job
 
     def done(self, job: QueuedJob) -> None:
         """Mark one taken job finished, releasing its client's slot."""

@@ -4,17 +4,17 @@ Layout::
 
     clients ──unix socket──> connection handlers ──submit──> JobQueue
                                                                 │
-                              dispatcher task <────take_batch───┘
+                              dispatcher task <──────take───────┘
                                     │
-                   executor thread: SortSession (serial)
-                          or ParallelPlan.map(worker_serve_job, batch)
+                   executor thread: the daemon's SortSession
 
-One asyncio loop owns all sockets and the queue; job execution runs in
-a single executor thread so admission control stays responsive while a
-batch sorts.  Batches of more than one job dispatch through the same
-:class:`~repro.parallel.plan.ParallelPlan` the CLI uses, which is the
-bit-identity argument: a served job executes the exact code path of a
-direct ``bonsai sort``/``optimize`` run, so the digests cannot differ.
+One asyncio loop owns all sockets and the queue; the dispatcher takes
+one job at a time and runs it on the daemon's own
+:class:`~repro.serve.session.SortSession` in a single executor thread,
+so admission control stays responsive while a job sorts.  That session
+is the one ``bonsai sort``/``optimize`` run, which is the bit-identity
+argument: a served job executes the exact code path of a direct run, so
+the digests cannot differ.  The daemon forks no worker processes.
 
 Results of file-free jobs are cached (LRU) under their
 :func:`~repro.serve.session.job_digest` — the same sha256 the obs run
@@ -45,7 +45,6 @@ from repro.obs.runtime import observation
 from repro.serve import protocol
 from repro.serve.queue import JobQueue
 from repro.serve.session import SortSession, execute_payload, job_digest, job_from_params
-from repro.serve.workers import worker_serve_job
 
 #: Unix socket paths live inside sockaddr_un; stay safely under its limit.
 _MAX_SOCKET_PATH = 100
@@ -58,9 +57,7 @@ class ServeConfig:
     socket: str
     queue_depth: int = 64
     client_quota: int = 16
-    batch_max: int = 8
     cache_size: int = 128
-    jobs: int | str | None = None
 
     def __post_init__(self) -> None:
         if not self.socket:
@@ -70,8 +67,6 @@ class ServeConfig:
                 f"socket path is {len(self.socket)} chars; unix sockets cap "
                 f"out near 108 — use a short path (e.g. under /tmp)"
             )
-        if self.batch_max < 1:
-            raise ServeError(f"batch-max must be >= 1, got {self.batch_max}")
         if self.cache_size < 0:
             raise ServeError(f"cache-size must be >= 0, got {self.cache_size}")
 
@@ -107,7 +102,7 @@ class _Server:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.session = SortSession(jobs=config.jobs)
+        self.session = SortSession()
         self.queue = JobQueue(depth=config.queue_depth,
                               client_quota=config.client_quota)
         self.cache: OrderedDict[str, dict] = OrderedDict()
@@ -229,48 +224,41 @@ class _Server:
 
     # -- dispatch side -------------------------------------------------
     async def dispatch_loop(self) -> None:
-        """Pull batches until the queue drains dry, then exit."""
+        """Run queued jobs one at a time until the queue drains dry."""
         loop = asyncio.get_running_loop()
         obs = observation()
         while True:
-            batch = await self.queue.take_batch(self.config.batch_max)
-            if not batch:
+            queued = await self.queue.take()
+            if queued is None:
                 return
-            tasks = [
-                (job.payload[2].kind, job.payload[2].params()) for job in batch
-            ]
+            request_id, writer, job, digest = queued.payload
             try:
-                outcomes = await loop.run_in_executor(
-                    None, _execute_batch, self.session, tasks
+                status, value = await loop.run_in_executor(
+                    None, execute_payload, self.session, job.kind, job.params()
                 )
             except Exception as error:
                 # execute_payload never raises, so reaching here means
-                # the batch machinery itself failed (a dying worker
-                # pool, a shutdown executor).  The dispatcher is the
-                # daemon's heartbeat: it must answer this batch's
-                # clients and keep pulling, not die with the queue full.
+                # the executor itself failed (a shut-down thread pool).
+                # The dispatcher is the daemon's heartbeat: it must
+                # answer this client and keep pulling, not die with the
+                # queue full.
                 obs.count("serve.batch_faults")
-                outcomes = [(
+                status, value = (
                     "error",
-                    f"internal error: batch execution failed: "
+                    f"internal error: job execution failed: "
                     f"{type(error).__name__}: {error}",
-                )] * len(batch)
-            for queued, (status, value) in zip(batch, outcomes):
-                request_id, writer, job, digest = queued.payload
-                if status == "ok":
-                    value.pop("kind", None)
-                    if job.cacheable:
-                        self.cache_put(digest, value)
-                    _write(writer, protocol.ok_response(request_id, value))
-                    obs.count("serve.completed", kind=job.kind)
-                else:
-                    _write(writer, protocol.error_response(request_id, value))
-                    obs.count("serve.failed", kind=job.kind)
-                self.queue.done(queued)
-            # dict.fromkeys dedups while keeping batch order (a set here
-            # would flush writers in hash order).
-            for writer in dict.fromkeys(q.payload[1] for q in batch):
-                await _flush(writer)
+                )
+            if status == "ok":
+                value.pop("kind", None)
+                if job.cacheable:
+                    self.cache_put(digest, value)
+                _write(writer, protocol.ok_response(request_id, value))
+                obs.count("serve.completed", kind=job.kind)
+            else:
+                _write(writer, protocol.error_response(request_id, value))
+                obs.count("serve.failed", kind=job.kind)
+            self.queue.done(queued)
+            await _flush(writer)
             await self.queue.settle()
 
     # -- lifecycle -----------------------------------------------------
@@ -304,20 +292,6 @@ async def _flush(writer: asyncio.StreamWriter) -> None:
         observation().count("serve.client_gone")
 
 
-def _execute_batch(session: SortSession, tasks: list) -> list:
-    """Run one dequeued batch (executor thread).
-
-    A multi-job batch fans out across the parallel pool — one
-    :func:`worker_serve_job` per job, each in a stateless worker
-    process; smaller batches run on the daemon's own memoized session.
-    Both paths execute :func:`~repro.serve.session.execute_payload`, so
-    which one a job landed on is unobservable in its payload.
-    """
-    if session.plan.wants_processes(len(tasks)):
-        return session.plan.map(worker_serve_job, tasks)
-    return [execute_payload(session, kind, params) for kind, params in tasks]
-
-
 async def _serve_async(config: ServeConfig, control: ServeControl | None) -> int:
     server = _Server(config)
     obs = observation()
@@ -347,8 +321,7 @@ async def _serve_async(config: ServeConfig, control: ServeControl | None) -> int
         control._arm(loop, server.begin_drain)
     print(f"serving on {config.socket}  "
           f"(queue depth {config.queue_depth}, "
-          f"quota {config.client_quota}/client, "
-          f"batch {config.batch_max}, jobs {config.jobs or 'serial'})")
+          f"quota {config.client_quota}/client)")
     dispatcher = asyncio.create_task(server.dispatch_loop())
     try:
         await dispatcher  # exits once draining and the queue runs dry

@@ -7,7 +7,6 @@ to a :class:`SortSession`.  The session owns everything those surfaces
 used to build ad hoc:
 
 * platform preset resolution (cached per name);
-* the :class:`~repro.parallel.plan.ParallelPlan` served batches fan out on;
 * one memoized :class:`~repro.core.optimizer.Bonsai` per optimizer key,
   so a long-lived daemon amortizes sweep evaluation across requests;
 * job execution returning plain JSON-shaped payloads.
@@ -158,22 +157,12 @@ def job_digest(job: SortJob | OptimizeJob) -> str:
 class SortSession:
     """Shared execution state for a sequence of jobs.
 
-    Parameters
-    ----------
-    jobs:
-        Worker-process count (a count, ``"auto"``, or ``None`` for the
-        serial default ``ParallelPlan()``) — exactly the CLI ``--jobs``
-        contract.  It shards served batches only: a single-tree sort and
-        an optimizer ranking always run in this process, because each is
-        cheaper than a pool round trip.  Results are bit-identical at every
-        setting.
+    Every job runs in this process: a single-tree sort and an optimizer
+    ranking are each cheaper than a pool round trip, and the serve
+    daemon runs its jobs one at a time on one session.
     """
 
-    def __init__(self, jobs: int | str | None = None) -> None:
-        from repro.parallel import ParallelPlan
-
-        self.jobs = jobs
-        self.plan = ParallelPlan.from_jobs(jobs)
+    def __init__(self) -> None:
         self._platforms: dict[str, object] = {}
         self._optimizers: dict[tuple, object] = {}
 
@@ -326,14 +315,13 @@ class SortSession:
 def execute_payload(session: SortSession, kind: str, params: Mapping) -> tuple:
     """Run one protocol-shaped job, never raising.
 
-    Returns ``("ok", payload)`` or ``("error", message)`` — the shape a
-    serve worker ships back across a process boundary.  Taxonomy
-    faults (:class:`BonsaiError`) keep their type name; anything else
-    is a genuine bug, reported as an ``internal error`` message.  It is
-    converted all the same because this function is the daemon's last
-    line of defense: an exception escaping here would kill the
-    dispatcher (or poison a worker pool) and take every queued job's
-    response with it — one bad job must never crash the server.
+    Returns ``("ok", payload)`` or ``("error", message)``, the shape the
+    serve dispatcher answers with.  Taxonomy faults
+    (:class:`BonsaiError`) keep their type name; anything else is a
+    genuine bug, reported as an ``internal error`` message.  It is
+    converted all the same, so a bad job is answered as that job's own
+    error and the dispatcher's guard is left for faults of the executor
+    itself — one bad job must never crash the server.
     """
     try:
         result = session.run(job_from_params(kind, params))

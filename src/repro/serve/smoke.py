@@ -12,9 +12,8 @@ acceptance properties end to end, the way an operator would see them:
 3. **graceful drain** — SIGTERM lands mid-stream: every admitted job
    still completes and is answered, a post-SIGTERM submission is
    refused, the daemon exits 0, flushes its trace/metrics/manifest, and
-   leaves no orphaned worker processes behind (checked by scanning
-   ``/proc`` for the daemon's unique socket path, which forked pool
-   children share in their cmdline).
+   leaves no process behind (checked by scanning ``/proc`` for the
+   daemon's unique socket path in a cmdline).
 
 Exit code 0 only if every assertion holds; failures print a ``FAIL:``
 line each and exit 1 so the CI job log is diagnosable on its own.
@@ -103,7 +102,7 @@ def _serve_one(socket_path: str, index: int, params: dict) -> dict:
 
 
 def _orphans(socket_path: str) -> list[str]:
-    """Processes (daemon or forked pool workers) still naming the socket."""
+    """Processes (the daemon or any child of it) still naming the socket."""
     found = []
     for entry in pathlib.Path("/proc").iterdir():
         if not entry.name.isdigit() or int(entry.name) == os.getpid():
@@ -131,7 +130,6 @@ def _phase_identity(artifacts: pathlib.Path) -> None:
     process, log = _spawn_daemon(
         socket_path, artifacts, "identity",
         "--queue-depth", "32", "--client-quota", "32",
-        "--batch-max", "4", "--jobs", "2",
     )
     try:
         _wait_listening(socket_path)
@@ -185,9 +183,11 @@ def _phase_backpressure_and_drain(artifacts: pathlib.Path) -> None:
     socket_path = f"/tmp/bsm-{os.getpid()}-b.sock"
     process, log = _spawn_daemon(
         socket_path, artifacts, "drain",
-        "--queue-depth", "2", "--batch-max", "1",
+        "--queue-depth", "2",
     )
-    slow = {"records": 6000, "p": 4, "leaves": 8, "mode": "simulate"}
+    # About 0.45 s per job on a 2-CPU x86-64 host, so SIGTERM lands
+    # while admitted jobs are still queued and running.
+    slow = {"records": 60_000, "p": 4, "leaves": 8, "mode": "simulate"}
     try:
         _wait_listening(socket_path)
         with ServeClient(socket_path, timeout=120.0) as client:
@@ -240,7 +240,7 @@ def _phase_backpressure_and_drain(artifacts: pathlib.Path) -> None:
     leftovers = _orphans(socket_path)
     for line in leftovers:
         print(f"  orphan: {line}")
-    _check(not leftovers, "no orphaned daemon or worker processes remain")
+    _check(not leftovers, "no orphaned daemon process remains")
 
 
 def main(argv: list[str] | None = None) -> int:

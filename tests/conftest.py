@@ -7,7 +7,6 @@ import multiprocessing
 import os
 import random
 import signal
-import time
 
 import numpy as np
 import pytest
@@ -27,24 +26,19 @@ def nprng() -> np.random.Generator:
     return np.random.default_rng(0xB0452)
 
 
-def _straggling_node(task: tuple, node: int, mode: str) -> tuple:
-    """``worker_cluster_node`` with a fault in node ``node``'s pool task.
-
-    ``kill`` SIGKILLs the worker process (a pool crash); ``sleep``
-    stalls it for 30 s, past any test's task timeout.  The fault fires
-    only in a pool child, so the parent's recompute runs clean.
-    """
+def _straggling_node(task: tuple, node: int) -> tuple:
+    """``worker_cluster_node`` whose pool task for node ``node`` SIGKILLs
+    its worker process (a pool crash).  The fault fires only in a pool
+    child, so the parent's recompute runs clean."""
     receiver = task[2]
     if receiver == node and multiprocessing.parent_process() is not None:
-        if mode == "kill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        time.sleep(30.0)
+        os.kill(os.getpid(), signal.SIGKILL)
     return worker_cluster_node(task)
 
 
 @pytest.fixture
 def straggler(monkeypatch):
-    """``straggler(node, mode)`` injects a fault into one cluster node.
+    """``straggler(node)`` kills the worker running one cluster node.
 
     ``ClusterExecutor`` maps through the patched entry, which travels to
     the workers as the map's function.  A warm pool forked before the
@@ -53,10 +47,10 @@ def straggler(monkeypatch):
     """
     from repro.distributed import executor
 
-    def inject(node: int, mode: str) -> None:
+    def inject(node: int) -> None:
         monkeypatch.setattr(
             executor, "worker_cluster_node",
-            functools.partial(_straggling_node, node=node, mode=mode),
+            functools.partial(_straggling_node, node=node),
         )
     return inject
 

@@ -401,41 +401,26 @@ class TestWorkerEntry:
         assert "one task" in result.diagnostics[0].message
 
     def test_rule_scope_is_the_parallel_package_only(self, check_tree):
-        # The same shapes outside the pool-shipping packages are someone
-        # else's business: no worker-entry findings.
+        # The same shapes outside the pool-shipping package are someone
+        # else's business: no worker-entry findings, in the serve
+        # package (which ships nothing to a pool) included.
         result = check_tree({
             "src/repro/util/pool.py": """
                 class Helper:
                     def worker_inner(self, task):
                         return task
             """,
-        })
-        assert [d for d in result.diagnostics if d.rule == "worker-entry"] == []
-
-    def test_serve_workers_module_is_held_to_the_same_rules(self, check_tree):
-        # The serve daemon ships batches through the same pool; its
-        # workers module gets the identical hygiene pass.
-        result = check_tree({
-            "src/repro/serve/workers.py": """
+            "src/repro/serve/entries.py": """
                 def worker_pair(left, right):
                     return left + right
             """,
-        })
-        rules = [d.rule for d in result.diagnostics]
-        assert rules == ["worker-entry"]
-        assert "one task" in result.diagnostics[0].message
-
-    def test_serve_entry_method_is_flagged(self, check_tree):
-        result = check_tree({
             "src/repro/serve/api.py": """
                 class Dispatcher:
                     def worker_batch(self, task):
                         return task
             """,
         })
-        rules = [d.rule for d in result.diagnostics]
-        assert rules == ["worker-entry"]
-        assert "module-level" in result.diagnostics[0].message
+        assert [d for d in result.diagnostics if d.rule == "worker-entry"] == []
 
 
 class TestParseErrors:

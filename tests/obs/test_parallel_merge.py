@@ -15,13 +15,10 @@ import pytest
 
 from repro.core import presets
 from repro.core.configuration import AmtConfig
-from repro.core.parameters import ArrayParams
 from repro.engine.unrolled import UnrolledSorter
 from repro.obs.metrics import diff_counters
 from repro.obs.runtime import activated, live_observation
 from repro.parallel import ParallelPlan
-from repro.serve.session import SortSession
-from repro.units import GB
 
 IGNORED = ("parallel.",)
 
@@ -82,59 +79,6 @@ class TestUnrolledSortMerge:
         assert registry.counter_total("parallel.tasks") > 0
 
 
-class TestOptimizerSweepMerge:
-    """A pooled session's optimizer ranks in the parent: its counters,
-    ``parallel.*`` bookkeeping included, equal a serial session's."""
-
-    def build(self, jobs):
-        return SortSession(jobs=jobs).optimizer("aws-f1")
-
-    def assert_same_counters(self, serial, pooled):
-        assert diff_counters(
-            serial.registry.counters(), pooled.registry.counters()
-        ) == []
-
-    def test_memo_accounting_matches_serial(self):
-        array = ArrayParams.from_bytes(GB)
-        serial_ranking, serial = observed_counters(
-            lambda: self.build(None).rank_by_latency(array)
-        )
-        pooled_ranking, pooled = observed_counters(
-            lambda: self.build(2).rank_by_latency(array)
-        )
-        assert pooled_ranking == serial_ranking
-        self.assert_same_counters(serial, pooled)
-
-    def test_bounded_latency_memo_matches_serial(self, monkeypatch):
-        """Evictions fall at the same lookups in both sessions, and the
-        oldest slice goes first."""
-        monkeypatch.setattr("repro.core.optimizer.LATENCY_CACHE_SLICES", 2)
-        arrays = [ArrayParams.from_bytes(n * GB) for n in (1, 2, 4, 1, 8, 2)]
-
-        def sweep(jobs):
-            bonsai = self.build(jobs)
-            latency = [bonsai.rank_by_latency(array) for array in arrays]
-            return latency + [bonsai.rank_by_throughput(array) for array in arrays[:2]]
-
-        serial_rankings, serial = observed_counters(lambda: sweep(None))
-        pooled_rankings, pooled = observed_counters(lambda: sweep(2))
-        assert pooled_rankings == serial_rankings
-        self.assert_same_counters(serial, pooled)
-        # With two slices kept, the repeated sizes were evicted first.
-        assert serial.registry.counter_value("optimizer.memo_hits", cache="latency") == 0
-
-    def test_throughput_sweep_matches_serial(self):
-        array = ArrayParams.from_bytes(GB)
-        serial_ranking, serial = observed_counters(
-            lambda: self.build(None).rank_by_throughput(array)
-        )
-        pooled_ranking, pooled = observed_counters(
-            lambda: self.build(2).rank_by_throughput(array)
-        )
-        assert pooled_ranking == serial_ranking
-        self.assert_same_counters(serial, pooled)
-
-
 class TestWorkerSpans:
     def test_worker_spans_land_in_parent_sink_linked(self, hardware):
         rng = np.random.default_rng(13)
@@ -191,7 +135,7 @@ class TestClusterSortMerge:
         serial_report, serial = observed_counters(
             lambda: self.run_cluster(data)
         )
-        straggler(1, "kill")
+        straggler(1)
         straggled_report, straggled = observed_counters(
             lambda: self.run_cluster(data, plan=ParallelPlan(jobs=2))
         )

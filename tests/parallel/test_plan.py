@@ -33,11 +33,6 @@ def _flaky_boom(task):
     return task
 
 
-def _slow(task):
-    time.sleep(task)
-    return task
-
-
 def _pid(task):
     return os.getpid()
 
@@ -53,8 +48,11 @@ def _kill_in_worker(task):
     return task
 
 
-def _stall_in_worker(task):
-    # Sleeps only inside a pool worker: the parent's recompute is instant.
+def _fail_or_stall(task):
+    # A negative task fails everywhere; any other sleeps that many
+    # seconds, but only inside a pool worker.
+    if task < 0:
+        raise ConfigurationError("negative tasks always fail")
     if multiprocessing.parent_process() is not None:
         time.sleep(task)
     return task
@@ -66,10 +64,6 @@ class TestValidation:
             ParallelPlan(jobs=0)
         with pytest.raises(ConfigurationError, match="jobs"):
             ParallelPlan(jobs="many")
-
-    def test_rejects_bad_timeout(self):
-        with pytest.raises(ConfigurationError, match="task_timeout"):
-            ParallelPlan(task_timeout=0)
 
     def test_from_jobs_adapter(self):
         assert ParallelPlan.from_jobs(None) == ParallelPlan()
@@ -109,18 +103,14 @@ class TestMap:
         with pytest.raises(ConfigurationError, match="task three"):
             plan.map(_flaky_boom, [1, 2, 3, 4])
 
-    def test_timeout_falls_back_to_serial_recompute(self):
-        # Sleepy tasks behind a tiny budget: tasks time out and the
-        # parent recomputes serially — results must still be right.
-        plan = ParallelPlan(jobs=2, task_timeout=0.05)
-        assert plan.map(_slow, [0.2, 0.3]) == [0.2, 0.3]
-
-    def test_timed_out_worker_does_not_outlive_the_map(self):
-        # The worker stuck on the 30 s task is killed before map
-        # returns, so it cannot hold the process open at exit.
-        plan = ParallelPlan(jobs=2, task_timeout=0.3)
+    def test_stalled_worker_does_not_outlive_a_failed_map(self):
+        # Task 0's error re-raises from its recompute in the parent; the
+        # worker stuck on the 30 s task is killed before the error
+        # leaves map, so it cannot hold the process open at exit.
+        plan = ParallelPlan(jobs=2)
         started = time.perf_counter()
-        assert plan.map(_stall_in_worker, [0.0, 30.0, 0.0]) == [0.0, 30.0, 0.0]
+        with pytest.raises(ConfigurationError, match="negative"):
+            plan.map(_fail_or_stall, [-1.0, 30.0])
         assert time.perf_counter() - started < 10.0
         assert multiprocessing.active_children() == []
 
@@ -176,15 +166,16 @@ class TestWarmSet:
             ParallelPlan(jobs=2).map(_pid, range(4))
         assert ParallelPlan(jobs=2).map(_observed, range(4)) == [False] * 4
 
-    @pytest.mark.parametrize("fault", ["kill", "timeout"])
+    @pytest.mark.parametrize("fault", ["kill", "error"])
     def test_lost_task_stops_the_pool_and_the_next_map_starts_fresh(self, fault):
-        plan = ParallelPlan(jobs=2, task_timeout=0.3)
+        plan = ParallelPlan(jobs=2)
         plan.map(_pid, range(4))
         before = _warm_pids()
         if fault == "kill":
             assert plan.map(_kill_in_worker, range(4)) == [0, 1, 2, 3]
         else:
-            assert plan.map(_stall_in_worker, [0.0, 30.0, 0.0]) == [0.0, 30.0, 0.0]
+            with pytest.raises(ConfigurationError, match="task three"):
+                plan.map(_flaky_boom, [1, 2, 3, 4])
         assert multiprocessing.active_children() == []
         after = set(plan.map(_pid, range(4)))
         assert after and not after & before

@@ -5,9 +5,20 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
 from repro.serve import protocol
+
+#: Lines under the size cap that ``json.loads`` refuses with something
+#: other than a JSON syntax error: nesting past the interpreter's stack
+#: (``RecursionError``) and an integer past its digit limit
+#: (``ValueError``).
+HOSTILE_LINES = (
+    b"[" * 200_000 + b"\n",
+    (json.dumps({"proto": protocol.PROTOCOL, "id": "r1", "kind": "ping"})[:-1]
+     + ', "priority": ' + "9" * 5000 + "}\n").encode(),
+)
 
 
 class TestRequestRoundTrip:
@@ -77,6 +88,66 @@ class TestRequestValidation:
         huge = b" " * (protocol.MAX_LINE_BYTES + 1)
         with pytest.raises(ProtocolError, match="byte limit"):
             protocol.decode_request(huge)
+
+
+class TestHostileLines:
+    @pytest.mark.parametrize("line", HOSTILE_LINES, ids=["nesting", "digits"])
+    def test_every_decoder_answers_with_a_protocol_error(self, line):
+        assert len(line) < protocol.MAX_LINE_BYTES
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            protocol.decode_request(line)
+        assert protocol.salvage_request_id(line) == "?"
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            protocol.decode_response(line)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+#: Envelopes near the valid shape: every field is optional and each one
+#: is either a plausible value or any JSON value.
+ENVELOPES = st.fixed_dictionaries({}, optional={
+    "proto": st.sampled_from([protocol.PROTOCOL, "bonsai-serve/v0"]) | JSON_VALUES,
+    "id": st.text(max_size=8) | JSON_VALUES,
+    "kind": st.sampled_from(protocol.WORK_KINDS + protocol.CONTROL_KINDS)
+    | JSON_VALUES,
+    "params": st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4)
+    | JSON_VALUES,
+    "client": st.text(max_size=8) | JSON_VALUES,
+    "priority": st.integers() | JSON_VALUES,
+})
+
+
+class TestFuzz:
+    """Any line decodes to a ``Request`` or raises ``ProtocolError``, and
+    ``salvage_request_id`` always returns a string: nothing a client
+    sends can raise anything else in the connection handler."""
+
+    @staticmethod
+    def check(line: bytes) -> None:
+        try:
+            request = protocol.decode_request(line)
+        except ProtocolError:
+            pass
+        else:
+            assert isinstance(request, protocol.Request)
+            assert protocol.decode_request(request.encode()) == request
+        assert isinstance(protocol.salvage_request_id(line), str)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, line):
+        self.check(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ENVELOPES | JSON_VALUES)
+    def test_arbitrary_json_envelopes(self, body):
+        self.check(json.dumps(body).encode() + b"\n")
 
 
 class TestSalvageRequestId:

@@ -52,10 +52,10 @@ class TestAdmission:
             # Another client is unaffected by greedy's refusals.
             assert queue.submit("polite", "j4") is None
             # Taking a job keeps it *running*, still held against quota.
-            batch = await queue.take_batch(1)
+            taken = await queue.take()
             assert queue.submit("greedy", "j5") == "quota"
             # Completion releases the slot.
-            queue.done(batch[0])
+            queue.done(taken)
             assert queue.submit("greedy", "j6") is None
             return queue.stats()
 
@@ -84,32 +84,11 @@ class TestOrdering:
             queue.submit("a", "first-normal", priority=0)
             queue.submit("a", "second-normal", priority=0)
             queue.submit("a", "urgent", priority=-1)
-            batch = await queue.take_batch(10)
-            return [job.payload for job in batch]
+            return [(await queue.take()).payload for _ in range(4)]
 
         assert run(scenario()) == [
             "urgent", "first-normal", "second-normal", "late-low",
         ]
-
-    def test_take_batch_respects_limit(self):
-        async def scenario():
-            queue = JobQueue(depth=10, client_quota=10)
-            for index in range(5):
-                queue.submit("a", index)
-            first = await queue.take_batch(2)
-            second = await queue.take_batch(10)
-            return [j.payload for j in first], [j.payload for j in second]
-
-        first, second = run(scenario())
-        assert first == [0, 1]
-        assert second == [2, 3, 4]
-
-    def test_take_batch_rejects_bad_limit(self):
-        async def scenario():
-            await JobQueue().take_batch(0)
-
-        with pytest.raises(ServeError, match="batch limit"):
-            run(scenario())
 
 
 class TestDrain:
@@ -118,23 +97,22 @@ class TestDrain:
             queue = JobQueue()
             queue.submit("a", "j1")
             await queue.begin_drain()
-            batch = await queue.take_batch(4)
-            assert [j.payload for j in batch] == ["j1"]
+            assert (await queue.take()).payload == "j1"
             # Drained and empty: the dispatcher's exit signal.
-            return await queue.take_batch(4)
+            return await queue.take()
 
-        assert run(scenario()) == []
+        assert run(scenario()) is None
 
     def test_wait_drained_blocks_until_running_work_finishes(self):
         async def scenario():
             queue = JobQueue()
             queue.submit("a", "j1")
-            batch = await queue.take_batch(1)
+            taken = await queue.take()
             await queue.begin_drain()
             waiter = asyncio.ensure_future(queue.wait_drained())
             await asyncio.sleep(0)
             assert not waiter.done()
-            queue.done(batch[0])
+            queue.done(taken)
             await queue.settle()
             await asyncio.wait_for(waiter, timeout=5)
             return queue.stats()

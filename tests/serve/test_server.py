@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket as socket_module
+import time
 
 import pytest
 
@@ -12,9 +13,10 @@ from repro.serve.client import ServeClient
 from repro.serve.protocol import decode_response
 from repro.serve.server import ServeConfig, ServerThread
 
-#: Slow enough (~0.5s simulated) to still be queued or running while a
-#: follow-up request races it through admission.
-SLOW = {"records": 6000, "p": 4, "leaves": 8, "mode": "simulate"}
+#: Slow enough (about 0.45 s of host time on a 2-CPU x86-64 host) to
+#: still be queued or running while a follow-up request races it
+#: through admission.
+SLOW = {"records": 60_000, "p": 4, "leaves": 8, "mode": "simulate"}
 
 
 @pytest.fixture
@@ -102,21 +104,21 @@ class TestFaultyRequests:
     def test_internal_faults_answer_the_batch_and_spare_the_daemon(
         self, socket_path, monkeypatch
     ):
-        # Defense in depth behind admission typing: if batch execution
-        # itself blows up, every client gets an error response and the
+        # Defense in depth behind admission typing: if job execution
+        # itself blows up, the client gets an error response and the
         # dispatcher keeps pulling instead of dying mid-queue.
         from repro.serve import server as server_module
 
-        def exploding_batch(session, tasks):
-            raise RuntimeError("pool died")
+        def exploding_payload(session, kind, params):
+            raise RuntimeError("executor died")
 
-        monkeypatch.setattr(server_module, "_execute_batch", exploding_batch)
+        monkeypatch.setattr(server_module, "execute_payload", exploding_payload)
         with ServerThread(ServeConfig(socket=socket_path)) as server:
             with ServeClient(socket_path) as client:
                 response = client.sort(records=1200, seed=5)
                 assert client.ping()["result"] == "pong"
         assert response["status"] == "error"
-        assert "pool died" in response["reason"]
+        assert "executor died" in response["reason"]
         assert not server._thread.is_alive()  # drained cleanly on exit
 
     def test_envelope_error_echoes_a_salvageable_id(self, socket_path):
@@ -174,6 +176,35 @@ class TestFaultyRequests:
                 assert client.ping()["result"] == "pong"
         assert response["status"] == "error"  # no such workload — but answered
 
+    def test_hostile_lines_are_answered_and_the_connection_survives(
+        self, socket_path
+    ):
+        # Lines under the size cap that the JSON decoder refuses with a
+        # RecursionError (deep nesting) or a ValueError (an integer past
+        # the digit limit) each get an error response, not a hangup.
+        from repro.serve import protocol
+        from tests.serve.test_protocol import HOSTILE_LINES
+
+        with ServerThread(ServeConfig(socket=socket_path)):
+            raw = socket_module.socket(
+                socket_module.AF_UNIX, socket_module.SOCK_STREAM
+            )
+            raw.settimeout(10.0)
+            try:
+                raw.connect(socket_path)
+                reader = raw.makefile("rb")
+                responses = []
+                for line in HOSTILE_LINES:
+                    raw.sendall(line)
+                    responses.append(decode_response(reader.readline()))
+                raw.sendall(protocol.Request(id="r2", kind="ping").encode())
+                pong = decode_response(reader.readline())
+            finally:
+                raw.close()
+        assert [r["status"] for r in responses] == ["error", "error"]
+        assert all("not valid JSON" in r["reason"] for r in responses)
+        assert pong["result"] == "pong"
+
     def test_client_treats_unmatchable_error_as_fatal(self, socket_path):
         from repro.errors import ServeError
 
@@ -214,9 +245,7 @@ class TestFaultyRequests:
 
 class TestAdmissionControl:
     def test_quota_rejection_names_the_reason(self, socket_path):
-        config = ServeConfig(
-            socket=socket_path, queue_depth=8, client_quota=1, batch_max=1
-        )
+        config = ServeConfig(socket=socket_path, queue_depth=8, client_quota=1)
         with ServerThread(config):
             with ServeClient(socket_path, client_id="greedy") as client:
                 ids = [
@@ -230,9 +259,7 @@ class TestAdmissionControl:
         assert rejected and all(r["reason"] == "quota" for r in rejected)
 
     def test_overload_rejection_past_queue_depth(self, socket_path):
-        config = ServeConfig(
-            socket=socket_path, queue_depth=1, client_quota=8, batch_max=1
-        )
+        config = ServeConfig(socket=socket_path, queue_depth=1, client_quota=8)
         with ServerThread(config):
             with ServeClient(socket_path) as client:
                 ids = [
@@ -245,8 +272,6 @@ class TestAdmissionControl:
         assert any(r["status"] == "ok" for r in responses)
 
     def test_drain_rejects_new_work_but_answers_admitted(self, socket_path):
-        import time
-
         with ServerThread(ServeConfig(socket=socket_path)) as server:
             with ServeClient(socket_path) as client:
                 admitted = client.send("sort", {**SLOW, "seed": 9})
@@ -266,6 +291,37 @@ class TestAdmissionControl:
         assert "digest" in admitted_response["result"]
         assert late_response["status"] == "rejected"
         assert late_response["reason"] == "draining"
+
+
+class TestDispatch:
+    def test_a_queued_job_is_answered_before_the_next_one_runs(
+        self, socket_path
+    ):
+        # A slow job runs; a small sort at priority 0 and a slow one at
+        # priority 1 queue behind it.  The small sort's reply must not
+        # wait for the slow job queued after it: when it arrives, two
+        # jobs have completed, not three.
+        def wait_for(client, condition):
+            deadline = time.monotonic() + 30.0
+            while not condition(client.stats()["result"]):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+        with ServerThread(ServeConfig(socket=socket_path)):
+            with ServeClient(socket_path, client_id="a") as a, \
+                    ServeClient(socket_path, client_id="b") as b, \
+                    ServeClient(socket_path, client_id="c") as c:
+                first = a.send("sort", {**SLOW, "seed": 1})
+                wait_for(a, lambda s: s["running"] == 1 and s["queued"] == 0)
+                small = b.send("sort", {"records": 1000, "seed": 2}, priority=0)
+                slow = c.send("sort", {**SLOW, "seed": 3}, priority=1)
+                wait_for(a, lambda s: s["admitted"] == 3)
+                small_response = b.collect(small)
+                completed = b.stats()["result"]["completed"]
+                responses = [a.collect(first), c.collect(slow)]
+        assert small_response["status"] == "ok"
+        assert completed == 2
+        assert [r["status"] for r in responses] == ["ok", "ok"]
 
 
 class TestControlPlane:
@@ -291,7 +347,7 @@ class TestControlPlane:
                 response = client.sort(records=1000 + seed, seed=seed)
                 return response["status"], response["result"]["records"]
 
-        with ServerThread(ServeConfig(socket=socket_path, jobs=2)):
+        with ServerThread(ServeConfig(socket=socket_path)):
             with ThreadPoolExecutor(max_workers=6) as pool:
                 outcomes = list(pool.map(one, range(6)))
         assert outcomes == [("ok", 1000 + seed) for seed in range(6)]

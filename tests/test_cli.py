@@ -302,6 +302,14 @@ class TestServeCommand:
                      "--queue-depth", "0"]) == 2
         assert "depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--batch-max", "4"]])
+    def test_pool_flags_are_rejected(self, flag, capsys):
+        """The daemon runs one job at a time in its own process."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--socket", "s", *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
 
 class TestReportTrace:
     def test_traced_sort_renders_attribution(self, tmp_path, capsys):
